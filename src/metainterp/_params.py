@@ -84,6 +84,6 @@ def from_named_arrays(template, pairs: dict):
     names = [n for n, _ in named_arrays(template)]
     missing = [n for n in names if n not in pairs]
     if missing:
-        raise KeyError(f"missing tensors: {missing[:3]}{'...' if len(missing) > 3 else ''}")
+        raise ValueError(f"missing tensors: {missing[:3]}{'...' if len(missing) > 3 else ''}")
     it = iter(names)
     return _map_leaves(template, lambda _x: np.array(pairs[next(it)], dtype=np.float64))

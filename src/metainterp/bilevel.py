@@ -317,13 +317,15 @@ def _sample_batch(dataset, cfg, rng):
 
 
 def evaluate_validation(lam, theta, val_tasks, metric: str):
-    """Deterministic validation metrics: mean episode loss and accuracy."""
+    """Deterministic validation metrics: mean episode loss and accuracy,
+    both read from one embedding of each task."""
+    losses, accs = [], []
     with ad.pause_recording():
-        losses = [
-            pn.loss_singleton(lam, theta, t, "eval", None, metric).item()
-            for t in val_tasks
-        ]
-    accs = [pn.task_accuracy(lam, theta, t, metric) for t in val_tasks]
+        for t in val_tasks:
+            dists = pn.task_dists(lam, theta, t, "eval", None, metric)
+            labels = t.query_matrix()[1]
+            losses.append(pn.cross_entropy_to_prototypes(dists, labels).item())
+            accs.append(pn.accuracy_from_dists(dists, labels))
     return float(np.mean(losses)), float(np.mean(accs))
 
 
@@ -508,6 +510,8 @@ def load_checkpoint(path) -> dict:
         if parts[0] != "tensor" or len(parts) != 4:
             raise ValueError(f"{path}: malformed entry line {i}: {line!r}")
         name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+        if i + rows > len(lines):
+            raise ValueError(f"{path}: tensor {name} is cut short after {len(lines) - i} of {rows} rows")
         data = np.empty((rows, cols))
         for r in range(rows):
             vals = lines[i].split()
@@ -544,80 +548,58 @@ def _kind_of(lam) -> str:
     }[type(lam)]
 
 
-def model_from_named(named: dict):
-    """Rebuild (theta, lam, metric) from a checkpoint's tensors."""
-    split = int(named["meta.split"][0, 0])
-    slope = float(named["meta.slope"][0, 0])
-    layer_ids = sorted(
-        {
-            int(name.split("[", 1)[1].split("]", 1)[0])
-            for name in named
-            if name.startswith("theta.layers[")
-        }
-    )
-    layers = [
-        pn.LayerParams(
-            w=named[f"theta.layers[{i}].w"], b=named[f"theta.layers[{i}].b"]
-        )
-        for i in layer_ids
-    ]
-    theta = pn.EncoderParams(layers=layers, split=split, slope=slope)
+def _tensor(named: dict, name: str) -> np.ndarray:
+    if name not in named:
+        raise ValueError(f"checkpoint has no tensor {name!r}")
+    return named[name]
 
-    kind = _SET_KIND_NAMES[int(named["meta.set_kind"][0, 0])]
-    lam_named = {
-        name[len("lam.") :]: arr
-        for name, arr in named.items()
-        if name.startswith("lam.")
-    }
+
+def _code(named: dict, name: str, table: dict) -> str:
+    code = int(_tensor(named, name)[0, 0])
+    if code not in table:
+        raise ValueError(f"checkpoint tensor {name!r} holds unknown code {code}")
+    return table[code]
+
+
+def _indexed(named: dict, fmt: str) -> list:
+    """The tensors fmt.format(0), fmt.format(1), ... up to the first gap."""
+    out = []
+    while fmt.format(len(out)) in named:
+        out.append(named[fmt.format(len(out))])
+    return out
+
+
+def _lam_template(kind: str, named: dict, rate: float, rng):
+    """A set function of the given kind with the stored tensors' shapes."""
     if kind == "identity":
-        lam = setfunc.IdentitySet()
-    elif kind == "simple":
-        lam = setfunc.SimpleSetParams(**{k: lam_named[k] for k in lam_named})
-    elif kind == "full":
-        lam = _full_from_named(lam_named, float(named["meta.dropout_rate"][0, 0]))
-    else:
-        lam = _deepsets_from_named(lam_named)
-    metric = _METRIC_NAMES[int(named["meta.metric"][0, 0])]
-    return theta, lam, metric
+        return setfunc.IdentitySet()
+    if kind == "simple":
+        return setfunc.init_simple(_tensor(named, "lam.w1q").shape[0], rng)
+    if kind == "full":
+        w4 = _tensor(named, "lam.w4")
+        return setfunc.init_full(w4.shape[1], w4.shape[0], rng, rate)
+    d = _tensor(named, "lam.pre[0][0]").shape[0]
+    widths = tuple(w.shape[1] for w in _indexed(named, "lam.pre[{}][0]"))
+    return setfunc.init_deepsets(d, widths, rng)
 
 
-def _full_from_named(named: dict, rate: float) -> setfunc.FullSetTransformerParams:
-    def head(block, j):
-        p = f"block{block}.heads[{j}]"
-        return setfunc.AttnHead(
-            wq=named[f"{p}.wq"], wk=named[f"{p}.wk"], wv=named[f"{p}.wv"],
-            bq=named[f"{p}.bq"], bk=named[f"{p}.bk"], bv=named[f"{p}.bv"],
-            ln_gain=named[f"{p}.ln_gain"], ln_bias=named[f"{p}.ln_bias"],
-        )
-
-    def block(b):
-        return setfunc.AttnBlock(
-            heads=[head(b, j) for j in range(setfunc.N_HEADS)],
-            w=named[f"block{b}.w"], b=named[f"block{b}.b"],
-            ln_gain=named[f"block{b}.ln_gain"], ln_bias=named[f"block{b}.ln_bias"],
-        )
-
-    return setfunc.FullSetTransformerParams(
-        block1=block(1), block2=block(2), block3=block(3),
-        seed=named["seed"], w4=named["w4"], b4=named["b4"],
-        dropout_rate=rate,
-    )
+def model_from_named(named: dict):
+    """Rebuild (theta, lam, metric) from a checkpoint's tensors: templates
+    with the stored shapes, filled by tensor name."""
+    rng = np.random.default_rng(0)
+    widths = [_tensor(named, "theta.layers[0].w").shape[0],
+              *(w.shape[1] for w in _indexed(named, "theta.layers[{}].w"))]
+    theta = pn.init_encoder(widths, int(_tensor(named, "meta.split")[0, 0]), rng,
+                            float(_tensor(named, "meta.slope")[0, 0]))
+    lam = _lam_template(_code(named, "meta.set_kind", _SET_KIND_NAMES), named,
+                        float(_tensor(named, "meta.dropout_rate")[0, 0]), rng)
+    theta = _params.from_named_arrays(theta, _strip(named, "theta."))
+    lam = _params.from_named_arrays(lam, _strip(named, "lam."))
+    return theta, lam, _code(named, "meta.metric", _METRIC_NAMES)
 
 
-def _deepsets_from_named(named: dict) -> setfunc.DeepSetsParams:
-    def stack(prefix):
-        ids = sorted(
-            {
-                int(n[len(prefix) + 1 :].split("]", 1)[0])
-                for n in named
-                if n.startswith(prefix + "[")
-            }
-        )
-        return [
-            [named[f"{prefix}[{i}][0]"], named[f"{prefix}[{i}][1]"]] for i in ids
-        ]
-
-    return setfunc.DeepSetsParams(pre=stack("pre"), post=stack("post"))
+def _strip(named: dict, prefix: str) -> dict:
+    return {n[len(prefix):]: a for n, a in named.items() if n.startswith(prefix)}
 
 
 def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
@@ -646,15 +628,8 @@ def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
 
 def state_from_named(named: dict, cfg: TrainConfig):
     theta, lam, _metric = model_from_named(named)
-    best_named = {
-        n[len("best_theta.") :]: a
-        for n, a in named.items()
-        if n.startswith("best_theta.")
-    }
-    best_theta = _params.from_named_arrays(theta, best_named)
-    best_lam_named = {
-        n[len("best_lam.") :]: a for n, a in named.items() if n.startswith("best_lam.")
-    }
+    best_theta = _params.from_named_arrays(theta, _strip(named, "best_theta."))
+    best_lam_named = _strip(named, "best_lam.")
     best_lam = _params.from_named_arrays(lam, best_lam_named) if best_lam_named else lam
 
     def opt_from(slot, template_arrays):
@@ -664,8 +639,8 @@ def state_from_named(named: dict, cfg: TrainConfig):
         step, lr, is_adam = named[key][0]
         opt = OptState(kind="adam" if is_adam else "sgd", lr=float(lr), step=int(step))
         if opt.kind == "adam":
-            opt.m = [named[f"{slot}.m[{i}]"] for i in range(len(template_arrays))]
-            opt.v = [named[f"{slot}.v[{i}]"] for i in range(len(template_arrays))]
+            opt.m = [_tensor(named, f"{slot}.m[{i}]") for i in range(len(template_arrays))]
+            opt.v = [_tensor(named, f"{slot}.v[{i}]") for i in range(len(template_arrays))]
         return opt
 
     theta_arrays = [a for _, a in _params.named_arrays(theta)]
@@ -675,13 +650,13 @@ def state_from_named(named: dict, cfg: TrainConfig):
         lam=lam,
         opt_theta=opt_from("opt_theta", theta_arrays),
         opt_lam=opt_from("opt_lam", lam_arrays),
-        iteration=int(named["meta.iteration"][0, 0]),
-        work=int(named["meta.work"][0, 0]),
-        best_val_acc=float(named["meta.best_val_acc"][0, 0]),
-        best_iter=int(named["meta.best_iter"][0, 0]),
+        iteration=int(_tensor(named, "meta.iteration")[0, 0]),
+        work=int(_tensor(named, "meta.work")[0, 0]),
+        best_val_acc=float(_tensor(named, "meta.best_val_acc")[0, 0]),
+        best_iter=int(_tensor(named, "meta.best_iter")[0, 0]),
         best_theta=best_theta,
         best_lam=best_lam,
-        evals_since_best=int(named["meta.evals_since_best"][0, 0]),
+        evals_since_best=int(_tensor(named, "meta.evals_since_best")[0, 0]),
     )
-    method = METHODS[int(named["meta.method"][0, 0])]
+    method = _code(named, "meta.method", dict(enumerate(METHODS)))
     return state, method

@@ -203,11 +203,10 @@ def cmd_eval(args, parser) -> int:
     if not seeds:
         parser.error("--seeds must list at least one seed")
 
-    per_seed = []
-    for seed in seeds:
-        mean, half = pn.accuracy(lam, theta, dataset.meta_test, args.episodes,
-                                 seed, metric, threads=args.threads)
-        per_seed.append({"seed": seed, "accuracy": mean, "ci95": half})
+    results = pn.accuracy(lam, theta, dataset.meta_test, args.episodes,
+                          seeds, metric, threads=args.threads)
+    per_seed = [{"seed": seed, "accuracy": mean, "ci95": half}
+                for seed, (mean, half) in zip(seeds, results)]
     if len(seeds) > 1:
         means = np.array([r["accuracy"] for r in per_seed])
         mean = float(means.mean())

@@ -71,11 +71,6 @@ def build_pairs(task1: Task, task2: Task, pairing: ClassPairing, k: int) -> list
     return [(ea, eb) for ea in a for eb in b]
 
 
-def _lower_rows(theta, examples) -> DiffValue:
-    x = np.stack([ex.features for ex in examples])
-    return pn.encode_lower(theta, x)
-
-
 def _extra_members(anchor: int, count: int, pool_size: int,
                    rng: np.random.Generator) -> list:
     """Indices of extra same-class elements for cardinality > 2 sets."""
@@ -87,94 +82,98 @@ def _extra_members(anchor: int, count: int, pool_size: int,
     return list(rng.integers(pool_size, size=count))
 
 
+def _class_sets(a, b, n1: int, n2: int, rng: np.random.Generator) -> list:
+    """Member rows of one class's fused sets, one set per support pair
+    (a[i], b[j]) in i-major order: a[i] and n1 - 1 other rows of a, then
+    b[j] and n2 - 1 other rows of b. Extras are drawn set by set."""
+    return [[a[i], *a[_extra_members(i, n1 - 1, len(a), rng)],
+             b[j], *b[_extra_members(j, n2 - 1, len(b), rng)]]
+            for i in range(len(a)) for j in range(len(b))]
+
+
+def _gather(h, index, fill=None) -> DiffValue:
+    """Rows h[index] as one product with a constant selection matrix; an
+    index of -1 gives a zero row. The constant `fill` is added if given."""
+    index = np.asarray(index, dtype=np.int64).reshape(-1)
+    pick = np.zeros((len(index), h.shape[0]))
+    used = np.flatnonzero(index >= 0)
+    pick[used, index[used]] = 1.0
+    out = ad.matmul(DiffValue.const(pick), h)
+    return out if fill is None else ad.add(out, DiffValue.const(fill))
+
+
 def interpolated_prototypes(lam, theta, task1: Task, task2: Task,
                             pairing: ClassPairing, cfg: InterpConfig,
                             mode: str = "train",
                             rng: Optional[np.random.Generator] = None) -> DiffValue:
-    """Fused class prototypes: each support pair's split-layer rows go
-    through the set function, the upper stack lifts the fusion, and the
-    per-class mean is the prototype. Returns a (K, D) matrix."""
-    way = task1.way
+    """Fused class prototypes: the split-layer rows of every fused set of
+    every class go through the set function in one batched pass, the upper
+    stack lifts the fusions, and the per-class mean is the prototype.
+    Returns a (K, D) matrix.
+
+    Draws, class by class: the class's extra members (or noise rows), then
+    in train mode its sets' dropout masks, set by set.
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
-    n_from_1 = (cfg.cardinality + 1) // 2
-    n_from_2 = cfg.cardinality // 2
+    n = cfg.cardinality
+    noise_only = cfg.strategy == "support_noise"
+    xs1, ys1 = task1.support_matrix()
+    xs2, ys2 = task2.support_matrix()
+    h = pn.encode_lower(theta, xs1 if noise_only else np.vstack([xs1, xs2]))
+    d = h.shape[1]
 
-    protos = None
-    for k in range(1, way + 1):
-        sup1 = task1.support_of_class(int(pairing.sigma1[k - 1]))
-        h1 = _lower_rows(theta, sup1)
-        d = h1.shape[1]
-
-        if cfg.strategy == "support_noise":
-            fused_sets = []
-            for i in range(len(sup1)):
-                elems = [ad.slice_rows(h1, i, i + 1)]
-                noise = rng.normal(cfg.noise_mean, cfg.noise_std,
-                                   size=(cfg.cardinality - 1, d))
-                for r in range(cfg.cardinality - 1):
-                    elems.append(DiffValue.const(noise[r : r + 1]))
-                fused_sets.append(elems)
+    index, noise, classes, masks = [], [], [], []
+    for k in range(1, task1.way + 1):
+        a = np.flatnonzero(np.asarray(ys1) == pairing.sigma1[k - 1])
+        if noise_only:
+            sets = np.column_stack([a, np.full((len(a), n - 1), -1)]).tolist()
+            fill = np.zeros((len(a), n, d))
+            fill[:, 1:] = rng.normal(cfg.noise_mean, cfg.noise_std,
+                                     size=(len(a), n - 1, d))
+            noise.append(fill.reshape(-1, d))
         else:
-            sup2 = task2.support_of_class(int(pairing.sigma2[k - 1]))
-            h2 = _lower_rows(theta, sup2)
-            fused_sets = []
-            for i in range(len(sup1)):
-                for j in range(len(sup2)):
-                    elems = [ad.slice_rows(h1, i, i + 1)]
-                    for e in _extra_members(i, n_from_1 - 1, len(sup1), rng):
-                        elems.append(ad.slice_rows(h1, e, e + 1))
-                    elems.append(ad.slice_rows(h2, j, j + 1))
-                    for e in _extra_members(j, n_from_2 - 1, len(sup2), rng):
-                        elems.append(ad.slice_rows(h2, e, e + 1))
-                    fused_sets.append(elems)
+            b = len(xs1) + np.flatnonzero(np.asarray(ys2) == pairing.sigma2[k - 1])
+            sets = _class_sets(a, b, (n + 1) // 2, n // 2, rng)
+        index += sets
+        classes += [k] * len(sets)
+        if mode == "train":
+            masks.append(setfunc.make_masks(lam, len(sets) * n, rng, set_size=n))
 
-        lifted = None
-        for elems in fused_sets:
-            masks = None
-            if mode == "train":
-                masks = setfunc.make_masks(lam, len(elems), rng)
-            z = setfunc.set_forward(lam, elems, masks)
-            e = pn.encode_upper(theta, z)
-            lifted = e if lifted is None else ad.add(lifted, e)
-        c_k = ad.scale(lifted, 1.0 / len(fused_sets))
-        protos = c_k if protos is None else ad.concat_rows(protos, c_k)
-    return protos
+    x = _gather(h, index, np.vstack(noise) if noise else None)
+    masks = tuple(map(np.vstack, zip(*masks))) if masks and masks[0] else None
+    z = setfunc.set_forward(lam, x, masks, set_size=n)
+    return pn.prototypes_from_matrix(pn.encode_upper(theta, z), classes, task1.way)
 
 
-def _query_partner_draws(task1: Task, task2: Task, pairing: ClassPairing,
-                         rng: np.random.Generator) -> list:
-    """(query_index, partner_example, new_class_k) triples, drawn in a fixed
-    order so callers sharing an rng stream stay aligned."""
-    draws = []
+def _query_partners(task1: Task, task2: Task, pairing: ClassPairing,
+                    rng: np.random.Generator):
+    """For each task1 query in order, the index of a task2 query drawn from
+    the paired class, and the query's new class k."""
+    yq2 = np.asarray(task2.query_matrix()[1])
     label_to_k = {int(pairing.sigma1[k - 1]): k for k in range(1, task1.way + 1)}
-    for qi, ex in enumerate(task1.query):
-        k = label_to_k[ex.label]
-        partners = task2.queries_of_class(int(pairing.sigma2[k - 1]))
-        if not partners:
+    partners, ks = [], []
+    for y in task1.query_matrix()[1]:
+        k = label_to_k[y]
+        pool = np.flatnonzero(yq2 == pairing.sigma2[k - 1])
+        if not len(pool):
             raise ValueError(
                 f"task2 has no queries of class {int(pairing.sigma2[k - 1])}"
             )
-        choice = int(rng.integers(len(partners)))
-        draws.append((qi, partners[choice], k))
-    return draws
+        partners.append(int(pool[int(rng.integers(len(pool)))]))
+        ks.append(k)
+    return partners, ks
 
 
 def _mixed_query_rows(lam, theta, task1, task2, pairing, mode, rng):
-    """Fuse each task1 query with a drawn task2 partner; returns the (Nq, D)
-    embeddings and the per-row target class index k."""
-    hq1 = _lower_rows(theta, task1.query)
-    draws = _query_partner_draws(task1, task2, pairing, rng)
-    rows = None
-    targets = []
-    for qi, partner, k in draws:
-        h1 = ad.slice_rows(hq1, qi, qi + 1)
-        h2 = pn.encode_lower(theta, partner.features.reshape(1, -1))
-        masks = setfunc.make_masks(lam, 2, rng) if mode == "train" else None
-        z = setfunc.set_forward(lam, [h1, h2], masks)
-        e = pn.encode_upper(theta, z)
-        rows = e if rows is None else ad.concat_rows(rows, e)
-        targets.append(k)
-    return rows, targets
+    """Fuse each task1 query with a drawn task2 partner in one batched set
+    pass; returns the (Nq, D) embeddings and the per-row target class k."""
+    partners, ks = _query_partners(task1, task2, pairing, rng)
+    xq1, xq2 = task1.query_matrix()[0], task2.query_matrix()[0]
+    h = pn.encode_lower(theta, np.vstack([xq1, xq2]))
+    index = np.column_stack([np.arange(len(xq1)), len(xq1) + np.asarray(partners)])
+    masks = setfunc.make_masks(lam, index.size, rng, set_size=2) if mode == "train" else None
+    z = setfunc.set_forward(lam, _gather(h, index), masks, set_size=2)
+    return pn.encode_upper(theta, z), ks
 
 
 def loss_mix(lam, theta, task1: Task, task2: Task, pairing: ClassPairing,
@@ -223,34 +222,32 @@ def mlti_baseline_loss(theta, task1: Task, task2: Task, pairing: ClassPairing,
     it to exactly a (useful for the degenerate checks).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    a, b = beta_params
-    lam_mix = float(a) if b <= 0 else float(rng.beta(a, b))
-    way = task1.way
+    beta_a, beta_b = beta_params
+    lam_mix = float(beta_a) if beta_b <= 0 else float(rng.beta(beta_a, beta_b))
+    partners, ks = _query_partners(task1, task2, pairing, rng)
 
-    protos = None
-    for k in range(1, way + 1):
-        pairs = build_pairs(task1, task2, pairing, k)
-        acc = None
-        for ea, eb in pairs:
-            h1 = pn.encode_lower(theta, ea.features.reshape(1, -1))
-            h2 = pn.encode_lower(theta, eb.features.reshape(1, -1))
-            mixed = ad.add(ad.scale(h1, lam_mix), ad.scale(h2, 1.0 - lam_mix))
-            e = pn.encode_upper(theta, mixed)
-            acc = e if acc is None else ad.add(acc, e)
-        c_k = ad.scale(acc, 1.0 / len(pairs))
-        protos = c_k if protos is None else ad.concat_rows(protos, c_k)
+    xs1, ys1 = task1.support_matrix()
+    xs2, ys2 = task2.support_matrix()
+    xq1, xq2 = task1.query_matrix()[0], task2.query_matrix()[0]
+    h = pn.encode_lower(theta, np.vstack([xs1, xs2, xq1, xq2]))
+    sup_pairs, classes = [], []
+    for k in range(1, task1.way + 1):
+        a = np.flatnonzero(np.asarray(ys1) == pairing.sigma1[k - 1])
+        b = len(xs1) + np.flatnonzero(np.asarray(ys2) == pairing.sigma2[k - 1])
+        pairs = _class_sets(a, b, 1, 1, rng)
+        sup_pairs += pairs
+        classes += [k] * len(pairs)
+    q0 = len(xs1) + len(xs2)
+    query_pairs = np.column_stack([q0 + np.arange(len(xq1)),
+                                   q0 + len(xq1) + np.asarray(partners)])
+    pairs = np.vstack([np.asarray(sup_pairs, dtype=np.int64), query_pairs])
 
-    hq1 = _lower_rows(theta, task1.query)
-    draws = _query_partner_draws(task1, task2, pairing, rng)
-    rows = None
-    targets = []
-    for qi, partner, k in draws:
-        h1 = ad.slice_rows(hq1, qi, qi + 1)
-        h2 = pn.encode_lower(theta, partner.features.reshape(1, -1))
-        mixed = ad.add(ad.scale(h1, lam_mix), ad.scale(h2, 1.0 - lam_mix))
-        e = pn.encode_upper(theta, mixed)
-        rows = e if rows is None else ad.concat_rows(rows, e)
-        targets.append(k)
-
+    mix = np.zeros((len(pairs), h.shape[0]))
+    mix[np.arange(len(pairs)), pairs[:, 0]] = lam_mix
+    mix[np.arange(len(pairs)), pairs[:, 1]] = 1.0 - lam_mix
+    e = pn.encode_upper(theta, ad.matmul(DiffValue.const(mix), h))
+    n_sup = len(classes)
+    protos = pn.prototypes_from_matrix(ad.slice_rows(e, 0, n_sup), classes, task1.way)
+    rows = ad.slice_rows(e, n_sup, len(pairs))
     dists = pn.pairwise_dists(rows, protos, metric)
-    return pn.cross_entropy_to_prototypes(dists, targets)
+    return pn.cross_entropy_to_prototypes(dists, ks)

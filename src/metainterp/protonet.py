@@ -3,8 +3,11 @@ cross-entropy loss, and meta-test classification.
 
 The predictive model is upper-stack ∘ set-function ∘ lower-stack: every
 support and query representation passes through the set function as a
-singleton set at the split layer, in training and at meta-test alike. With
-the identity set function this is a vanilla prototypical network.
+singleton set at the split layer, in training and at meta-test alike. The
+rows of a batch go through one `setfunc.set_forward` pass with set size 1
+(`setfunc.singleton_batch`), the same batched pass that fuses the sets of
+the mixed-task loss. With the identity set function this is a vanilla
+prototypical network.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def embed_batch(lam, theta: EncoderParams, x, mode: str = "eval",
     h = encode_lower(theta, x)
     masks = None
     if mode == "train":
-        masks = setfunc.make_singleton_masks(lam, h.shape[0], rng)
+        masks = setfunc.make_masks(lam, h.shape[0], rng, set_size=1)
     z = setfunc.singleton_batch(lam, h, masks)
     return encode_upper(theta, z)
 
@@ -167,18 +170,33 @@ def cross_entropy_to_prototypes(dists, labels) -> DiffValue:
     return ad.neg(ad.scale(picked, 1.0 / n))
 
 
+def task_dists(lam, theta: EncoderParams, task: Task, mode: str = "train",
+               rng: Optional[np.random.Generator] = None,
+               metric: str = "sqeuclidean") -> DiffValue:
+    """(N_q, K) distances from the task's embedded queries to the prototypes
+    of its embedded supports, every row a singleton of the set function."""
+    xs, ys = task.support_matrix()
+    xq, _ = task.query_matrix()
+    es = embed_batch(lam, theta, xs, mode, rng)
+    eq = embed_batch(lam, theta, xq, mode, rng)
+    protos = prototypes_from_matrix(es, ys, task.way)
+    return pairwise_dists(eq, protos, metric)
+
+
+def accuracy_from_dists(dists, labels) -> float:
+    """Fraction of rows whose nearest prototype is their own class; ties go
+    to the lowest index."""
+    pred = np.argmin(ad._lift(dists).data, axis=1) + 1
+    return float(np.mean(pred == np.asarray(labels)))
+
+
 def loss_singleton(lam, theta: EncoderParams, task: Task, mode: str = "train",
                    rng: Optional[np.random.Generator] = None,
                    metric: str = "sqeuclidean") -> DiffValue:
     """Eq.-(2)-style episode loss with every representation routed through
     the set function as a singleton."""
-    xs, ys = task.support_matrix()
-    xq, yq = task.query_matrix()
-    es = embed_batch(lam, theta, xs, mode, rng)
-    eq = embed_batch(lam, theta, xq, mode, rng)
-    protos = prototypes_from_matrix(es, ys, task.way)
-    dists = pairwise_dists(eq, protos, metric)
-    return cross_entropy_to_prototypes(dists, yq)
+    dists = task_dists(lam, theta, task, mode, rng, metric)
+    return cross_entropy_to_prototypes(dists, task.query_matrix()[1])
 
 
 def classify(lam, theta: EncoderParams, query, protos, metric: str = "sqeuclidean") -> int:
@@ -193,23 +211,19 @@ def classify(lam, theta: EncoderParams, query, protos, metric: str = "sqeuclidea
 def task_accuracy(lam, theta: EncoderParams, task: Task,
                   metric: str = "sqeuclidean") -> float:
     """Fraction of query points classified to their own class."""
-    xs, ys = task.support_matrix()
-    xq, yq = task.query_matrix()
     with ad.pause_recording():
-        es = embed_batch(lam, theta, xs, mode="eval")
-        eq = embed_batch(lam, theta, xq, mode="eval")
-        protos = prototypes_from_matrix(es, ys, task.way)
-        d = pairwise_dists(eq, protos, metric)
-    pred = np.argmin(d.data, axis=1) + 1
-    return float(np.mean(pred == np.asarray(yq)))
+        d = task_dists(lam, theta, task, "eval", None, metric)
+    return accuracy_from_dists(d, task.query_matrix()[1])
 
 
-def accuracy(lam, theta: EncoderParams, tasks, episodes: int, seed: int,
+def accuracy(lam, theta: EncoderParams, tasks, episodes: int, seed,
              metric: str = "sqeuclidean", threads: int = 1):
     """Mean episode accuracy and a 95% CI half-width over episodes.
 
     Episodes draw tasks uniformly with replacement; task evaluation is
     deterministic, so per-task accuracies are computed once and reused.
+    seed may also be a list of seeds: the result is then one (mean, half)
+    pair per seed, every task still evaluated once.
     """
     if not tasks:
         raise ValueError("no tasks to evaluate")
@@ -222,12 +236,13 @@ def accuracy(lam, theta: EncoderParams, tasks, episodes: int, seed: int,
             )
     else:
         per_task = [task_accuracy(lam, theta, t, metric) for t in tasks]
-    rng = np.random.default_rng([seed, 0x5EED])
-    draws = rng.integers(len(tasks), size=episodes)
-    accs = np.asarray(per_task)[draws]
-    mean = float(np.mean(accs))
-    if episodes > 1:
-        half = float(1.96 * np.std(accs, ddof=1) / np.sqrt(episodes))
-    else:
-        half = 0.0
-    return mean, half
+
+    def stats(s):
+        rng = np.random.default_rng([s, 0x5EED])
+        accs = np.asarray(per_task)[rng.integers(len(tasks), size=episodes)]
+        half = float(1.96 * np.std(accs, ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
+        return float(np.mean(accs)), half
+
+    if isinstance(seed, (list, tuple)):
+        return [stats(s) for s in seed]
+    return stats(seed)

@@ -9,9 +9,14 @@ Three families:
   with layer norm, skip connections and two dropout sites.
 * `DeepSetsParams` — affine stacks around a mean pool.
 
-All forwards take a list of (1, d) rows and return a (1, d) row. Vectors
-carried as rows throughout; the classic column-convention output is the
-transpose of ours.
+Every forward is batched over sets. It takes an (N, d) matrix, or a list
+of (1, d) rows, cut into P = N / set_size sets of `set_size` consecutive
+rows (by default all N rows form one set), and returns the (P, d) matrix
+of the P set outputs in one pass. Attention stays inside each set through
+a constant additive mask on the scores. At set_size 1 every attention
+weight is exactly 1, so the scores are skipped and a singleton costs what
+its closed form costs. Vectors are carried as rows throughout; the classic
+column-convention output is the transpose of ours.
 """
 
 from __future__ import annotations
@@ -32,13 +37,46 @@ class CardinalityError(ValueError):
 
 
 def _stack(elems) -> DiffValue:
+    """elems as one (N, d) matrix: a matrix as it is, a list of rows stacked."""
+    if isinstance(elems, (DiffValue, np.ndarray)):
+        return ad._lift(elems)
     if len(elems) == 0:
         raise CardinalityError("set function needs at least one element")
-    rows = [ad._lift(e) for e in elems]
-    out = rows[0]
-    for r in rows[1:]:
+    out = ad._lift(elems[0])
+    for r in elems[1:]:
         out = ad.concat_rows(out, r)
     return out
+
+
+def _split(n_rows: int, set_size: Optional[int]):
+    """(set size n, number of sets P); set_size None is one set of all rows."""
+    n = n_rows if set_size is None else int(set_size)
+    if n < 1 or n_rows % n:
+        raise CardinalityError(f"{n_rows} rows do not split into sets of {n}")
+    return n, n_rows // n
+
+
+_OFF = -1e30  # additive score mask: exp underflows to exactly 0
+
+
+def _set_masks(n: int, sets: int):
+    """Additive score masks that keep attention inside each set: (N, N) for
+    self-attention and (P, N) for pooling. None where no mask is needed
+    (one set, or singletons, whose attention is skipped)."""
+    if n == 1 or sets == 1:
+        return None, None
+    member = np.kron(np.eye(sets), np.ones((1, n)))  # (P, N): row p marks set p
+    within = np.where(member.T @ member > 0.0, 0.0, _OFF)
+    pool = np.where(member > 0.0, 0.0, _OFF)
+    return DiffValue(within), DiffValue(pool)
+
+
+def _weights(q, k, mask) -> DiffValue:
+    """Attention weights softmax(q k^T / sqrt(width) + mask), row by row."""
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    if mask is not None:
+        scores = ad.add(scores, mask)
+    return ad.softmax_rows(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +145,26 @@ def effective_affine(p: SimpleSetParams):
     return w1v @ w2v, b1v @ w2v + b2v
 
 
-def simple_forward(p: SimpleSetParams, elems) -> DiffValue:
+def simple_forward(p: SimpleSetParams, elems, set_size: Optional[int] = None) -> DiffValue:
     """Two attention applications: self-attention over the set, then
-    pooling attention queried by the seed row."""
+    pooling attention queried by the seed row. A singleton reduces to the
+    value path h W1v W2v plus biases."""
     h1 = _stack(elems)
-    d = h1.shape[1]
-    inv_sqrt_d = 1.0 / math.sqrt(d)
+    n, sets = _split(h1.shape[0], set_size)
+    if n == 1:  # both attention weights are 1
+        v1 = ad.add(ad.matmul(h1, p.w1v), p.b1v)
+        return ad.add(ad.matmul(v1, p.w2v), p.b2v)
+    within, pool = _set_masks(n, sets)
 
     q1 = ad.add(ad.matmul(h1, p.w1q), p.b1q)
     k1 = ad.add(ad.matmul(h1, p.w1k), p.b1k)
     v1 = ad.add(ad.matmul(h1, p.w1v), p.b1v)
-    att1 = ad.softmax_rows(ad.scale(ad.matmul(q1, ad.transpose(k1)), inv_sqrt_d))
-    h2 = ad.matmul(att1, v1)
+    h2 = ad.matmul(_weights(q1, k1, within), v1)
 
-    q2 = ad.add(ad.matmul(ad._lift(p.seed), p.w2q), p.b2q)
+    q2 = ad.add(ad.matmul(ad.tile_rows(p.seed, sets), p.w2q), p.b2q)
     k2 = ad.add(ad.matmul(h2, p.w2k), p.b2k)
     v2 = ad.add(ad.matmul(h2, p.w2v), p.b2v)
-    att2 = ad.softmax_rows(ad.scale(ad.matmul(q2, ad.transpose(k2)), inv_sqrt_d))
-    return ad.matmul(att2, v2)
+    return ad.matmul(_weights(q2, k2, pool), v2)
 
 
 def alpha_pair(p: SimpleSetParams, h, h_prime):
@@ -255,16 +295,20 @@ def init_full(d: int, d_h: Optional[int] = None, rng: Optional[np.random.Generat
     )
 
 
-def _attend(block: AttnBlock, queries, keys_values) -> DiffValue:
-    """Multi-head attention with per-head layer norm on Q + softmax(QK/s)V."""
+def _attend(block: AttnBlock, queries, keys_values, mask, one_key: bool) -> DiffValue:
+    """Multi-head attention with per-head layer norm on Q + softmax(QK/s)V.
+
+    mask is the additive score mask of `_set_masks`; with one_key (every
+    query's set is the single matching row of keys_values) the weights are
+    1 and V is used as it is."""
     outs = None
     for head in block.heads:
         q = ad.add(ad.matmul(queries, head.wq), head.bq)
-        k = ad.add(ad.matmul(keys_values, head.wk), head.bk)
+        k = None if one_key else ad.add(ad.matmul(keys_values, head.wk), head.bk)
         v = ad.add(ad.matmul(keys_values, head.wv), head.bv)
-        d_k = q.shape[1]
-        att = ad.softmax_rows(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_k)))
-        a = ad.layer_norm(ad.add(q, ad.matmul(att, v)), head.ln_gain, head.ln_bias)
+        if k is not None:
+            v = ad.matmul(_weights(q, k, mask), v)
+        a = ad.layer_norm(ad.add(q, v), head.ln_gain, head.ln_bias)
         outs = a if outs is None else ad.concat_cols(outs, a)
     return outs
 
@@ -277,28 +321,44 @@ def _block_mix(block: AttnBlock, o, first_block: bool) -> DiffValue:
     return ad.layer_norm(ad.add(o, ff), block.ln_gain, block.ln_bias)
 
 
-def make_full_masks(p: FullSetTransformerParams, n: int, rng: np.random.Generator):
-    """Binary keep-masks for the two dropout sites of one forward pass."""
+def make_full_masks(p: FullSetTransformerParams, n_rows: int, rng: np.random.Generator,
+                    set_size: Optional[int] = None):
+    """Binary keep-masks for the two dropout sites of one forward pass over
+    n_rows rows in sets of set_size: (n_rows, d_h) for site 2 and
+    (sets, d_h) for site 3.
+
+    Sets of two or more are drawn set by set, each set's site-2 rows then
+    its site-3 row; singletons draw every site-2 row, then every site-3 row.
+    """
+    n, sets = _split(n_rows, set_size)
     keep = 1.0 - p.dropout_rate
     d_h = p.hidden
-    m2 = (rng.random((n, d_h)) < keep).astype(np.float64)
-    m3 = (rng.random((1, d_h)) < keep).astype(np.float64)
-    return m2, m3
+    if n == 1:
+        draws = rng.random((2, sets, d_h)) < keep
+        m2, m3 = draws[0], draws[1]
+    else:
+        draws = rng.random((sets, n + 1, d_h)) < keep
+        m2, m3 = draws[:, :n].reshape(n_rows, d_h), draws[:, n]
+    return m2.astype(np.float64), m3.astype(np.float64)
 
 
-def full_forward(p: FullSetTransformerParams, elems, masks=None) -> DiffValue:
+def full_forward(p: FullSetTransformerParams, elems, masks=None,
+                 set_size: Optional[int] = None) -> DiffValue:
     """Encoder blocks, attention pooling from the seed, output affine.
 
     masks is the (site-2, site-3) pair from `make_full_masks`; omit it for
     the deterministic eval path.
     """
     x = _stack(elems)
-    g1 = _block_mix(p.block1, _attend(p.block1, x, x), first_block=True)
-    h2 = _block_mix(p.block2, _attend(p.block2, g1, g1), first_block=False)
+    n, sets = _split(x.shape[0], set_size)
+    within, pool = _set_masks(n, sets)
+    one = n == 1
+    g1 = _block_mix(p.block1, _attend(p.block1, x, x, within, one), first_block=True)
+    h2 = _block_mix(p.block2, _attend(p.block2, g1, g1, within, one), first_block=False)
     if masks is not None:
         m2, m3 = masks
         h2 = ad.dropout(h2, p.dropout_rate, m2)
-    pooled = _attend(p.block3, ad._lift(p.seed), h2)
+    pooled = _attend(p.block3, ad.tile_rows(p.seed, sets), h2, pool, one)
     h3 = _block_mix(p.block3, pooled, first_block=False)
     if masks is not None:
         h3 = ad.dropout(h3, p.dropout_rate, m3)
@@ -340,11 +400,14 @@ def _run_stack(stack, x, slope, activate_last: bool) -> DiffValue:
     return x
 
 
-def deepsets_forward(p: DeepSetsParams, elems) -> DiffValue:
+def deepsets_forward(p: DeepSetsParams, elems, set_size: Optional[int] = None) -> DiffValue:
     x = _stack(elems)
+    n, sets = _split(x.shape[0], set_size)
     x = _run_stack(p.pre, x, p.slope, activate_last=True)
-    pooled = ad.scale(ad.col_sum(x), 1.0 / x.shape[0])
-    return _run_stack(p.post, pooled, p.slope, activate_last=False)
+    if n > 1:
+        member = DiffValue(np.kron(np.eye(sets), np.ones((1, n))))
+        x = ad.scale(ad.matmul(member, x), 1.0 / n)
+    return _run_stack(p.post, x, p.slope, activate_last=False)
 
 
 # ---------------------------------------------------------------------------
@@ -361,100 +424,48 @@ class IdentitySet:
 
 
 @singledispatch
-def set_forward(params, elems, masks=None) -> DiffValue:
-    raise TypeError(f"unknown set function parameters: {type(params).__name__}")
+def set_forward(params, elems, masks=None, set_size=None) -> DiffValue:
+    """Apply the set function to every set of `set_size` consecutive rows of
+    elems (default: all rows are one set); returns one row per set.
 
-
-@set_forward.register
-def _(params: SimpleSetParams, elems, masks=None):
-    return simple_forward(params, elems)
-
-
-@set_forward.register
-def _(params: FullSetTransformerParams, elems, masks=None):
-    return full_forward(params, elems, masks)
-
-
-@set_forward.register
-def _(params: DeepSetsParams, elems, masks=None):
-    return deepsets_forward(params, elems)
-
-
-@set_forward.register
-def _(params: IdentitySet, elems, masks=None):
-    if len(elems) != 1:
-        raise CardinalityError("identity set function only accepts singletons")
-    return ad._lift(elems[0])
-
-
-@singledispatch
-def singleton_batch(params, rows, masks=None) -> DiffValue:
-    """Apply the set function to every row of `rows` as a singleton set.
-
-    Semantically identical to calling set_forward per row; attention over a
-    one-element set reduces to weight 1, which lets singletons share one
-    batched pass.
+    masks is the dropout pair from `make_masks` for the same rows and sets,
+    or None for the deterministic eval path.
     """
     raise TypeError(f"unknown set function parameters: {type(params).__name__}")
 
 
-@singleton_batch.register
-def _(params: SimpleSetParams, rows, masks=None):
-    rows = ad._lift(rows)
-    v1 = ad.add(ad.matmul(rows, params.w1v), params.b1v)
-    return ad.add(ad.matmul(v1, params.w2v), params.b2v)
+@set_forward.register
+def _(params: SimpleSetParams, elems, masks=None, set_size=None):
+    return simple_forward(params, elems, set_size)
 
 
-@singleton_batch.register
-def _(params: FullSetTransformerParams, rows, masks=None):
-    rows = ad._lift(rows)
-    n = rows.shape[0]
-
-    def attend_single(block, queries, values_src):
-        outs = None
-        for head in block.heads:
-            q = ad.add(ad.matmul(queries, head.wq), head.bq)
-            v = ad.add(ad.matmul(values_src, head.wv), head.bv)
-            a = ad.layer_norm(ad.add(q, v), head.ln_gain, head.ln_bias)
-            outs = a if outs is None else ad.concat_cols(outs, a)
-        return outs
-
-    g1 = _block_mix(params.block1, attend_single(params.block1, rows, rows), True)
-    h2 = _block_mix(params.block2, attend_single(params.block2, g1, g1), False)
-    if masks is not None:
-        h2 = ad.dropout(h2, params.dropout_rate, masks[0])
-    seed_rows = ad.tile_rows(ad._lift(params.seed), n)
-    h3 = _block_mix(params.block3, attend_single(params.block3, seed_rows, h2), False)
-    if masks is not None:
-        h3 = ad.dropout(h3, params.dropout_rate, masks[1])
-    return ad.add(ad.matmul(h3, params.w4), params.b4)
+@set_forward.register
+def _(params: FullSetTransformerParams, elems, masks=None, set_size=None):
+    return full_forward(params, elems, masks, set_size)
 
 
-@singleton_batch.register
-def _(params: DeepSetsParams, rows, masks=None):
-    rows = ad._lift(rows)
-    x = _run_stack(params.pre, rows, params.slope, activate_last=True)
-    return _run_stack(params.post, x, params.slope, activate_last=False)
+@set_forward.register
+def _(params: DeepSetsParams, elems, masks=None, set_size=None):
+    return deepsets_forward(params, elems, set_size)
 
 
-@singleton_batch.register
-def _(params: IdentitySet, rows, masks=None):
-    return ad._lift(rows)
+@set_forward.register
+def _(params: IdentitySet, elems, masks=None, set_size=None):
+    x = _stack(elems)
+    if _split(x.shape[0], set_size)[0] != 1:
+        raise CardinalityError("identity set function only accepts singletons")
+    return x
 
 
-def make_masks(params, n: int, rng: Optional[np.random.Generator]):
-    """Dropout masks for one set_forward call, or None for mask-free kinds."""
+def singleton_batch(params, rows, masks=None) -> DiffValue:
+    """Every row of `rows` as its own singleton set."""
+    return set_forward(params, rows, masks, set_size=1)
+
+
+def make_masks(params, n_rows: int, rng: Optional[np.random.Generator],
+               set_size: Optional[int] = None):
+    """Dropout masks for one set_forward call over n_rows rows in sets of
+    set_size, or None for mask-free kinds or without an rng."""
     if isinstance(params, FullSetTransformerParams) and rng is not None:
-        return make_full_masks(params, n, rng)
-    return None
-
-
-def make_singleton_masks(params, n_rows: int, rng: Optional[np.random.Generator]):
-    """Dropout masks for a singleton_batch call over n_rows rows."""
-    if isinstance(params, FullSetTransformerParams) and rng is not None:
-        keep = 1.0 - params.dropout_rate
-        d_h = params.hidden
-        m2 = (rng.random((n_rows, d_h)) < keep).astype(np.float64)
-        m3 = (rng.random((n_rows, d_h)) < keep).astype(np.float64)
-        return m2, m3
+        return make_full_masks(params, n_rows, rng, set_size)
     return None

@@ -168,6 +168,34 @@ class TestEval:
         want = 1.96 * np.std(means, ddof=1) / np.sqrt(3)
         assert payload["ci95"] == pytest.approx(want, abs=1e-12)
 
+    def _eval_broken_ckpt(self, workspace, capsys, edit):
+        tmp, cfg, tasks = workspace
+        out = tmp / "run"
+        cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
+                  "--out-dir", str(out), "--seed", "1"])
+        lines = (out / "best.ckpt").read_text().splitlines()
+        broken = tmp / "broken.ckpt"
+        broken.write_text("\n".join(edit(lines)) + "\n")
+        capsys.readouterr()
+        rc = cli.main(["eval", "--ckpt", str(broken), "--tasks", str(tasks),
+                       "--episodes", "10"])
+        err = capsys.readouterr().err.strip().splitlines()
+        return rc, err
+
+    def test_truncated_checkpoint_one_line_error(self, workspace, capsys):
+        rc, err = self._eval_broken_ckpt(workspace, capsys, lambda ls: ls[:3])
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "cut short" in err[0]
+
+    def test_checkpoint_missing_tensor_one_line_error(self, workspace, capsys):
+        def drop_slope(lines):
+            i = next(i for i, l in enumerate(lines) if l.startswith("tensor meta.slope "))
+            return lines[:i] + lines[i + 2:]
+
+        rc, err = self._eval_broken_ckpt(workspace, capsys, drop_slope)
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "meta.slope" in err[0]
+
 
 class TestTheoryCheck:
     def test_unknown_check_usage_error(self, tmp_path):

@@ -16,13 +16,12 @@ class FirstElement:
 
 
 @sf.set_forward.register
-def _(params: FirstElement, elems, masks=None):
-    return ad._lift(elems[0])
-
-
-@sf.singleton_batch.register
-def _(params: FirstElement, rows, masks=None):
-    return ad._lift(rows)
+def _(params: FirstElement, elems, masks=None, set_size=None):
+    rows = ad._lift(elems)
+    n = rows.shape[0] if set_size is None else set_size
+    pick = np.zeros((rows.shape[0] // n, rows.shape[0]))
+    pick[np.arange(len(pick)), np.arange(0, rows.shape[0], n)] = 1.0
+    return ad.matmul(ad.DiffValue.const(pick), rows)
 
 
 def identity_encoder(dim, layers=1, split=0):
@@ -184,6 +183,59 @@ class TestInterpolatedPrototypes:
         a = itp.interpolated_prototypes(lam, theta, t1, t2, pairing, cfg, "eval").data
         b = itp.interpolated_prototypes(lam, theta, t2, t1, swapped, cfg, "eval").data
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def per_set_prototypes(lam, theta, task1, task2, pairing, n, rng):
+    """The per-set algorithm the batched pass replaces, in train mode: per
+    class, draw every set's extra members, then per set its dropout masks,
+    one set_forward and one upper-stack pass; the class mean of the lifted
+    rows is the prototype."""
+    def extras(anchor, count, size):
+        if count <= 0:
+            return []
+        others = [i for i in range(size) if i != anchor]
+        if len(others) >= count:
+            return list(rng.choice(others, size=count, replace=False))
+        return list(rng.integers(size, size=count))
+
+    keep = 1.0 - lam.dropout_rate
+    n1, n2 = (n + 1) // 2, n // 2
+    protos = []
+    for k in range(1, task1.way + 1):
+        sup1 = task1.support_of_class(int(pairing.sigma1[k - 1]))
+        sup2 = task2.support_of_class(int(pairing.sigma2[k - 1]))
+        h1 = pn.encode_lower(theta, np.stack([e.features for e in sup1]))
+        h2 = pn.encode_lower(theta, np.stack([e.features for e in sup2]))
+        sets = []
+        for i in range(len(sup1)):
+            for j in range(len(sup2)):
+                rows = [h1.data[i]] + [h1.data[e] for e in extras(i, n1 - 1, len(sup1))]
+                rows += [h2.data[j]] + [h2.data[e] for e in extras(j, n2 - 1, len(sup2))]
+                sets.append(rows)
+        lifted = []
+        for rows in sets:
+            m2 = (rng.random((n, lam.hidden)) < keep).astype(np.float64)
+            m3 = (rng.random((1, lam.hidden)) < keep).astype(np.float64)
+            z = sf.full_forward(lam, [r.reshape(1, -1) for r in rows], (m2, m3))
+            lifted.append(pn.encode_upper(theta, z).data)
+        protos.append(np.mean(lifted, axis=0))
+    return np.vstack(protos)
+
+
+def test_batched_prototypes_match_per_set_algorithm():
+    rng = np.random.default_rng(41)
+    t1 = make_task(3, 2, 2, 4, seed=42)
+    t2 = make_task(3, 2, 2, 4, seed=43)
+    theta = pn.init_encoder([4, 6, 5], split=1, rng=rng)
+    lam = sf.init_full(6, 8, rng, dropout_rate=0.2)
+    pairing = itp.pair_classes(3, np.random.default_rng(44))
+    cfg = itp.InterpConfig(strategy="support", cardinality=3)
+    got_rng, want_rng = np.random.default_rng(45), np.random.default_rng(45)
+    got = itp.interpolated_prototypes(lam, theta, t1, t2, pairing, cfg,
+                                      mode="train", rng=got_rng).data
+    want = per_set_prototypes(lam, theta, t1, t2, pairing, 3, want_rng)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestLossMix:

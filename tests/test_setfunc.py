@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metainterp import _params
 from metainterp import autodiff as ad
 from metainterp import setfunc as sf
 
@@ -152,7 +153,7 @@ class TestFullSetTransformer:
     def test_singleton_batch_with_masks(self, rng):
         p = self.params(rng)
         H = rng.standard_normal((4, 6))
-        m2, m3 = sf.make_singleton_masks(p, 4, np.random.default_rng(9))
+        m2, m3 = sf.make_masks(p, 4, np.random.default_rng(9), set_size=1)
         batch = sf.singleton_batch(p, H, (m2, m3)).data
         per = np.vstack(
             [
@@ -218,3 +219,73 @@ class TestDispatch:
         (g,) = ad.grad(out, [live.w1q])
         want = fd_grad(loss_given, p.w1q)
         assert rel_err(g.data, want) <= 1e-5
+
+
+def _batched_case(kind, rng):
+    d = 4
+    if kind == "simple":
+        return random_simple(d, rng)
+    if kind == "full":
+        return sf.init_full(d, 16, rng, dropout_rate=0.2)
+    return sf.init_deepsets(d, (6,), rng)
+
+
+_BATCH_CASES = [
+    (kind, n, sets, masked)
+    for kind in ("simple", "full", "deepsets")
+    for n in range(1, 6)
+    for sets in (1, 5, 12)
+    for masked in ((False, True) if kind == "full" else (False,))
+]
+
+
+class TestBatchedSets:
+    @pytest.mark.parametrize("kind,n,sets,masked", _BATCH_CASES)
+    def test_matches_per_set_loop(self, kind, n, sets, masked, rng):
+        # one pass over `sets` sets of n rows vs one set_forward per set:
+        # outputs and first-order gradients (parameters and rows) agree
+        params = _batched_case(kind, rng)
+        x0 = rng.standard_normal((n * sets, 4))
+        weights = ad.DiffValue.const(rng.standard_normal((sets, 4)))
+        masks = sf.make_masks(params, n * sets, rng, set_size=n) if masked else None
+
+        def run(batched):
+            tape = ad.Tape()
+            lam = _params.bind(params, tape)
+            x = tape.param(x0)
+            if batched:
+                out = sf.set_forward(lam, x, masks, set_size=n)
+            else:
+                out = None
+                for p in range(sets):
+                    m = None if masks is None else (
+                        masks[0][p * n:(p + 1) * n], masks[1][p:p + 1])
+                    z = sf.set_forward(lam, ad.slice_rows(x, p * n, (p + 1) * n), m)
+                    out = z if out is None else ad.concat_rows(out, z)
+            leaves = _params.leaves(lam) + [x]
+            grads = ad.grad(ad.sum_all(ad.mul(out, weights)), leaves)
+            return out.data, [g.data for g in grads]
+
+        def dev(a, b):  # absolute below 1, relative above: summation order differs
+            return np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b)))
+
+        got, got_grads = run(True)
+        want, want_grads = run(False)
+        assert got.shape == (sets, 4)
+        assert dev(got, want) <= 1e-12
+        for g, w in zip(got_grads, want_grads):
+            assert dev(g, w) <= 1e-12
+
+    def test_rows_must_split_into_sets(self, rng):
+        p = random_simple(3, rng)
+        with pytest.raises(sf.CardinalityError):
+            sf.set_forward(p, rng.standard_normal((5, 3)), set_size=2)
+
+    def test_set_masks_drawn_set_by_set(self, rng):
+        # sets of 2+: each set's site-2 rows, then its site-3 row
+        p = sf.init_full(4, 8, rng, dropout_rate=0.3)
+        m2, m3 = sf.make_masks(p, 6, np.random.default_rng(4), set_size=3)
+        ref = np.random.default_rng(4)
+        for s in range(2):
+            np.testing.assert_array_equal(m2[3 * s:3 * s + 3], ref.random((3, 8)) < 0.7)
+            np.testing.assert_array_equal(m3[s:s + 1], ref.random((1, 8)) < 0.7)
