@@ -8,12 +8,23 @@ rules are written in terms of the same primitives, so gradients taken with
 Hessian-vector products and grad-of-grad.
 
 Broadcasting is deliberately restricted to row-vector bias addition; every
-other shape change is an explicit op.
+other shape change is an explicit op. The broadcasts `tile_rows`,
+`tile_cols` and `fill_like` are primitives (`np.repeat` forward, a row,
+column or full sum backward), not matmuls with a ones matrix.
+
+The hot composites are fused: `softmax_rows`, `log_softmax_rows`,
+`normalize_rows` (the row normalization inside `layer_norm`) and
+`pairwise_sq_dists` each record one tape node, computing the forward in
+numpy and writing the VJP in primitives, so their gradients stay
+differentiable. A VJP that needs its node's own output (`exp`, `div`,
+softmax, log-softmax, row normalization) refers to the node only weakly,
+so a tape is freed by reference counting as soon as its last value goes.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -93,7 +104,7 @@ class Tape:
 class DiffValue:
     """A float64 matrix, optionally bound to a Tape node."""
 
-    __slots__ = ("data", "tape", "_idx", "_parents", "_vjp")
+    __slots__ = ("data", "tape", "_idx", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, tape=None, idx=-1, parents=(), vjp=None):
         self.data: np.ndarray = data
@@ -153,10 +164,24 @@ def _owner_tape(parents) -> Optional[Tape]:
 
 
 def _make(data, parents, vjp) -> DiffValue:
+    if not _recording():
+        return DiffValue(data)
     tape = _owner_tape(parents)
-    if tape is None or not _recording():
+    if tape is None:
         return DiffValue(data)
     return DiffValue(data, tape=tape, idx=tape._index(), parents=parents, vjp=vjp)
+
+
+def _make_with_output(data, parents, vjp) -> DiffValue:
+    """`_make` for a VJP that also takes the node itself: vjp(g, out).
+
+    The node holds itself through a weak reference, not a cycle; `grad`
+    keeps every node it differentiates alive while it runs."""
+    res = _make(data, parents, None)
+    if res.tape is not None:
+        ref = weakref.ref(res)
+        res._vjp = lambda g: vjp(g, ref())
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +272,11 @@ def div(a, b) -> DiffValue:
     if a.shape != b.shape:
         raise ShapeError(f"div: shapes differ {a.shape} vs {b.shape}")
     out = a.data / b.data
-    res = _make(out, (a, b), None)
 
-    def vjp(g):
+    def vjp(g, res):
         return div(g, b), neg(mul(g, div(res, b)))
 
-    res._vjp = vjp
-    return res
+    return _make_with_output(out, (a, b), vjp)
 
 
 def scale(a, c: float) -> DiffValue:
@@ -280,13 +303,11 @@ def neg(a) -> DiffValue:
 def exp(a) -> DiffValue:
     a = _lift(a)
     out = np.exp(a.data)
-    res = _make(out, (a,), None)
 
-    def vjp(g):
+    def vjp(g, res):
         return (mul(g, res),)
 
-    res._vjp = vjp
-    return res
+    return _make_with_output(out, (a,), vjp)
 
 
 def log(a) -> DiffValue:
@@ -368,6 +389,45 @@ def col_sum(a) -> DiffValue:
         return (tile_rows(g, m),)
 
     return _make(out, (a,), vjp)
+
+
+def tile_rows(row, m: int) -> DiffValue:
+    """(1,n) -> (m,n) by repetition."""
+    row = _lift(row)
+    if row.shape[0] != 1:
+        raise ShapeError(f"tile_rows expects a row vector, got {row.shape}")
+    out = np.repeat(row.data, m, axis=0)
+
+    def vjp(g):
+        return (col_sum(g),)
+
+    return _make(out, (row,), vjp)
+
+
+def tile_cols(col, n: int) -> DiffValue:
+    """(m,1) -> (m,n) by repetition."""
+    col = _lift(col)
+    if col.shape[1] != 1:
+        raise ShapeError(f"tile_cols expects a column vector, got {col.shape}")
+    out = np.repeat(col.data, n, axis=1)
+
+    def vjp(g):
+        return (row_sum(g),)
+
+    return _make(out, (col,), vjp)
+
+
+def fill_like(scalar, shape) -> DiffValue:
+    """(1,1) -> arbitrary (m,n) by repetition."""
+    scalar = _lift(scalar)
+    if scalar.shape != (1, 1):
+        raise ShapeError(f"fill_like expects 1x1, got {scalar.shape}")
+    out = np.full(shape, scalar.data[0, 0])
+
+    def vjp(g):
+        return (sum_all(g),)
+
+    return _make(out, (scalar,), vjp)
 
 
 def concat_rows(a, b) -> DiffValue:
@@ -452,61 +512,97 @@ def pad_cols(a, j0: int, n_total: int) -> DiffValue:
 
 
 # ---------------------------------------------------------------------------
+# fused primitives: one node each, VJPs written in the primitives above
+
+
+def softmax_rows(a) -> DiffValue:
+    """Row-wise softmax with max-subtraction for stability.
+
+    Softmax is exactly shift-invariant, so subtracting the row max changes
+    no value and no derivative.
+    """
+    a = _lift(a)
+    e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
+    out = e / e.sum(axis=1, keepdims=True)
+    n = a.shape[1]
+
+    def vjp(g, s):
+        return (mul(s, sub(g, tile_cols(row_sum(mul(g, s)), n))),)
+
+    return _make_with_output(out, (a,), vjp)
+
+
+def log_softmax_rows(a) -> DiffValue:
+    """Row-wise log softmax, stabilized like softmax_rows."""
+    a = _lift(a)
+    z = a.data - a.data.max(axis=1, keepdims=True)
+    out = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    n = a.shape[1]
+
+    def vjp(g, logp):
+        return (sub(g, mul(exp(logp), tile_cols(row_sum(g), n))),)
+
+    return _make_with_output(out, (a,), vjp)
+
+
+def normalize_rows(x, eps: float = 1e-12) -> DiffValue:
+    """Each row to zero mean and unit variance: (x - mean) / sqrt(var + eps)."""
+    x = _lift(x)
+    n = x.shape[1]
+    xc = x.data - x.data.sum(axis=1, keepdims=True) * (1.0 / n)
+    inv = ((xc * xc).sum(axis=1, keepdims=True) * (1.0 / n) + eps) ** -0.5
+
+    def vjp(g, y):
+        # inv * (g - mean(g) - y * mean(g * y)), row by row
+        mean_g = tile_cols(scale(row_sum(g), 1.0 / n), n)
+        mean_gy = tile_cols(scale(row_sum(mul(g, y)), 1.0 / n), n)
+        inner = sub(sub(g, mean_g), mul(y, mean_gy))
+        return (mul(tile_cols(_inv_std_rows(x, eps, inv), n), inner),)
+
+    return _make_with_output(xc * inv, (x,), vjp)
+
+
+def _inv_std_rows(x, eps: float, inv: np.ndarray) -> DiffValue:
+    """(m,1) node 1 / sqrt(var + eps) of the rows of x, whose value inv the
+    caller has computed; it carries the x-dependence of normalize_rows's
+    VJP."""
+    n = x.shape[1]
+
+    def vjp(g, r):
+        # d r / dx = -r^2 / n * normalize_rows(x)
+        coef = scale(mul(g, mul(r, r)), -1.0 / n)
+        return (mul(normalize_rows(x, eps), tile_cols(coef, n)),)
+
+    return _make_with_output(inv, (x,), vjp)
+
+
+def pairwise_sq_dists(a, b) -> DiffValue:
+    """(N, K) squared Euclidean distances between the rows of a (N, D) and
+    of b (K, D): |a_i|^2 + |b_j|^2 - 2 a_i . b_j."""
+    a, b = _lift(a), _lift(b)
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"pairwise_sq_dists: widths differ {a.shape} vs {b.shape}")
+    aa = (a.data * a.data).sum(axis=1, keepdims=True)
+    bb = (b.data * b.data).sum(axis=1, keepdims=True).T
+    out = (aa + bb) - (a.data @ np.ascontiguousarray(b.data.T)) * 2.0
+    d = a.shape[1]
+
+    def vjp(g):
+        # 2 (rowsum(g) a - g b) and 2 (colsum(g)^T b - g^T a)
+        ga = sub(mul(tile_cols(row_sum(g), d), a), matmul(g, b))
+        gb = sub(mul(tile_cols(transpose(col_sum(g)), d), b), matmul(transpose(g), a))
+        return scale(ga, 2.0), scale(gb, 2.0)
+
+    return _make(out, (a, b), vjp)
+
+
+# ---------------------------------------------------------------------------
 # composites (differentiable through the primitives above)
 
 
 def mean_all(a) -> DiffValue:
     a = _lift(a)
     return scale(sum_all(a), 1.0 / a.data.size)
-
-
-def tile_rows(row, m: int) -> DiffValue:
-    """(1,n) -> (m,n) by repetition."""
-    row = _lift(row)
-    if row.shape[0] != 1:
-        raise ShapeError(f"tile_rows expects a row vector, got {row.shape}")
-    ones = DiffValue(np.ones((m, 1), dtype=np.float64))
-    return matmul(ones, row)
-
-
-def tile_cols(col, n: int) -> DiffValue:
-    """(m,1) -> (m,n) by repetition."""
-    col = _lift(col)
-    if col.shape[1] != 1:
-        raise ShapeError(f"tile_cols expects a column vector, got {col.shape}")
-    ones = DiffValue(np.ones((1, n), dtype=np.float64))
-    return matmul(col, ones)
-
-
-def fill_like(scalar, shape) -> DiffValue:
-    """(1,1) -> arbitrary (m,n) by repetition."""
-    scalar = _lift(scalar)
-    if scalar.shape != (1, 1):
-        raise ShapeError(f"fill_like expects 1x1, got {scalar.shape}")
-    m, n = shape
-    return tile_cols(tile_rows(scalar, m), n) if n != 1 else tile_rows(scalar, m)
-
-
-def softmax_rows(a) -> DiffValue:
-    """Row-wise softmax with max-subtraction for stability.
-
-    The subtracted row max is treated as a constant; softmax is exactly
-    shift-invariant, so this changes no value and no derivative.
-    """
-    a = _lift(a)
-    shift = DiffValue(a.data.max(axis=1, keepdims=True))
-    z = sub(a, tile_cols(shift, a.shape[1]))
-    e = exp(z)
-    return div(e, tile_cols(row_sum(e), a.shape[1]))
-
-
-def log_softmax_rows(a) -> DiffValue:
-    """Row-wise log softmax, stabilized like softmax_rows."""
-    a = _lift(a)
-    shift = DiffValue(a.data.max(axis=1, keepdims=True))
-    z = sub(a, tile_cols(shift, a.shape[1]))
-    lse = log(row_sum(exp(z)))
-    return sub(z, tile_cols(lse, a.shape[1]))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-12) -> DiffValue:
@@ -518,12 +614,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> DiffValue:
     m, n = x.shape
     if gain.shape != (1, n) or bias.shape != (1, n):
         raise ShapeError("layer_norm: gain/bias must be (1, n) rows")
-    mu = scale(row_sum(x), 1.0 / n)
-    xc = sub(x, tile_cols(mu, n))
-    var = scale(row_sum(mul(xc, xc)), 1.0 / n)
-    inv = powf(add(var, DiffValue(np.full((m, 1), eps))), -0.5)
-    normed = mul(xc, tile_cols(inv, n))
-    return add(mul(normed, tile_rows(gain, m)), tile_rows(bias, m))
+    return add(mul(normalize_rows(x, eps), tile_rows(gain, m)), bias)
 
 
 def dropout(x, rate: float, mask) -> DiffValue:

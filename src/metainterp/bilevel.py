@@ -329,6 +329,14 @@ def evaluate_validation(lam, theta, val_tasks, metric: str):
     return float(np.mean(losses)), float(np.mean(accs))
 
 
+def _check_finite(arrays: list, what: str, i: int) -> list:
+    """arrays, or TrainingDiverged if any entry is NaN or infinite."""
+    for a in arrays:
+        if not np.all(np.isfinite(a)):
+            raise TrainingDiverged(f"non-finite {what} at iteration {i}")
+    return arrays
+
+
 def train_step(state: TrainState, dataset: ep.TaskDataset, cfg: TrainConfig,
                method: str) -> float:
     """One Algorithm-1 iteration; returns the inner loss value."""
@@ -367,18 +375,21 @@ def train_step(state: TrainState, dataset: ep.TaskDataset, cfg: TrainConfig,
 
     if method == "no-bilevel" and g_lam:
         arrays = [a for _, a in _params.named_arrays(state.lam)]
-        new = opt_step(state.opt_lam, arrays, [g.data for g in g_lam])
+        new = _check_finite(opt_step(state.opt_lam, arrays, [g.data for g in g_lam]),
+                            "set-function update", i)
         it = iter(new)
         state.lam = _params._map_leaves(state.lam, lambda _a: next(it))
     elif bilevel_due and uses_lambda:
         g = hypergrad(state.theta, lam_live, theta_leaves, g_theta,
                       dataset.meta_val, cfg.inner_lr, cfg.bprime,
                       cfg.neumann_iters, rng, tape, cfg.metric)
+        _check_finite(g, "hypergradient", i)
         eta = cfg.hyper_lr
         if cfg.hyper_schedule == "linear":
             eta = cfg.hyper_lr * max(0.0, 1.0 - i / cfg.max_iters)
         arrays = [a for _, a in _params.named_arrays(state.lam)]
-        new = opt_step(state.opt_lam, arrays, g, lr=eta)
+        new = _check_finite(opt_step(state.opt_lam, arrays, g, lr=eta),
+                            "set-function update", i)
         it = iter(new)
         state.lam = _params._map_leaves(state.lam, lambda _a: next(it))
 
@@ -426,8 +437,6 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
             }
             window = []
             state.history.append(row)
-            if on_eval is not None:
-                on_eval(row)
             if val_acc > state.best_val_acc:
                 state.best_val_acc = val_acc
                 state.best_iter = i
@@ -436,9 +445,12 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
                 state.evals_since_best = 0
             else:
                 state.evals_since_best += 1
-                if cfg.patience > 0 and state.evals_since_best >= cfg.patience:
-                    stopped = True
-                    break
+            # the state is complete here, so on_eval may checkpoint it
+            if on_eval is not None:
+                on_eval(row)
+            if cfg.patience > 0 and state.evals_since_best >= cfg.patience:
+                stopped = True
+                break
 
     return TrainResult(
         theta=state.theta,
@@ -487,9 +499,10 @@ def save_checkpoint(path, named: dict) -> None:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        buf.write(f"tensor {name} {arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            buf.write(" ".join("%.17g" % v for v in row) + "\n")
+        rows, cols = arr.shape
+        buf.write(f"tensor {name} {rows} {cols}\n")
+        row_fmt = " ".join(["%.17g"] * cols) + "\n"
+        buf.write((row_fmt * rows) % tuple(arr.ravel().tolist()))
     with open(path, "w", encoding="utf-8") as f:
         f.write(buf.getvalue())
 

@@ -136,11 +136,15 @@ def cmd_train(args) -> int:
     if state is None:
         state = bl.init_state(dataset, train_cfg, method)
 
+    saved_at = None  # iteration of the last final.ckpt this invocation wrote
+
     def on_eval(row):
+        nonlocal saved_at
         metrics.write(_metric_row(row) + "\n")
         metrics.flush()
         bl.save_checkpoint(out_dir / "final.ckpt",
                            bl.state_to_named(state, train_cfg, method))
+        saved_at = state.iteration
 
     try:
         result = bl.meta_train(dataset, train_cfg, method, state=state,
@@ -151,8 +155,9 @@ def cmd_train(args) -> int:
         return 1
     metrics.close()
 
-    bl.save_checkpoint(out_dir / "final.ckpt",
-                       bl.state_to_named(state, train_cfg, method))
+    if saved_at != state.iteration:
+        bl.save_checkpoint(out_dir / "final.ckpt",
+                           bl.state_to_named(state, train_cfg, method))
     bl.save_checkpoint(out_dir / "best.ckpt",
                        bl.model_to_named(result.best_theta, result.best_lam,
                                          train_cfg))

@@ -145,16 +145,11 @@ def sq_dist(a, b) -> DiffValue:
 
 def pairwise_dists(queries, protos, metric: str = "sqeuclidean") -> DiffValue:
     """(N, K) distance matrix between query rows and prototype rows."""
-    queries, protos = ad._lift(queries), ad._lift(protos)
-    n, way = queries.shape[0], protos.shape[0]
-    qq = ad.tile_cols(ad.row_sum(ad.mul(queries, queries)), way)
-    cc = ad.tile_rows(ad.transpose(ad.row_sum(ad.mul(protos, protos))), n)
-    cross = ad.matmul(queries, ad.transpose(protos))
-    d2 = ad.sub(ad.add(qq, cc), ad.scale(cross, 2.0))
+    d2 = ad.pairwise_sq_dists(queries, protos)
     if metric == "sqeuclidean":
         return d2
     if metric == "euclidean":
-        eps = DiffValue(np.full((n, way), 1e-12))
+        eps = DiffValue(np.full(d2.shape, 1e-12))
         return ad.powf(ad.add(d2, eps), 0.5)
     raise ValueError(f"unknown metric {metric!r}")
 

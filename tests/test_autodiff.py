@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -116,6 +119,14 @@ class TestGradients:
         ("softmax", (2, 4), lambda x, c: ad.sum_all(ad.mul(ad.softmax_rows(x), c[:8].reshape(2, 4)))),
         ("layer_norm", (2, 4), lambda x, c: ad.sum_all(ad.mul(ad.layer_norm(x, c[:4].reshape(1, 4), c[4:8].reshape(1, 4)), c[8:16].reshape(2, 4)))),
         ("dropout", (2, 4), lambda x, c: ad.sum_all(ad.dropout(ad.mul(x, x), 0.25, np.array([[1.0, 0, 1, 1], [0, 1, 1, 0]])))),
+        ("log_softmax", (2, 4), lambda x, c: ad.sum_all(ad.mul(ad.log_softmax_rows(x), c[:8].reshape(2, 4)))),
+        ("normalize_rows", (3, 4), lambda x, c: ad.sum_all(ad.mul(ad.normalize_rows(x), c[:12].reshape(3, 4)))),
+        ("sq_dists_l", (2, 2), lambda x, c: ad.sum_all(ad.mul(ad.pairwise_sq_dists(x, c[:6].reshape(3, 2)), c[6:12].reshape(2, 3)))),
+        ("sq_dists_r", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.pairwise_sq_dists(c[:4].reshape(2, 2), x), c[4:10].reshape(2, 3)))),
+        ("sq_dists_self", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.pairwise_sq_dists(x, x), c[:9].reshape(3, 3)))),
+        ("tile_rows", (1, 3), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.tile_rows(x, 2)), c[:6].reshape(2, 3)))),
+        ("tile_cols", (2, 1), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.tile_cols(x, 3)), c[:6].reshape(2, 3)))),
+        ("fill_like", (1, 1), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.fill_like(x, (2, 3))), c[:6].reshape(2, 3)))),
     ]
 
     @pytest.mark.parametrize("name,shape,build", CASES, ids=[c[0] for c in CASES])
@@ -180,7 +191,9 @@ class TestSecondOrder:
         (hvp,) = ad.grad(inner, [x])
         return hvp.data
 
-    @pytest.mark.parametrize("case", ["exp_quad", "softmax", "layernorm"])
+    @pytest.mark.parametrize(
+        "case", ["exp_quad", "softmax", "layernorm", "log_softmax", "sq_dists"]
+    )
     def test_hvp_matches_fd_of_gradient(self, case, rng):
         shape = (1, 4)
         c = rng.standard_normal((4, 4))
@@ -192,6 +205,18 @@ class TestSecondOrder:
             def build(x):
                 return ad.sum_all(
                     ad.mul(ad.softmax_rows(x), DiffValue.const(c[:1, :]))
+                )
+        elif case == "log_softmax":
+            def build(x):
+                return ad.sum_all(
+                    ad.mul(ad.log_softmax_rows(ad.mul(x, x)), DiffValue.const(c[:1, :]))
+                )
+        elif case == "sq_dists":
+            # the prototype cross-entropy: log softmax of negative distances
+            def build(x):
+                d = ad.pairwise_sq_dists(x, DiffValue.const(c[:3, :]))
+                return ad.sum_all(
+                    ad.mul(ad.log_softmax_rows(ad.neg(d)), DiffValue.const(c[3:4, :3]))
                 )
         else:
             def build(x):
@@ -225,6 +250,28 @@ class TestSecondOrder:
         np.testing.assert_allclose(g3.data, [[48.0]], atol=1e-10)
 
 
+    def test_third_order_through_normalize_rows(self, rng):
+        # the row-norm VJP's helper node is itself differentiable:
+        # <d(H v . w)/dx, u> against a central difference of H v . w along u
+        c, v, w, u, x0 = (rng.standard_normal((2, 4)) for _ in range(5))
+
+        def hvp_dot_w(x0, create_graph=False):
+            tape = Tape()
+            x = tape.param(x0)
+            f = ad.sum_all(ad.mul(ad.normalize_rows(x), DiffValue.const(c)))
+            (g,) = ad.grad(f, [x], create_graph=True)
+            (hv,) = ad.grad(ad.sum_all(ad.mul(g, DiffValue.const(v))), [x],
+                            create_graph=create_graph)
+            return x, ad.sum_all(ad.mul(hv, DiffValue.const(w)))
+
+        x, s = hvp_dot_w(x0, create_graph=True)
+        (third,) = ad.grad(s, [x])
+        h = 1e-4
+        want = (hvp_dot_w(x0 + h * u)[1].item() - hvp_dot_w(x0 - h * u)[1].item()) / (2 * h)
+        got = float(np.sum(third.data * u))
+        assert abs(got - want) <= 1e-4 * max(abs(want), 1.0)
+
+
 class TestDeterminism:
     def test_bit_identical_replay(self, rng):
         x0 = rng.standard_normal((4, 4))
@@ -247,3 +294,53 @@ class TestDeterminism:
         before = tape.op_count
         ad.mul(x, x)
         assert tape.op_count == before + 1
+
+    FUSED = [
+        ("tile_rows", (1, 4), lambda x: ad.tile_rows(x, 3)),
+        ("tile_cols", (3, 1), lambda x: ad.tile_cols(x, 4)),
+        ("fill_like", (1, 1), lambda x: ad.fill_like(x, (2, 3))),
+        ("softmax_rows", (3, 4), ad.softmax_rows),
+        ("log_softmax_rows", (3, 4), ad.log_softmax_rows),
+        ("normalize_rows", (3, 4), ad.normalize_rows),
+        ("pairwise_sq_dists", (3, 4), lambda x: ad.pairwise_sq_dists(x, x)),
+    ]
+
+    @pytest.mark.parametrize("name,shape,op", FUSED, ids=[f[0] for f in FUSED])
+    def test_fused_op_records_one_node(self, name, shape, op, rng):
+        tape = Tape()
+        x = tape.param(rng.standard_normal(shape))
+        before = tape.op_count
+        out = op(x)
+        assert out.tape is tape
+        assert tape.op_count == before + 1
+
+    def test_layer_norm_records_four_nodes(self, rng):
+        # row normalization, gain tile, gain product, bias add
+        tape = Tape()
+        x = tape.param(rng.standard_normal((3, 4)))
+        gain = tape.param(np.ones((1, 4)))
+        bias = tape.param(np.zeros((1, 4)))
+        before = tape.op_count
+        ad.layer_norm(x, gain, bias)
+        assert tape.op_count == before + 4
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("op", ["exp", "div", "softmax_rows", "log_softmax_rows",
+                                    "normalize_rows"])
+    def test_self_referencing_vjp_freed_without_collector(self, op, rng):
+        # a node whose VJP needs its own output must not form a cycle
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.param(rng.standard_normal((2, 3)) + 3.0)
+            if op == "div":
+                out = ad.div(x, x)
+            else:
+                out = getattr(ad, op)(x)
+            (g,) = ad.grad(ad.sum_all(ad.mul(out, out)), [x], create_graph=True)
+            ref = weakref.ref(out)
+            del out, g
+            assert ref() is None
+        finally:
+            gc.enable()

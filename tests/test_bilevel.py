@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -353,6 +356,57 @@ class TestMetaTrain:
             bl.meta_train(ds, cfg, "meta-interp")
         assert "iteration" in str(err.value)
 
+    def test_non_finite_hypergradient_aborts(self, monkeypatch):
+        ds = small_dataset()
+        cfg = short_cfg(max_iters=10, update_period=5)
+        real = bl.hypergrad
+
+        def poisoned(*a, **k):
+            g = real(*a, **k)
+            g[0] = np.full_like(g[0], np.nan)
+            return g
+
+        monkeypatch.setattr(bl, "hypergrad", poisoned)
+        with pytest.raises(bl.TrainingDiverged,
+                           match="^non-finite hypergradient at iteration 5$"):
+            bl.meta_train(ds, cfg, "meta-interp")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_lambda_update_aborts(self):
+        ds = small_dataset()
+        cfg = short_cfg(max_iters=10, update_period=5, hyper_lr=np.inf,
+                        hyper_schedule="constant")
+        with pytest.raises(bl.TrainingDiverged,
+                           match="^non-finite set-function update at iteration 5$"):
+            bl.meta_train(ds, cfg, "meta-interp")
+
+    @pytest.mark.parametrize("set_kind", ["simple", "full"])
+    def test_step_tape_freed_by_reference_counting(self, set_kind, monkeypatch):
+        # an outer-update step (first- and second-order graphs) leaves no
+        # cycle behind: even the parameter leaves every node descends from
+        # go as soon as the step returns
+        ds = small_dataset()
+        cfg = short_cfg(max_iters=5, update_period=5, set_kind=set_kind,
+                        set_hidden=8 if set_kind == "full" else None)
+        state = bl.init_state(ds, cfg, "meta-interp")
+        state.iteration = 4
+        refs = []
+        real = bl._params.bind
+
+        def spy(params, tape):
+            bound = real(params, tape)
+            refs.extend(weakref.ref(leaf) for leaf in bl._params.leaves(bound))
+            return bound
+
+        monkeypatch.setattr(bl._params, "bind", spy)
+        gc.disable()
+        try:
+            bl.train_step(state, ds, cfg, "meta-interp")
+            assert refs
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
     def test_protonet_never_allocates_set_params(self):
         ds = small_dataset()
         state = bl.init_state(ds, short_cfg(), "protonet")
@@ -409,6 +463,34 @@ class TestCheckpoints:
             if arr.ndim < 2:
                 arr = arr.reshape(1, -1)
             np.testing.assert_array_equal(loaded[k], arr)
+
+    def test_writer_bytes_match_per_value_reference(self, tmp_path, rng):
+        def reference(path, named):
+            # one "%.17g" per value, the writer's original form
+            lines = [bl.CKPT_HEADER]
+            for name, arr in named.items():
+                arr = np.asarray(arr, dtype=np.float64)
+                arr = arr.reshape(1, -1) if arr.ndim < 2 else arr
+                lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
+                lines.extend(" ".join("%.17g" % v for v in row) for row in arr)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        named = {
+            "mixed": np.array([[-1.5, 5e-324, 1.7976931348623157e308, 3.0],
+                               [-0.0, 0.0, np.nan, np.inf],
+                               [-np.inf, 1e-300, -2.2250738585072014e-308, 1e22]]),
+            "random": rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-30, 30, (7, 5)),
+            "integers": np.arange(-6.0, 6.0).reshape(3, 4),
+            "scalar": np.float64(0.1),
+            "vector": np.array([1 / 3, -2 / 3]),
+            "column": np.array([[1e-17], [-1e17]]),
+            "no_rows": np.zeros((0, 3)),
+            "no_cols": np.zeros((2, 0)),
+        }
+        got, want = tmp_path / "got.ckpt", tmp_path / "want.ckpt"
+        bl.save_checkpoint(got, named)
+        reference(want, named)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_model_rebuild_all_kinds(self, tmp_path, rng):
         ds = small_dataset()

@@ -119,6 +119,75 @@ class TestTrain:
                   "--resume", str(paused / "final.ckpt")])
         assert (paused / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
 
+    def test_resume_after_crash_at_new_best_matches(self, workspace, monkeypatch):
+        # a crash right after the evaluation-time final.ckpt of a new best
+        # must resume into the uninterrupted run's bytes
+        tmp, cfg, tasks = workspace
+        full, crashed = tmp / "full", tmp / "crashed"
+        argv = ["train", "--config", str(cfg), "--tasks", str(tasks), "--seed", "4",
+                "--set", "update_period=10"]
+        cli.main(argv + ["--out-dir", str(full)])
+        accs = [float(line.split(",")[3]) for line in
+                (full / "metrics.csv").read_text().splitlines()[1:]]
+        # iteration 30 is a new best that the evaluation at 40 does not beat
+        assert accs[2] > max(accs[:2]) and accs[2] >= accs[3]
+
+        class Crash(Exception):
+            pass
+
+        save = bl.save_checkpoint
+
+        def crash_at_30(path, named):
+            save(path, named)
+            if int(named["meta.iteration"][0, 0]) == 30:
+                raise Crash
+
+        monkeypatch.setattr(bl, "save_checkpoint", crash_at_30)
+        with pytest.raises(Crash):
+            cli.main(argv + ["--out-dir", str(crashed)])
+        monkeypatch.undo()
+        cli.main(argv + ["--out-dir", str(crashed),
+                         "--resume", str(crashed / "final.ckpt")])
+        for name in ("metrics.csv", "final.ckpt", "best.ckpt"):
+            assert (crashed / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_final_checkpoint_saved_once_per_state(self, workspace, monkeypatch):
+        tmp, cfg, tasks = workspace
+        saved = []
+        save = bl.save_checkpoint
+
+        def spy(path, named):
+            if path.name == "final.ckpt":
+                saved.append(int(named["meta.iteration"][0, 0]))
+            save(path, named)
+
+        monkeypatch.setattr(bl, "save_checkpoint", spy)
+        argv = ["train", "--config", str(cfg), "--tasks", str(tasks), "--seed", "2"]
+        cli.main(argv + ["--out-dir", str(tmp / "a")])
+        assert saved == [20, 40]
+        # a stop between evaluations, and a resume with nothing left to run,
+        # still write the state they end in
+        saved.clear()
+        cli.main(argv + ["--out-dir", str(tmp / "b"), "--stop-after", "30"])
+        assert saved == [20, 30]
+        saved.clear()
+        cli.main(argv + ["--out-dir", str(tmp / "a"),
+                         "--resume", str(tmp / "a" / "final.ckpt")])
+        assert saved == [40]
+
+    def test_non_finite_hypergradient_exits_one(self, workspace, monkeypatch, capsys):
+        tmp, cfg, tasks = workspace
+
+        def poisoned(*a, **k):
+            return [np.full((1, 1), np.nan)]
+
+        monkeypatch.setattr(bl, "hypergrad", poisoned)
+        rc = cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
+                       "--out-dir", str(tmp / "nan"), "--seed", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: non-finite hypergradient at iteration 20"]
+
     def test_prototypes_csv_has_both_sources(self, workspace):
         tmp, cfg, tasks = workspace
         out = tmp / "protos"
