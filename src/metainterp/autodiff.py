@@ -7,18 +7,29 @@ rules are written in terms of the same primitives, so gradients taken with
 ``create_graph=True`` are themselves differentiable — that is what enables
 Hessian-vector products and grad-of-grad.
 
-Broadcasting is deliberately restricted to row-vector bias addition; every
-other shape change is an explicit op. The broadcasts `tile_rows`,
-`tile_cols` and `fill_like` are primitives (`np.repeat` forward, a row,
-column or full sum backward), not matmuls with a ones matrix.
+Broadcasting is deliberately restricted to a (1, n) row applied to every
+row (`add`, `sub`, `affine`, `scale_shift`); every other shape change is
+an explicit op. The broadcasts `tile_rows`, `tile_cols` and `fill_like`
+are primitives (`np.repeat` forward, a row, column or full sum backward),
+not matmuls with a ones matrix.
 
 The hot composites are fused: `softmax_rows`, `log_softmax_rows`,
-`normalize_rows` (the row normalization inside `layer_norm`) and
-`pairwise_sq_dists` each record one tape node, computing the forward in
+`normalize_rows` (the row normalization inside `layer_norm`),
+`pairwise_sq_dists`, `affine` (x W + b) and `scale_shift` (the gain and
+bias of `layer_norm`) each record one tape node, computing the forward in
 numpy and writing the VJP in primitives, so their gradients stay
-differentiable. A VJP that needs its node's own output (`exp`, `div`,
-softmax, log-softmax, row normalization) refers to the node only weakly,
-so a tape is freed by reference counting as soon as its last value goes.
+differentiable. `matmul_nt` (a b^T) and `matmul_tn` (a^T b) are products
+with a transposed operand; the VJPs of the three matmuls close over them,
+so no transpose is ever a node of its own. A VJP that needs its node's
+own output (`exp`, `div`, softmax, log-softmax, row normalization) refers
+to the node only weakly, so a tape is freed by reference counting as soon
+as its last value goes.
+
+`grad` sweeps only the nodes through which a requested input reaches the
+outputs. A VJP with several parents takes a `need` tuple, one flag per
+parent, and returns None for a parent that is constant or unmarked, so
+gradients nobody asked for (the set-function weights' in a backward for
+the encoder only, a dropout mask's, a one-hot target's) are never built.
 """
 
 from __future__ import annotations
@@ -164,6 +175,10 @@ def _owner_tape(parents) -> Optional[Tape]:
 
 
 def _make(data, parents, vjp) -> DiffValue:
+    """A node over parents, or a constant when nothing is recorded.
+
+    vjp maps the node's cotangent g to one gradient per parent: vjp(g)
+    with one parent, vjp(g, need) with several, None where need is False."""
     if not _recording():
         return DiffValue(data)
     tape = _owner_tape(parents)
@@ -173,14 +188,15 @@ def _make(data, parents, vjp) -> DiffValue:
 
 
 def _make_with_output(data, parents, vjp) -> DiffValue:
-    """`_make` for a VJP that also takes the node itself: vjp(g, out).
+    """`_make` for a VJP that also takes the node itself as its last
+    argument: vjp(g, out), or vjp(g, need, out) with several parents.
 
     The node holds itself through a weak reference, not a cycle; `grad`
     keeps every node it differentiates alive while it runs."""
     res = _make(data, parents, None)
     if res.tape is not None:
         ref = weakref.ref(res)
-        res._vjp = lambda g: vjp(g, ref())
+        res._vjp = lambda *args: vjp(*args, ref())
     return res
 
 
@@ -194,20 +210,39 @@ def matmul(a, b) -> DiffValue:
         raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
     out = a.data @ b.data
 
-    def vjp(g):
-        return matmul(g, transpose(b)), matmul(transpose(a), g)
+    def vjp(g, need):
+        return (matmul_nt(g, b) if need[0] else None,
+                matmul_tn(a, g) if need[1] else None)
 
     return _make(out, (a, b), vjp)
 
 
-def transpose(a) -> DiffValue:
-    a = _lift(a)
-    out = np.ascontiguousarray(a.data.T)
+def matmul_nt(a, b) -> DiffValue:
+    """a b^T: (m,k) x (n,k) -> (m,n), without a transpose node."""
+    a, b = _lift(a), _lift(b)
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"matmul_nt inner dims differ: {a.shape} x {b.shape}^T")
+    out = a.data @ b.data.T
 
-    def vjp(g):
-        return (transpose(g),)
+    def vjp(g, need):
+        return (matmul(g, b) if need[0] else None,
+                matmul_tn(g, a) if need[1] else None)
 
-    return _make(out, (a,), vjp)
+    return _make(out, (a, b), vjp)
+
+
+def matmul_tn(a, b) -> DiffValue:
+    """a^T b: (k,m) x (k,n) -> (m,n), without a transpose node."""
+    a, b = _lift(a), _lift(b)
+    if a.shape[0] != b.shape[0]:
+        raise ShapeError(f"matmul_tn inner dims differ: {a.shape}^T x {b.shape}")
+    out = a.data.T @ b.data
+
+    def vjp(g, need):
+        return (matmul_nt(b, g) if need[0] else None,
+                matmul(a, g) if need[1] else None)
+
+    return _make(out, (a, b), vjp)
 
 
 def _binary_shapes(a, b, op):
@@ -222,17 +257,16 @@ def _binary_shapes(a, b, op):
 def add(a, b) -> DiffValue:
     a, b = _lift(a), _lift(b)
     mode = _binary_shapes(a, b, "add")
+    out = a.data + b.data
     if mode == "same":
-        out = a.data + b.data
 
-        def vjp(g):
+        def vjp(g, need):
             return g, g
 
     else:
-        out = a.data + b.data
 
-        def vjp(g):
-            return g, col_sum(g)
+        def vjp(g, need):
+            return g, col_sum(g) if need[1] else None
 
     return _make(out, (a, b), vjp)
 
@@ -240,17 +274,16 @@ def add(a, b) -> DiffValue:
 def sub(a, b) -> DiffValue:
     a, b = _lift(a), _lift(b)
     mode = _binary_shapes(a, b, "sub")
+    out = a.data - b.data
     if mode == "same":
-        out = a.data - b.data
 
-        def vjp(g):
-            return g, neg(g)
+        def vjp(g, need):
+            return g, neg(g) if need[1] else None
 
     else:
-        out = a.data - b.data
 
-        def vjp(g):
-            return g, neg(col_sum(g))
+        def vjp(g, need):
+            return g, neg(col_sum(g)) if need[1] else None
 
     return _make(out, (a, b), vjp)
 
@@ -261,8 +294,9 @@ def mul(a, b) -> DiffValue:
         raise ShapeError(f"mul: shapes differ {a.shape} vs {b.shape}")
     out = a.data * b.data
 
-    def vjp(g):
-        return mul(g, b), mul(g, a)
+    def vjp(g, need):
+        return (mul(g, b) if need[0] else None,
+                mul(g, a) if need[1] else None)
 
     return _make(out, (a, b), vjp)
 
@@ -273,8 +307,9 @@ def div(a, b) -> DiffValue:
         raise ShapeError(f"div: shapes differ {a.shape} vs {b.shape}")
     out = a.data / b.data
 
-    def vjp(g, res):
-        return div(g, b), neg(mul(g, div(res, b)))
+    def vjp(g, need, res):
+        return (div(g, b) if need[0] else None,
+                neg(mul(g, div(res, b))) if need[1] else None)
 
     return _make_with_output(out, (a, b), vjp)
 
@@ -437,8 +472,9 @@ def concat_rows(a, b) -> DiffValue:
     out = np.ascontiguousarray(np.concatenate([a.data, b.data], axis=0))
     ma = a.shape[0]
 
-    def vjp(g):
-        return slice_rows(g, 0, ma), slice_rows(g, ma, out.shape[0])
+    def vjp(g, need):
+        return (slice_rows(g, 0, ma) if need[0] else None,
+                slice_rows(g, ma, out.shape[0]) if need[1] else None)
 
     return _make(out, (a, b), vjp)
 
@@ -450,8 +486,9 @@ def concat_cols(a, b) -> DiffValue:
     out = np.ascontiguousarray(np.concatenate([a.data, b.data], axis=1))
     na = a.shape[1]
 
-    def vjp(g):
-        return slice_cols(g, 0, na), slice_cols(g, na, out.shape[1])
+    def vjp(g, need):
+        return (slice_cols(g, 0, na) if need[0] else None,
+                slice_cols(g, na, out.shape[1]) if need[1] else None)
 
     return _make(out, (a, b), vjp)
 
@@ -587,13 +624,65 @@ def pairwise_sq_dists(a, b) -> DiffValue:
     out = (aa + bb) - (a.data @ np.ascontiguousarray(b.data.T)) * 2.0
     d = a.shape[1]
 
-    def vjp(g):
+    def vjp(g, need):
         # 2 (rowsum(g) a - g b) and 2 (colsum(g)^T b - g^T a)
-        ga = sub(mul(tile_cols(row_sum(g), d), a), matmul(g, b))
-        gb = sub(mul(tile_cols(transpose(col_sum(g)), d), b), matmul(transpose(g), a))
-        return scale(ga, 2.0), scale(gb, 2.0)
+        ga = gb = None
+        if need[0]:
+            ga = scale(sub(mul(tile_cols(row_sum(g), d), a), matmul(g, b)), 2.0)
+        if need[1]:
+            col = matmul_tn(g, np.ones((g.shape[0], 1)))  # colsum(g)^T, (K, 1)
+            gb = scale(sub(mul(tile_cols(col, d), b), matmul_tn(g, a)), 2.0)
+        return ga, gb
 
     return _make(out, (a, b), vjp)
+
+
+def affine(x, w, b) -> DiffValue:
+    """x w + b with the (1, n) row b added to every row."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine inner dims differ: {x.shape} x {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise ShapeError(f"affine bias must be (1, {w.shape[1]}), got {b.shape}")
+    out = x.data @ w.data + b.data
+
+    def vjp(g, need):
+        return (matmul_nt(g, w) if need[0] else None,
+                matmul_tn(x, g) if need[1] else None,
+                _row_total(g) if need[2] else None)
+
+    return _make(out, (x, w, b), vjp)
+
+
+def scale_shift(y, gain, bias=None) -> DiffValue:
+    """y * gain + bias with the (1, n) rows gain and bias applied to every
+    row of y; without bias, y * gain."""
+    y, gain = _lift(y), _lift(gain)
+    n = y.shape[1]
+    if gain.shape != (1, n):
+        raise ShapeError(f"scale_shift gain must be (1, {n}), got {gain.shape}")
+    out = y.data * gain.data
+    parents = (y, gain)
+    if bias is not None:
+        bias = _lift(bias)
+        if bias.shape != (1, n):
+            raise ShapeError(f"scale_shift bias must be (1, {n}), got {bias.shape}")
+        out = out + bias.data
+        parents = (y, gain, bias)
+
+    def vjp(g, need):
+        gy = scale_shift(g, gain) if need[0] else None
+        g_gain = _row_total(mul(g, y)) if need[1] else None
+        if bias is None:
+            return gy, g_gain
+        return gy, g_gain, _row_total(g) if need[2] else None
+
+    return _make(out, parents, vjp)
+
+
+def _row_total(g) -> DiffValue:
+    """The gradient of a (1, n) row broadcast over the rows of g."""
+    return g if g.shape[0] == 1 else col_sum(g)
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +700,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> DiffValue:
     gain and bias are (1,n) rows applied across every row of x.
     """
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
-    m, n = x.shape
+    n = x.shape[1]
     if gain.shape != (1, n) or bias.shape != (1, n):
         raise ShapeError("layer_norm: gain/bias must be (1, n) rows")
-    return add(mul(normalize_rows(x, eps), tile_rows(gain, m)), bias)
+    return scale_shift(normalize_rows(x, eps), gain, bias)
 
 
 def dropout(x, rate: float, mask) -> DiffValue:
@@ -645,7 +734,9 @@ def grad(
     Without grad_outputs every output must be scalar (cotangent 1). With
     create_graph the returned values are differentiable, enabling
     Hessian-vector products. Inputs that do not influence the outputs get
-    zero gradients.
+    zero gradients. Only the nodes between the inputs and the outputs are
+    swept, so the result does not depend on which other inputs are asked
+    for, and asking for fewer builds less.
     """
     single = isinstance(outputs, DiffValue)
     outs = [outputs] if single else list(outputs)
@@ -678,7 +769,7 @@ def grad(
         if i.tape is not tape:
             raise GraphError("input not on the tape of the differentiated output")
 
-    # reachable subgraph, then reverse sweep in creation order
+    # the nodes reachable from the outputs
     reachable: dict[int, DiffValue] = {}
     stack = [o for o in outs if o.tape is tape]
     while stack:
@@ -689,6 +780,18 @@ def grad(
         for p in node._parents:
             if p.tape is tape and p._idx not in reachable:
                 stack.append(p)
+
+    # of those, in creation (topological) order, the nodes through which a
+    # requested input reaches the outputs, each with the marks of its
+    # parents; the sweep visits only these and asks each VJP only for its
+    # marked parents
+    marked = {i._idx for i in ins}
+    needs: dict[int, tuple] = {}
+    for idx in sorted(reachable):
+        need = tuple([p._idx in marked for p in reachable[idx]._parents])
+        if True in need:
+            marked.add(idx)
+            needs[idx] = need
 
     adjoint: dict[int, DiffValue] = {}
     for o, s in zip(outs, seeds):
@@ -701,19 +804,17 @@ def grad(
 
     ctx = pause_recording() if not create_graph else _null_ctx()
     with ctx:
-        for idx in sorted(reachable, reverse=True):
-            node = reachable[idx]
+        for idx, need in reversed(needs.items()):
             g = adjoint.get(idx)
-            if g is None or node._vjp is None:
+            if g is None:
                 continue
-            parent_grads = node._vjp(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if pg is None or p.tape is not tape:
+            node = reachable[idx]
+            parent_grads = node._vjp(g, need) if len(need) > 1 else node._vjp(g)
+            for p, n, pg in zip(node._parents, need, parent_grads):
+                if not n:
                     continue
-                if p._idx in adjoint:
-                    adjoint[p._idx] = add(adjoint[p._idx], pg)
-                else:
-                    adjoint[p._idx] = pg
+                prev = adjoint.get(p._idx)
+                adjoint[p._idx] = pg if prev is None else add(prev, pg)
 
     result = []
     for i in ins:

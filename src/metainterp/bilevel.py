@@ -12,6 +12,7 @@ differentiates the result into the set-function parameters.
 from __future__ import annotations
 
 import io
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -260,6 +261,7 @@ class TrainState:
     best_lam: Optional[object] = None
     evals_since_best: int = 0
     history: list = field(default_factory=list)
+    loss_window: list = field(default_factory=list)  # since the last evaluation
 
 
 @dataclass
@@ -418,11 +420,10 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
         state.best_theta = _params.values(state.theta)
         state.best_lam = _params.values(state.lam)
     stopped = False
-    window: list = []
     limit = cfg.max_iters if stop_iteration is None else min(cfg.max_iters, stop_iteration)
 
     while state.iteration < limit:
-        window.append(train_step(state, dataset, cfg, method))
+        state.loss_window.append(train_step(state, dataset, cfg, method))
         i = state.iteration
         if i % cfg.update_period == 0 or i == cfg.max_iters:
             val_loss, val_acc = evaluate_validation(
@@ -430,12 +431,12 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
             )
             row = {
                 "iter": i,
-                "train_loss": float(np.mean(window)),
+                "train_loss": float(np.mean(state.loss_window)),
                 "val_loss": val_loss,
                 "val_acc": val_acc,
                 "work": state.work,
             }
-            window = []
+            state.loss_window = []
             state.history.append(row)
             if val_acc > state.best_val_acc:
                 state.best_val_acc = val_acc
@@ -490,7 +491,10 @@ _METRIC_NAMES = {v: k for k, v in _METRIC_CODES.items()}
 
 def save_checkpoint(path, named: dict) -> None:
     """Named-tensor container: one `tensor name rows cols` line per entry,
-    then the rows with 17-significant-digit doubles."""
+    then the rows with 17-significant-digit doubles.
+
+    The text goes to a sibling temporary file that then replaces path, so
+    a crash mid-write leaves the previous file whole."""
     buf = io.StringIO()
     buf.write(CKPT_HEADER + "\n")
     for name, arr in named.items():
@@ -503,8 +507,10 @@ def save_checkpoint(path, named: dict) -> None:
         buf.write(f"tensor {name} {rows} {cols}\n")
         row_fmt = " ".join(["%.17g"] * cols) + "\n"
         buf.write((row_fmt * rows) % tuple(arr.ravel().tolist()))
-    with open(path, "w", encoding="utf-8") as f:
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
         f.write(buf.getvalue())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> dict:
@@ -636,6 +642,8 @@ def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
     named["meta.best_iter"] = np.array([[float(state.best_iter)]])
     named["meta.evals_since_best"] = np.array([[float(state.evals_since_best)]])
     named["meta.method"] = np.array([[float(METHODS.index(method))]])
+    if state.loss_window:  # a stop between evaluations
+        named["meta.loss_window"] = np.array([state.loss_window])
     return named
 
 
@@ -658,6 +666,7 @@ def state_from_named(named: dict, cfg: TrainConfig):
 
     theta_arrays = [a for _, a in _params.named_arrays(theta)]
     lam_arrays = [a for _, a in _params.named_arrays(lam)]
+    window = named.get("meta.loss_window")  # present after a stop between evaluations
     state = TrainState(
         theta=theta,
         lam=lam,
@@ -670,6 +679,7 @@ def state_from_named(named: dict, cfg: TrainConfig):
         best_theta=best_theta,
         best_lam=best_lam,
         evals_since_best=int(_tensor(named, "meta.evals_since_best")[0, 0]),
+        loss_window=[] if window is None else window[0].tolist(),
     )
     method = _code(named, "meta.method", dict(enumerate(METHODS)))
     return state, method

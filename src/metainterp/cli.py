@@ -107,6 +107,16 @@ def _write_prototypes(path, theta, lam, dataset, method, seed) -> None:
     Path(path).write_text(header + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _truncate_metrics(path, iteration: int) -> None:
+    """Drop the metrics.csv rows after `iteration` (written by a run that
+    stopped before checkpointing their evaluation) and any cut-off row."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    keep = lines[:1] + [line for line in lines[1:] if line.endswith("\n")
+                        and int(line.split(",")[0]) <= iteration]
+    if len(keep) < len(lines):
+        Path(path).write_text("".join(keep), encoding="utf-8")
+
+
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set)
     train_cfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
@@ -116,17 +126,18 @@ def cmd_train(args) -> int:
     metrics_path = out_dir / "metrics.csv"
 
     state = None
-    method = args.method
+    method = args.method or "meta-interp"
+    mode = "w"
     if args.resume:
         named = bl.load_checkpoint(args.resume)
         state, method = bl.state_from_named(named, train_cfg)
-        if args.method != "meta-interp" and args.method != method:
-            raise SystemExit(
-                f"resume checkpoint was trained with method {method!r}"
-            )
-        mode = "a" if metrics_path.exists() else "w"
-    else:
-        mode = "w"
+        if args.method is not None and args.method != method:
+            print(f"error: resume checkpoint was trained with method {method!r}",
+                  file=sys.stderr)
+            return 1
+        if metrics_path.exists():
+            _truncate_metrics(metrics_path, state.iteration)
+            mode = "a"
 
     t0 = time.perf_counter()
     metrics = open(metrics_path, mode, encoding="utf-8")
@@ -595,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--method", default="meta-interp", choices=bl.METHODS)
+    p.add_argument("--method", default=None, choices=bl.METHODS,
+                   help="default meta-interp; on --resume, the checkpoint's")
     p.add_argument("--resume", default=None, metavar="CKPT")
     p.add_argument("--stop-after", type=int, default=None, metavar="ITER",
                    help="pause at this iteration (resume with --resume)")

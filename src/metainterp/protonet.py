@@ -82,7 +82,7 @@ def _run_layers(layers, x, slope: float, tail_has_last: bool) -> DiffValue:
     gets no activation."""
     n = len(layers)
     for i, layer in enumerate(layers):
-        x = ad.add(ad.matmul(x, layer.w), layer.b)
+        x = ad.affine(x, layer.w, layer.b)
         if not (tail_has_last and i == n - 1):
             x = ad.leaky_relu(x, slope)
     return x

@@ -73,7 +73,7 @@ def _set_masks(n: int, sets: int):
 
 def _weights(q, k, mask) -> DiffValue:
     """Attention weights softmax(q k^T / sqrt(width) + mask), row by row."""
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    scores = ad.scale(ad.matmul_nt(q, k), 1.0 / math.sqrt(q.shape[1]))
     if mask is not None:
         scores = ad.add(scores, mask)
     return ad.softmax_rows(scores)
@@ -152,18 +152,18 @@ def simple_forward(p: SimpleSetParams, elems, set_size: Optional[int] = None) ->
     h1 = _stack(elems)
     n, sets = _split(h1.shape[0], set_size)
     if n == 1:  # both attention weights are 1
-        v1 = ad.add(ad.matmul(h1, p.w1v), p.b1v)
-        return ad.add(ad.matmul(v1, p.w2v), p.b2v)
+        v1 = ad.affine(h1, p.w1v, p.b1v)
+        return ad.affine(v1, p.w2v, p.b2v)
     within, pool = _set_masks(n, sets)
 
-    q1 = ad.add(ad.matmul(h1, p.w1q), p.b1q)
-    k1 = ad.add(ad.matmul(h1, p.w1k), p.b1k)
-    v1 = ad.add(ad.matmul(h1, p.w1v), p.b1v)
+    q1 = ad.affine(h1, p.w1q, p.b1q)
+    k1 = ad.affine(h1, p.w1k, p.b1k)
+    v1 = ad.affine(h1, p.w1v, p.b1v)
     h2 = ad.matmul(_weights(q1, k1, within), v1)
 
-    q2 = ad.add(ad.matmul(ad.tile_rows(p.seed, sets), p.w2q), p.b2q)
-    k2 = ad.add(ad.matmul(h2, p.w2k), p.b2k)
-    v2 = ad.add(ad.matmul(h2, p.w2v), p.b2v)
+    q2 = ad.affine(ad.tile_rows(p.seed, sets), p.w2q, p.b2q)
+    k2 = ad.affine(h2, p.w2k, p.b2k)
+    v2 = ad.affine(h2, p.w2v, p.b2v)
     return ad.matmul(_weights(q2, k2, pool), v2)
 
 
@@ -303,9 +303,9 @@ def _attend(block: AttnBlock, queries, keys_values, mask, one_key: bool) -> Diff
     1 and V is used as it is."""
     outs = None
     for head in block.heads:
-        q = ad.add(ad.matmul(queries, head.wq), head.bq)
-        k = None if one_key else ad.add(ad.matmul(keys_values, head.wk), head.bk)
-        v = ad.add(ad.matmul(keys_values, head.wv), head.bv)
+        q = ad.affine(queries, head.wq, head.bq)
+        k = None if one_key else ad.affine(keys_values, head.wk, head.bk)
+        v = ad.affine(keys_values, head.wv, head.bv)
         if k is not None:
             v = ad.matmul(_weights(q, k, mask), v)
         a = ad.layer_norm(ad.add(q, v), head.ln_gain, head.ln_bias)
@@ -314,7 +314,7 @@ def _attend(block: AttnBlock, queries, keys_values, mask, one_key: bool) -> Diff
 
 
 def _block_mix(block: AttnBlock, o, first_block: bool) -> DiffValue:
-    ff = ad.relu(ad.add(ad.matmul(o, block.w), block.b))
+    ff = ad.relu(ad.affine(o, block.w, block.b))
     if first_block:
         # encoder block 1: norm the attention output, then add the ff branch
         return ad.add(ad.layer_norm(o, block.ln_gain, block.ln_bias), ff)
@@ -362,7 +362,7 @@ def full_forward(p: FullSetTransformerParams, elems, masks=None,
     h3 = _block_mix(p.block3, pooled, first_block=False)
     if masks is not None:
         h3 = ad.dropout(h3, p.dropout_rate, m3)
-    return ad.add(ad.matmul(h3, p.w4), p.b4)
+    return ad.affine(h3, p.w4, p.b4)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +394,7 @@ def init_deepsets(d: int, widths=(32,), rng: Optional[np.random.Generator] = Non
 def _run_stack(stack, x, slope, activate_last: bool) -> DiffValue:
     n = len(stack)
     for i, (w, b) in enumerate(stack):
-        x = ad.add(ad.matmul(x, w), b)
+        x = ad.affine(x, w, b)
         if activate_last or i < n - 1:
             x = ad.leaky_relu(x, slope)
     return x

@@ -447,6 +447,40 @@ class TestMetaTrain:
         assert res.iterations < 2000
 
 
+class TestPrunedGradients:
+    def _inner(self, set_kind):
+        ds = small_dataset()
+        cfg = short_cfg(set_kind=set_kind, set_hidden=8 if set_kind == "full" else None,
+                        interp=itp.InterpConfig(layer=1, cardinality=3))
+        state = bl.init_state(ds, cfg, "meta-interp")
+        rng = np.random.default_rng([3, 17])
+        pairs = bl._sample_batch(ds, cfg, rng)
+        tape = Tape()
+        theta_live = bl._params.bind(state.theta, tape)
+        lam_live = bl._params.bind(state.lam, tape)
+        ltr = bl.inner_loss(lam_live, theta_live, pairs, cfg, "train", rng)
+        return (tape, ltr, bl._params.leaves(theta_live),
+                bl._params.leaves(lam_live))
+
+    @pytest.mark.parametrize("set_kind", ["simple", "full"])
+    def test_subset_bit_equal_to_slice_of_all(self, set_kind):
+        tape, ltr, theta, lam = self._inner(set_kind)
+        everything = ad.grad(ltr, theta + lam)
+        for part, want in ((ad.grad(ltr, theta), everything[:len(theta)]),
+                           (ad.grad(ltr, lam), everything[len(theta):])):
+            assert [g.data.tobytes() for g in part] == [g.data.tobytes() for g in want]
+
+    @pytest.mark.parametrize("set_kind", ["simple", "full"])
+    def test_theta_only_create_graph_records_fewer_nodes(self, set_kind):
+        tape, ltr, theta, lam = self._inner(set_kind)
+        before = tape.op_count
+        ad.grad(ltr, theta, create_graph=True)
+        theta_only = tape.op_count - before
+        before = tape.op_count
+        ad.grad(ltr, theta + lam, create_graph=True)
+        assert theta_only < tape.op_count - before
+
+
 class TestCheckpoints:
     def test_roundtrip_exact(self, tmp_path, rng):
         ds = small_dataset()

@@ -151,6 +151,79 @@ class TestTrain:
         for name in ("metrics.csv", "final.ckpt", "best.ckpt"):
             assert (crashed / name).read_bytes() == (full / name).read_bytes(), name
 
+    def test_resume_between_evaluations_keeps_loss_window(self, workspace):
+        # a stop between evaluations carries the losses since the last one
+        # into the checkpoint, so the next row's train_loss is unchanged
+        tmp, cfg, tasks = workspace
+        full, paused = tmp / "full", tmp / "paused"
+        argv = ["train", "--config", str(cfg), "--tasks", str(tasks), "--seed", "4"]
+        cli.main(argv + ["--out-dir", str(full)])
+        cli.main(argv + ["--out-dir", str(paused), "--stop-after", "30"])
+        assert "meta.loss_window" in bl.load_checkpoint(paused / "final.ckpt")
+        cli.main(argv + ["--out-dir", str(paused),
+                         "--resume", str(paused / "final.ckpt")])
+        for name in ("metrics.csv", "final.ckpt", "best.ckpt"):
+            assert (paused / name).read_bytes() == (full / name).read_bytes(), name
+        assert "meta.loss_window" not in bl.load_checkpoint(full / "final.ckpt")
+
+    @pytest.mark.parametrize("where", ["before_write", "mid_write"])
+    def test_resume_after_crash_before_checkpoint_matches(self, workspace, monkeypatch,
+                                                          where):
+        # a crash after the metrics row of the evaluation at 30 and before
+        # its final.ckpt is in place: resume from the checkpoint at 20
+        tmp, cfg, tasks = workspace
+        full, crashed = tmp / "full", tmp / "crashed"
+        argv = ["train", "--config", str(cfg), "--tasks", str(tasks), "--seed", "4",
+                "--set", "update_period=10"]
+        cli.main(argv + ["--out-dir", str(full)])
+
+        class Crash(Exception):
+            pass
+
+        save, replace = bl.save_checkpoint, bl.os.replace
+        at = []
+
+        def crash_at_30(path, named):
+            at[:] = [int(named["meta.iteration"][0, 0])]
+            if where == "before_write" and at[0] == 30:
+                raise Crash
+            save(path, named)
+
+        def crash_replace(src, dst):
+            if at[0] == 30:
+                raise Crash
+            replace(src, dst)
+
+        monkeypatch.setattr(bl, "save_checkpoint", crash_at_30)
+        monkeypatch.setattr(bl.os, "replace", crash_replace)
+        with pytest.raises(Crash):
+            cli.main(argv + ["--out-dir", str(crashed)])
+        monkeypatch.undo()
+        rows = (crashed / "metrics.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["10", "20", "30"]
+        named = bl.load_checkpoint(crashed / "final.ckpt")
+        assert named["meta.iteration"][0, 0] == 20
+        cli.main(argv + ["--out-dir", str(crashed),
+                         "--resume", str(crashed / "final.ckpt")])
+        for name in ("metrics.csv", "final.ckpt", "best.ckpt"):
+            assert (crashed / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_resume_method_defaults_to_checkpoint(self, workspace, capsys):
+        tmp, cfg, tasks = workspace
+        out = tmp / "pn"
+        argv = ["train", "--config", str(cfg), "--tasks", str(tasks), "--seed", "1",
+                "--out-dir", str(out)]
+        assert cli.main(argv + ["--method", "protonet", "--stop-after", "20"]) == 0
+        capsys.readouterr()
+        resume = argv + ["--resume", str(out / "final.ckpt")]
+        # an explicit method, even the default one, must match the checkpoint
+        assert cli.main(resume + ["--method", "meta-interp"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: resume checkpoint was trained with method 'protonet'"]
+        assert cli.main(resume) == 0
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["method"] == "protonet" and report["iterations"] == 40
+
     def test_final_checkpoint_saved_once_per_state(self, workspace, monkeypatch):
         tmp, cfg, tasks = workspace
         saved = []
