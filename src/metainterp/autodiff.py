@@ -141,22 +141,6 @@ class DiffValue:
         tag = "const" if self.tape is None else f"node{self._idx}"
         return f"DiffValue({tag}, shape={self.data.shape})"
 
-    # light operator sugar; module functions are the real surface
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _lift(x) -> DiffValue:
     return x if isinstance(x, DiffValue) else DiffValue.const(x)
@@ -343,18 +327,6 @@ def exp(a) -> DiffValue:
         return (mul(g, res),)
 
     return _make_with_output(out, (a,), vjp)
-
-
-def log(a) -> DiffValue:
-    a = _lift(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: nonpositive entry")
-    out = np.log(a.data)
-
-    def vjp(g):
-        return (div(g, a),)
-
-    return _make(out, (a,), vjp)
 
 
 def powf(a, p: float) -> DiffValue:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -76,6 +75,12 @@ class TrainConfig:
             raise ValueError(f"unknown set kind {self.set_kind!r}")
         if not 0 <= self.interp.layer < len(self.encoder_widths):
             raise ValueError("interpolation layer outside encoder depth")
+        if not 0 <= self.dropout_rate < 1:
+            raise ValueError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
+        if self.metric not in ("sqeuclidean", "euclidean"):
+            raise ValueError(f"unknown metric {self.metric!r}")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be >= 1")
 
     @property
     def bprime(self) -> int:
@@ -275,7 +280,6 @@ class TrainResult:
     best_iter: int
     iterations: int
     stopped_early: bool
-    wall_seconds: float
 
 
 def build_lambda(cfg: TrainConfig, d: int, rng: np.random.Generator):
@@ -413,7 +417,6 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
     interrupts the run at an evaluation boundary without altering the
     schedule; resuming from the saved state completes the original run.
     """
-    t0 = time.perf_counter()
     if state is None:
         state = init_state(dataset, cfg, method)
     if state.best_theta is None:
@@ -463,19 +466,7 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
         best_iter=state.best_iter,
         iterations=state.iteration,
         stopped_early=stopped,
-        wall_seconds=time.perf_counter() - t0,
     )
-
-
-def ablation_variants(cfg: TrainConfig) -> list:
-    """Table-3 style variant set: full model, no interpolation, joint
-    training instead of bilevel, and no singleton term."""
-    return [
-        ("meta-interp", cfg),
-        ("protonet-st", cfg),
-        ("no-bilevel", cfg),
-        ("no-singleton", cfg),
-    ]
 
 
 # ---------------------------------------------------------------------------

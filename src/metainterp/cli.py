@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -25,7 +24,6 @@ from . import bilevel as bl
 from . import episodes as ep
 from . import interpolate as itp
 from . import protonet as pn
-from . import setfunc
 from . import theory as th
 from .config import ConfigError, load_run_config
 
@@ -34,14 +32,6 @@ _F = "%.17g"
 
 def _fmt(x) -> str:
     return _F % float(x)
-
-
-def _threads_default() -> int:
-    raw = os.environ.get("META_INTERP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -251,277 +241,11 @@ def cmd_eval(args, parser) -> int:
 # theory checks
 
 
-def _check_closedform(seed):
-    rng = np.random.default_rng([seed, 1])
-    worst_single, worst_pair = 0.0, 0.0
-    for _ in range(200):
-        d = int(rng.integers(2, 9))
-        p = setfunc.init_simple(d, rng)
-        for name in ("b1q", "b1k", "b1v", "b2q", "b2k", "b2v"):
-            setattr(p, name, rng.standard_normal((1, d)) * 0.3)
-        h, hp = rng.standard_normal((1, d)), rng.standard_normal((1, d))
-        M, b = setfunc.effective_affine(p)
-        single = setfunc.simple_forward(p, [h]).data
-        worst_single = max(worst_single, float(np.max(np.abs(single - (h @ M + b)))))
-        alpha, *_ = setfunc.alpha_pair(p, h, hp)
-        pair = setfunc.simple_forward(p, [h, hp]).data
-        want = (h + alpha * (hp - h)) @ M + b
-        worst_pair = max(worst_pair, float(np.max(np.abs(pair - want))))
-    return {
-        "name": "closedform",
-        "inputs": {"draws": 200, "seed": seed},
-        "measured": {"singleton_max_dev": worst_single, "pair_max_dev": worst_pair},
-        "criteria": {"singleton": 1e-12, "pair": 1e-9},
-        "passed": worst_single <= 1e-12 and worst_pair <= 1e-9,
-    }
-
-
-def _check_thm1(seed):
-    eps_grid = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
-    slopes1, slopes2, used = [], [], []
-    probe = seed
-    while len(used) < 5 and probe < seed + 25:
-        prob = th.default_thm1_problem(probe)
-        if not th.is_degenerate(prob):
-            s1, _ = th.remainder_slope(prob, 1, eps_grid)
-            s2, _ = th.remainder_slope(prob, 2, eps_grid)
-            slopes1.append(s1)
-            slopes2.append(s2)
-            used.append(probe)
-        probe += 1
-    ok = (
-        len(used) == 5
-        and all(s >= 1.8 for s in slopes1)
-        and all(s >= 2.8 for s in slopes2)
-    )
-    return {
-        "name": "thm1",
-        "inputs": {"eps_grid": eps_grid, "instance_seeds": used},
-        "measured": {"slopes_j1": slopes1, "slopes_j2": slopes2},
-        "criteria": {"slope_j1": 1.8, "slope_j2": 2.8},
-        "passed": ok,
-    }
-
-
-def _build_mirrored(seed):
-    rng = np.random.default_rng([seed, 3])
-    d = 3
-    zero, row = np.zeros((d, d)), np.zeros((1, d))
-    params = setfunc.SimpleSetParams(
-        w1q=zero, w1k=zero, w1v=np.eye(d), w2q=zero, w2k=zero, w2v=np.eye(d),
-        b1q=row, b1k=row, b1v=row, b2q=row, b2k=row, b2v=row, seed=row,
-    )
-    s1 = rng.standard_normal((2, d))
-    sup = [ep.Example(s1[i], 1) for i in range(2)] + [
-        ep.Example(-s1[i], 2) for i in range(2)
-    ]
-    theta = rng.standard_normal(d)
-    queries = []
-    for i in range(6):
-        r = rng.standard_normal(d)
-        if r @ theta < 0:
-            r = -r
-        queries.append(ep.Example(r, 1 + i % 2))
-    task_t = ep.Task(sup, queries, way=2)
-    a1, a2 = rng.standard_normal((2, d)), rng.standard_normal((2, d))
-
-    def partner(sign):
-        return ep.Task(
-            [ep.Example(sign * a1[i], 1) for i in range(2)]
-            + [ep.Example(sign * a2[i], 2) for i in range(2)],
-            [ep.Example(np.zeros(d), 1)],
-            way=2,
-        )
-
-    case = th.LogisticSpecialCase(theta=theta, task_t=task_t, set_params=params)
-    pairings = [
-        (task, sig)
-        for task in (partner(1.0), partner(-1.0))
-        for sig in (np.array([1, 2]), np.array([2, 1]))
-    ]
-    return case, pairings
-
-
-def _check_prop1(seed):
-    gaps, residuals = [], []
-    for s in range(seed, seed + 5):
-        case, pairings = _build_mirrored(s)
-        res = th.prop1_check(case, pairings)
-        gaps.append(res["gap"])
-        residuals.append(res["balance_residual"])
-    c_positive = []
-    for s in range(seed + 100, seed + 120):
-        case, _ = _build_mirrored(s)
-        c_positive.append(case.curvature_coefficient() > 0.0)
-    ok = all(g <= 1e-9 for g in gaps) and all(c_positive)
-    return {
-        "name": "prop1",
-        "inputs": {"constructions": 5, "c_draws": 20},
-        "measured": {"gaps": gaps, "balance_residuals": residuals,
-                     "c_positive": int(sum(c_positive))},
-        "criteria": {"gap": 1e-9, "c_positive": 20},
-        "passed": ok,
-    }
-
-
-def _check_prop2(seed):
-    cells = []
-    ok = True
-    for n in (4, 8, 12):
-        for rank in (1, 2, 4):
-            for radius in (1.0, 4.0):
-                cfg = th.RademacherConfig(n=n, dim=4, rank=rank, radius=radius,
-                                          trials=200, seed=seed)
-                out = th.rademacher_bound_check(cfg)
-                cells.append({"n": n, "rank": rank, "R": radius, **out})
-                ok = ok and out["passed"]
-    return {
-        "name": "prop2",
-        "inputs": {"grid": "n in {4,8,12} x rank in {1,2,4} x R in {1,4}",
-                   "trials": 200},
-        "measured": {"cells": cells},
-        "criteria": {"bound": "empirical <= sqrt(R*rank/n) + 3 SE"},
-        "passed": ok,
-    }
-
-
-def _check_neumann(seed, verbose=True):
-    from . import autodiff as ad
-    from .autodiff import Tape
-
-    tape = Tape()
-    theta = tape.param([[1.0]])
-    lam = tape.param([[1.0]])
-    diff = ad.sub(theta, lam)
-    ltr = ad.scale(ad.mul(diff, diff), 0.5)
-    (dltr,) = ad.grad(ltr, [theta], create_graph=True)
-    g = bl.neumann_hypergrad([dltr], [theta], [lam], [np.array([[1.0]])],
-                             [np.array([[0.0]])], alpha=0.5, q=10)
-    scalar_err = abs(g[0][0, 0] - (1.0 - 0.5 ** 11))
-
-    rng = np.random.default_rng([seed, 5])
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    H = Q @ np.diag(rng.uniform(1.0, 2.5, 3)) @ Q.T
-    C = rng.standard_normal((3, 2))
-    t = rng.standard_normal(3)
-    th0 = rng.standard_normal(3)
-    alpha = 0.95 / float(np.max(np.linalg.eigvalsh(H)))
-    exact = -(C.T @ np.linalg.solve(H, th0 - t)).reshape(1, -1)
-
-    def hg(q):
-        tape = Tape()
-        theta = tape.param(th0.reshape(1, -1))
-        lam = tape.param(np.zeros((1, 2)))
-        from .autodiff import DiffValue
-
-        quad = ad.scale(ad.sum_all(ad.mul(theta, ad.matmul(theta, DiffValue.const(H)))), 0.5)
-        cross = ad.sum_all(ad.mul(theta, ad.matmul(lam, DiffValue.const(C.T))))
-        (dltr,) = ad.grad(ad.add(quad, cross), [theta], create_graph=True)
-        g = bl.neumann_hypergrad([dltr], [theta], [lam],
-                                 [(th0 - t).reshape(1, -1)], [np.zeros((1, 2))],
-                                 alpha=alpha, q=q)
-        return float(np.max(np.abs(g[0] - exact)))
-
-    table = [(q, hg(q)) for q in (0, 1, 2, 5, 10, 20, 50)]
-    if verbose:
-        print("q  | max abs error vs exact implicit gradient")
-        for q, err in table:
-            print(f"{q:<3}| {err:.3e}")
-    monotone = all(b <= a + 1e-15 for (_, a), (_, b) in zip(table, table[1:]))
-    denom = max(float(np.max(np.abs(exact))), 1e-8)
-    ok = scalar_err <= 1e-12 and monotone and table[-1][1] / denom <= 1e-6
-    return {
-        "name": "neumann",
-        "inputs": {"alpha": 0.5, "q": 10, "quadratic_seed": seed},
-        "measured": {"scalar_error": scalar_err,
-                     "q_table": [[q, e] for q, e in table]},
-        "criteria": {"scalar": 1e-12, "q50_relative": 1e-6,
-                     "monotone": True},
-        "passed": ok,
-    }
-
-
-def _check_hvp(seed):
-    from . import autodiff as ad
-    from .autodiff import DiffValue, Tape
-
-    rng = np.random.default_rng([seed, 6])
-    worst = 0.0
-    for _ in range(10):
-        c = rng.standard_normal((4, 4))
-        x0 = rng.standard_normal((1, 4))
-        v = rng.standard_normal((1, 4))
-
-        def f(x):
-            return ad.sum_all(ad.exp(ad.scale(ad.matmul(x, DiffValue.const(c)), 0.5)))
-
-        def grad_at(x0_):
-            tape = Tape()
-            x = tape.param(x0_)
-            (g,) = ad.grad(f(x), [x])
-            return g.data
-
-        tape = Tape()
-        x = tape.param(x0)
-        (gx,) = ad.grad(f(x), [x], create_graph=True)
-        (hvp,) = ad.grad(ad.sum_all(ad.mul(gx, DiffValue.const(v))), [x])
-        h = 1e-4
-        fd = (grad_at(x0 + h * v) - grad_at(x0 - h * v)) / (2 * h)
-        denom = max(float(np.max(np.abs(fd))), 1e-8)
-        worst = max(worst, float(np.max(np.abs(hvp.data - fd))) / denom)
-    return {
-        "name": "hvp",
-        "inputs": {"functions": 10, "fd_step": 1e-4},
-        "measured": {"worst_relative_error": worst},
-        "criteria": {"relative": 1e-4},
-        "passed": worst <= 1e-4,
-    }
-
-
-def _check_balance(seed):
-    mirrored = []
-    for s in range(seed, seed + 3):
-        case, pairings = _build_mirrored(s)
-        mirrored.append(th.balance_check(case, pairings))
-    rng = np.random.default_rng([seed, 8])
-    gen = ep.GenConfig(way=2, shots=2, queries=2, dim=3, train_tasks=2,
-                       val_tasks=1, test_tasks=1, spread=0.6, seed=seed)
-    ds = ep.gen_gaussian_tasks(gen)
-    case, _ = _build_mirrored(seed)
-    random_case = th.LogisticSpecialCase(
-        theta=rng.standard_normal(3), task_t=ds.meta_train[0],
-        set_params=case.set_params,
-    )
-    random_residual = th.balance_check(
-        random_case, [(ds.meta_train[1], np.array([1, 2]))]
-    )
-    ok = all(r <= 1e-12 for r in mirrored)
-    return {
-        "name": "balance",
-        "inputs": {"mirrored_constructions": 3},
-        "measured": {"mirrored_residuals": mirrored,
-                     "random_residual": random_residual},
-        "criteria": {"mirrored": 1e-12, "random": "reported only"},
-        "passed": ok,
-    }
-
-
-_CHECKS = {
-    "closedform": _check_closedform,
-    "thm1": _check_thm1,
-    "prop1": _check_prop1,
-    "prop2": _check_prop2,
-    "neumann": _check_neumann,
-    "hvp": _check_hvp,
-    "balance": _check_balance,
-}
-
-
 def cmd_theory_check(args) -> int:
-    names = list(_CHECKS) if args.check == "all" else [args.check]
+    names = list(th.CHECKS) if args.check == "all" else [args.check]
     results = []
     for name in names:
-        result = _CHECKS[name](args.seed)
+        result = th.CHECKS[name](args.seed)
         results.append(result)
         print(f"{result['name']}: {'PASS' if result['passed'] else 'FAIL'}")
     report = {"seed": args.seed, "checks": results,
@@ -619,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=3000)
     p.add_argument("--seeds", default="0")
     p.add_argument("--json", default=None)
-    p.add_argument("--threads", type=int, default=_threads_default())
+    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("theory-check", help="run the numerical theory checks")
     p.add_argument("--check", default="all",
-                   choices=["all", *_CHECKS])
+                   choices=["all", *th.CHECKS])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="theory_report.json")
 
@@ -634,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", default="0")
-    p.add_argument("--threads", type=int, default=_threads_default())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
 
     return parser

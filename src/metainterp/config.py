@@ -18,15 +18,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {s!r}")
-
-
 def _parse_int_list(s: str) -> tuple:
     return tuple(int(v) for v in s.split(",") if v.strip())
 

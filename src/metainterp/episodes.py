@@ -268,21 +268,3 @@ def load_tasks(path) -> TaskDataset:
     if not splits[0]:
         raise ParseError("no tasks", len(lines))
     return TaskDataset(*splits, dim=dim)
-
-
-def datasets_equal(a: TaskDataset, b: TaskDataset) -> bool:
-    if a.dim != b.dim:
-        return False
-    for sa, sb in zip(
-        (a.meta_train, a.meta_val, a.meta_test),
-        (b.meta_train, b.meta_val, b.meta_test),
-    ):
-        if len(sa) != len(sb):
-            return False
-        for ta, tb in zip(sa, sb):
-            if ta.way != tb.way:
-                return False
-            for ea, eb in zip(ta.support + ta.query, tb.support + tb.query):
-                if ea.label != eb.label or not np.array_equal(ea.features, eb.features):
-                    return False
-    return True

@@ -63,14 +63,6 @@ def pair_classes(way: int, rng: np.random.Generator) -> ClassPairing:
     )
 
 
-def build_pairs(task1: Task, task2: Task, pairing: ClassPairing, k: int) -> list:
-    """Cross product of class-sigma1(k) supports with class-sigma2(k)
-    supports; |S_k| is the product of the two shot counts."""
-    a = task1.support_of_class(int(pairing.sigma1[k - 1]))
-    b = task2.support_of_class(int(pairing.sigma2[k - 1]))
-    return [(ea, eb) for ea in a for eb in b]
-
-
 def _extra_members(anchor: int, count: int, pool_size: int,
                    rng: np.random.Generator) -> list:
     """Indices of extra same-class elements for cardinality > 2 sets."""

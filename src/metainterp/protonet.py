@@ -112,18 +112,9 @@ def embed_batch(lam, theta: EncoderParams, x, mode: str = "eval",
     return encode_upper(theta, z)
 
 
-def prototypes(embeddings, way: int) -> DiffValue:
-    """Class means of (row, label) pairs, stacked into a (K, D) matrix."""
-    rows = [ad._lift(e) for e, _ in embeddings]
-    labels = [y for _, y in embeddings]
-    mat = rows[0]
-    for r in rows[1:]:
-        mat = ad.concat_rows(mat, r)
-    return prototypes_from_matrix(mat, labels, way)
-
-
 def prototypes_from_matrix(embeddings, labels, way: int) -> DiffValue:
-    """Same as `prototypes` for an (N, D) embedding matrix."""
+    """Class means of the rows of an (N, D) embedding matrix, by their
+    1-based labels, stacked into a (K, D) matrix."""
     embeddings = ad._lift(embeddings)
     n = embeddings.shape[0]
     pick = np.zeros((way, n))
@@ -135,12 +126,6 @@ def prototypes_from_matrix(embeddings, labels, way: int) -> DiffValue:
             raise MissingClassError(k + 1)
     pick /= counts[:, None]
     return ad.matmul(DiffValue.const(pick), embeddings)
-
-
-def sq_dist(a, b) -> DiffValue:
-    a, b = ad._lift(a), ad._lift(b)
-    diff = ad.sub(a, b)
-    return ad.row_sum(ad.mul(diff, diff))
 
 
 def pairwise_dists(queries, protos, metric: str = "sqeuclidean") -> DiffValue:
@@ -192,15 +177,6 @@ def loss_singleton(lam, theta: EncoderParams, task: Task, mode: str = "train",
     the set function as a singleton."""
     dists = task_dists(lam, theta, task, mode, rng, metric)
     return cross_entropy_to_prototypes(dists, task.query_matrix()[1])
-
-
-def classify(lam, theta: EncoderParams, query, protos, metric: str = "sqeuclidean") -> int:
-    """Nearest-prototype class (1-based); ties go to the lowest index."""
-    q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-    with ad.pause_recording():
-        e = embed_batch(lam, theta, q, mode="eval")
-        d = pairwise_dists(e, ad._lift(protos), metric)
-    return int(np.argmin(d.data[0])) + 1
 
 
 def task_accuracy(lam, theta: EncoderParams, task: Task,

@@ -15,8 +15,15 @@ Four families of checks:
 * the Rademacher complexity of covariance-norm-constrained linear
   functions against the sqrt(R * rank / n) bound.
 
-Everything here is plain numpy plus small scalar autodiff graphs; the
-checks deliberately avoid the training code paths they validate.
+Everything above is plain numpy plus small scalar autodiff graphs that
+deliberately avoid the training code paths they validate.
+
+`CHECKS` is the suite `metainterp theory-check` runs: one function per
+check, each taking a seed and returning a report with its inputs,
+measurements, criteria and verdict. Besides the families above it checks
+the simplified set function's closed form, the truncated-Neumann
+hypergradient of the training loop, Hessian-vector products against
+finite differences, and the direction-vector balance residual.
 """
 
 from __future__ import annotations
@@ -27,12 +34,12 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
+from . import bilevel as bl
+from . import episodes as ep
 from . import protonet as pn
+from . import setfunc
 from .autodiff import DiffValue, Tape
-from .episodes import Task
 from .protonet import EncoderParams
-from .setfunc import SimpleSetParams, alpha_pair, effective_affine
-from .setfunc import init_simple as setfunc_init_simple
 
 
 class TheoryError(ValueError):
@@ -45,9 +52,9 @@ class TheoryProblem:
     part is a single affine layer (so its second and higher derivatives
     vanish, as the expansion requires)."""
 
-    task_t: Task
-    task_tp: Task
-    set_params: SimpleSetParams
+    task_t: ep.Task
+    task_tp: ep.Task
+    set_params: setfunc.SimpleSetParams
     encoder: EncoderParams
     sigma: np.ndarray  # sigma[k-1] in 1..K, classes of task_tp
 
@@ -70,10 +77,6 @@ def _phi_rows(problem: TheoryProblem, examples) -> np.ndarray:
         return pn.encode_lower(problem.encoder, x).data
 
 
-def _effective(problem: TheoryProblem):
-    return effective_affine(problem.set_params)
-
-
 def _pair_alphas(problem: TheoryProblem, k: int):
     """(alphas, h_rows, hp_rows) for class k of t and sigma(k) of t'."""
     h = _phi_rows(problem, problem.task_t.support_of_class(k))
@@ -81,7 +84,7 @@ def _pair_alphas(problem: TheoryProblem, k: int):
     alphas = np.empty((h.shape[0], hp.shape[0]))
     for i in range(h.shape[0]):
         for j in range(hp.shape[0]):
-            alphas[i, j], *_ = alpha_pair(problem.set_params, h[i], hp[j])
+            alphas[i, j], *_ = setfunc.alpha_pair(problem.set_params, h[i], hp[j])
     return alphas, h, hp
 
 
@@ -96,7 +99,7 @@ def delta_k(problem: TheoryProblem, k: int, diff_scale: float = 1.0,
     alphas, h, hp = _pair_alphas(problem, k)
     if frozen_alphas is not None:
         alphas = frozen_alphas
-    M, _b = _effective(problem)
+    M, _b = setfunc.effective_affine(problem.set_params)
     G = problem.upper.w
     acc = np.zeros(G.shape[1])
     for i in range(h.shape[0]):
@@ -114,7 +117,7 @@ def delta_matrix(problem: TheoryProblem, diff_scale: float = 1.0) -> np.ndarray:
 
 def singleton_prototypes(problem: TheoryProblem) -> np.ndarray:
     """Per-class mean of g(W phi(x) + b) over task-t supports."""
-    M, b = _effective(problem)
+    M, b = setfunc.effective_affine(problem.set_params)
     out = []
     for k in range(1, problem.task_t.way + 1):
         h = _phi_rows(problem, problem.task_t.support_of_class(k))
@@ -125,7 +128,7 @@ def singleton_prototypes(problem: TheoryProblem) -> np.ndarray:
 
 
 def _query_embeddings(problem: TheoryProblem) -> tuple:
-    M, b = _effective(problem)
+    M, b = setfunc.effective_affine(problem.set_params)
     hq = _phi_rows(problem, problem.task_t.query)
     eq = (hq @ M + b) @ problem.upper.w + problem.upper.b
     labels = [ex.label for ex in problem.task_t.query]
@@ -193,8 +196,6 @@ def default_thm1_problem(seed: int) -> TheoryProblem:
     sits inside the Taylor regime. Saturated draws (loss locally flat, so
     the remainder is floating-point noise) do occur; detect them with
     `is_degenerate` and skip rather than fit noise."""
-    from . import episodes as ep  # local import to avoid a cycle
-
     rng = np.random.default_rng([seed, 77])
     d, D = 3, 2
     gen = ep.GenConfig(way=2, shots=2, queries=4, dim=d, train_tasks=2,
@@ -205,7 +206,7 @@ def default_thm1_problem(seed: int) -> TheoryProblem:
                                rng.standard_normal((1, D)) * 0.2)],
         split=0,
     )
-    lam = setfunc_init_simple(d, rng)
+    lam = setfunc.init_simple(d, rng)
     return TheoryProblem(ds.meta_train[0], ds.meta_train[1], lam, enc,
                          np.array([2, 1]))
 
@@ -227,13 +228,13 @@ class LogisticSpecialCase:
     expansion has closed-form coefficients."""
 
     theta: np.ndarray          # (d,)
-    task_t: Task
-    set_params: SimpleSetParams
+    task_t: ep.Task
+    set_params: setfunc.SimpleSetParams
 
     def __post_init__(self):
         if self.task_t.way != 2:
             raise TheoryError("special case needs exactly two classes")
-        M, b = effective_affine(self.set_params)
+        M, b = setfunc.effective_affine(self.set_params)
         if not (np.allclose(M, np.eye(M.shape[0])) and np.allclose(b, 0.0)):
             raise TheoryError("special case requires identity value path")
 
@@ -266,7 +267,7 @@ class LogisticSpecialCase:
         return float(np.mean(0.5 * psi / (1.0 + np.exp(z))))
 
 
-def delta_sum(case: LogisticSpecialCase, task_tp: Task, sigma) -> np.ndarray:
+def delta_sum(case: LogisticSpecialCase, task_tp: ep.Task, sigma) -> np.ndarray:
     """Sum over the two classes of the attention-weighted expected raw
     input differences (the regularizer's direction vector)."""
     acc = np.zeros_like(case.theta)
@@ -278,13 +279,13 @@ def delta_sum(case: LogisticSpecialCase, task_tp: Task, sigma) -> np.ndarray:
         part = np.zeros_like(case.theta)
         for i in range(xs.shape[0]):
             for j in range(xps.shape[0]):
-                a, *_ = alpha_pair(case.set_params, xs[i], xps[j])
+                a, *_ = setfunc.alpha_pair(case.set_params, xs[i], xps[j])
                 part += a * (xps[j] - xs[i])
         acc += part / (xs.shape[0] * xps.shape[0])
     return acc
 
 
-def second_order_mix(case: LogisticSpecialCase, task_tp: Task, sigma) -> float:
+def second_order_mix(case: LogisticSpecialCase, task_tp: ep.Task, sigma) -> float:
     """Second-order expansion of the mixed logistic loss for one pairing,
     via the scalar-direction autodiff route."""
     d_sum = delta_sum(case, task_tp, sigma)
@@ -330,30 +331,12 @@ def prop1_check(case: LogisticSpecialCase, pairings) -> dict:
     }
 
 
-def balance_check(case_or_problem, pairings) -> float:
+def balance_check(case: LogisticSpecialCase, pairings) -> float:
     """Euclidean norm of the averaged direction vector over the given
     pairings; measured, never enforced."""
-    if isinstance(case_or_problem, LogisticSpecialCase):
-        acc = np.zeros_like(case_or_problem.theta)
-        for task_tp, sigma in pairings:
-            acc += delta_sum(case_or_problem, task_tp, sigma)
-        return float(np.linalg.norm(acc / len(pairings)))
-    problem: TheoryProblem = case_or_problem
-    acc = None
+    acc = np.zeros_like(case.theta)
     for task_tp, sigma in pairings:
-        sub = TheoryProblem(problem.task_t, task_tp, problem.set_params,
-                            problem.encoder, np.asarray(sigma))
-        total = None
-        M, _ = _effective(sub)
-        for k in range(1, problem.task_t.way + 1):
-            alphas, h, hp = _pair_alphas(sub, k)
-            part = np.zeros(h.shape[1])
-            for i in range(h.shape[0]):
-                for j in range(hp.shape[0]):
-                    part += alphas[i, j] * (hp[j] - h[i])
-            part /= h.shape[0] * hp.shape[0]
-            total = part if total is None else total + part
-        acc = total if acc is None else acc + total
+        acc += delta_sum(case, task_tp, sigma)
     return float(np.linalg.norm(acc / len(pairings)))
 
 
@@ -449,3 +432,265 @@ def rademacher_bound_check(cfg: RademacherConfig) -> dict:
         "margin": bound - mean,
         "passed": mean <= bound + 3 * se,
     }
+
+
+# ---------------------------------------------------------------------------
+# the theory-check suite
+
+
+def check_closedform(seed):
+    rng = np.random.default_rng([seed, 1])
+    worst_single, worst_pair = 0.0, 0.0
+    for _ in range(200):
+        d = int(rng.integers(2, 9))
+        p = setfunc.init_simple(d, rng)
+        for name in ("b1q", "b1k", "b1v", "b2q", "b2k", "b2v"):
+            setattr(p, name, rng.standard_normal((1, d)) * 0.3)
+        h, hp = rng.standard_normal((1, d)), rng.standard_normal((1, d))
+        M, b = setfunc.effective_affine(p)
+        single = setfunc.simple_forward(p, [h]).data
+        worst_single = max(worst_single, float(np.max(np.abs(single - (h @ M + b)))))
+        alpha, *_ = setfunc.alpha_pair(p, h, hp)
+        pair = setfunc.simple_forward(p, [h, hp]).data
+        want = (h + alpha * (hp - h)) @ M + b
+        worst_pair = max(worst_pair, float(np.max(np.abs(pair - want))))
+    return {
+        "name": "closedform",
+        "inputs": {"draws": 200, "seed": seed},
+        "measured": {"singleton_max_dev": worst_single, "pair_max_dev": worst_pair},
+        "criteria": {"singleton": 1e-12, "pair": 1e-9},
+        "passed": worst_single <= 1e-12 and worst_pair <= 1e-9,
+    }
+
+
+def check_thm1(seed):
+    eps_grid = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+    slopes1, slopes2, used = [], [], []
+    probe = seed
+    while len(used) < 5 and probe < seed + 25:
+        prob = default_thm1_problem(probe)
+        if not is_degenerate(prob):
+            s1, _ = remainder_slope(prob, 1, eps_grid)
+            s2, _ = remainder_slope(prob, 2, eps_grid)
+            slopes1.append(s1)
+            slopes2.append(s2)
+            used.append(probe)
+        probe += 1
+    ok = (
+        len(used) == 5
+        and all(s >= 1.8 for s in slopes1)
+        and all(s >= 2.8 for s in slopes2)
+    )
+    return {
+        "name": "thm1",
+        "inputs": {"eps_grid": eps_grid, "instance_seeds": used},
+        "measured": {"slopes_j1": slopes1, "slopes_j2": slopes2},
+        "criteria": {"slope_j1": 1.8, "slope_j2": 2.8},
+        "passed": ok,
+    }
+
+
+def build_mirrored(seed):
+    rng = np.random.default_rng([seed, 3])
+    d = 3
+    zero, row = np.zeros((d, d)), np.zeros((1, d))
+    params = setfunc.SimpleSetParams(
+        w1q=zero, w1k=zero, w1v=np.eye(d), w2q=zero, w2k=zero, w2v=np.eye(d),
+        b1q=row, b1k=row, b1v=row, b2q=row, b2k=row, b2v=row, seed=row,
+    )
+    s1 = rng.standard_normal((2, d))
+    sup = [ep.Example(s1[i], 1) for i in range(2)] + [
+        ep.Example(-s1[i], 2) for i in range(2)
+    ]
+    theta = rng.standard_normal(d)
+    queries = []
+    for i in range(6):
+        r = rng.standard_normal(d)
+        if r @ theta < 0:
+            r = -r
+        queries.append(ep.Example(r, 1 + i % 2))
+    task_t = ep.Task(sup, queries, way=2)
+    a1, a2 = rng.standard_normal((2, d)), rng.standard_normal((2, d))
+
+    def partner(sign):
+        return ep.Task(
+            [ep.Example(sign * a1[i], 1) for i in range(2)]
+            + [ep.Example(sign * a2[i], 2) for i in range(2)],
+            [ep.Example(np.zeros(d), 1)],
+            way=2,
+        )
+
+    case = LogisticSpecialCase(theta=theta, task_t=task_t, set_params=params)
+    pairings = [
+        (task, sig)
+        for task in (partner(1.0), partner(-1.0))
+        for sig in (np.array([1, 2]), np.array([2, 1]))
+    ]
+    return case, pairings
+
+
+def check_prop1(seed):
+    gaps, residuals = [], []
+    for s in range(seed, seed + 5):
+        case, pairings = build_mirrored(s)
+        res = prop1_check(case, pairings)
+        gaps.append(res["gap"])
+        residuals.append(res["balance_residual"])
+    c_positive = []
+    for s in range(seed + 100, seed + 120):
+        case, _ = build_mirrored(s)
+        c_positive.append(case.curvature_coefficient() > 0.0)
+    ok = all(g <= 1e-9 for g in gaps) and all(c_positive)
+    return {
+        "name": "prop1",
+        "inputs": {"constructions": 5, "c_draws": 20},
+        "measured": {"gaps": gaps, "balance_residuals": residuals,
+                     "c_positive": int(sum(c_positive))},
+        "criteria": {"gap": 1e-9, "c_positive": 20},
+        "passed": ok,
+    }
+
+
+def check_prop2(seed):
+    cells = []
+    ok = True
+    for n in (4, 8, 12):
+        for rank in (1, 2, 4):
+            for radius in (1.0, 4.0):
+                cfg = RademacherConfig(n=n, dim=4, rank=rank, radius=radius,
+                                       trials=200, seed=seed)
+                out = rademacher_bound_check(cfg)
+                cells.append({"n": n, "rank": rank, "R": radius, **out})
+                ok = ok and out["passed"]
+    return {
+        "name": "prop2",
+        "inputs": {"grid": "n in {4,8,12} x rank in {1,2,4} x R in {1,4}",
+                   "trials": 200},
+        "measured": {"cells": cells},
+        "criteria": {"bound": "empirical <= sqrt(R*rank/n) + 3 SE"},
+        "passed": ok,
+    }
+
+
+def check_neumann(seed, verbose=True):
+    tape = Tape()
+    theta = tape.param([[1.0]])
+    lam = tape.param([[1.0]])
+    diff = ad.sub(theta, lam)
+    ltr = ad.scale(ad.mul(diff, diff), 0.5)
+    (dltr,) = ad.grad(ltr, [theta], create_graph=True)
+    g = bl.neumann_hypergrad([dltr], [theta], [lam], [np.array([[1.0]])],
+                             [np.array([[0.0]])], alpha=0.5, q=10)
+    scalar_err = abs(g[0][0, 0] - (1.0 - 0.5 ** 11))
+
+    rng = np.random.default_rng([seed, 5])
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    H = Q @ np.diag(rng.uniform(1.0, 2.5, 3)) @ Q.T
+    C = rng.standard_normal((3, 2))
+    t = rng.standard_normal(3)
+    th0 = rng.standard_normal(3)
+    alpha = 0.95 / float(np.max(np.linalg.eigvalsh(H)))
+    exact = -(C.T @ np.linalg.solve(H, th0 - t)).reshape(1, -1)
+
+    def hg(q):
+        tape = Tape()
+        theta = tape.param(th0.reshape(1, -1))
+        lam = tape.param(np.zeros((1, 2)))
+        quad = ad.scale(ad.sum_all(ad.mul(theta, ad.matmul(theta, DiffValue.const(H)))), 0.5)
+        cross = ad.sum_all(ad.mul(theta, ad.matmul(lam, DiffValue.const(C.T))))
+        (dltr,) = ad.grad(ad.add(quad, cross), [theta], create_graph=True)
+        g = bl.neumann_hypergrad([dltr], [theta], [lam],
+                                 [(th0 - t).reshape(1, -1)], [np.zeros((1, 2))],
+                                 alpha=alpha, q=q)
+        return float(np.max(np.abs(g[0] - exact)))
+
+    table = [(q, hg(q)) for q in (0, 1, 2, 5, 10, 20, 50)]
+    if verbose:
+        print("q  | max abs error vs exact implicit gradient")
+        for q, err in table:
+            print(f"{q:<3}| {err:.3e}")
+    monotone = all(b <= a + 1e-15 for (_, a), (_, b) in zip(table, table[1:]))
+    denom = max(float(np.max(np.abs(exact))), 1e-8)
+    ok = scalar_err <= 1e-12 and monotone and table[-1][1] / denom <= 1e-6
+    return {
+        "name": "neumann",
+        "inputs": {"alpha": 0.5, "q": 10, "quadratic_seed": seed},
+        "measured": {"scalar_error": scalar_err,
+                     "q_table": [[q, e] for q, e in table]},
+        "criteria": {"scalar": 1e-12, "q50_relative": 1e-6,
+                     "monotone": True},
+        "passed": ok,
+    }
+
+
+def check_hvp(seed):
+    rng = np.random.default_rng([seed, 6])
+    worst = 0.0
+    for _ in range(10):
+        c = rng.standard_normal((4, 4))
+        x0 = rng.standard_normal((1, 4))
+        v = rng.standard_normal((1, 4))
+
+        def f(x):
+            return ad.sum_all(ad.exp(ad.scale(ad.matmul(x, DiffValue.const(c)), 0.5)))
+
+        def grad_at(x0_):
+            tape = Tape()
+            x = tape.param(x0_)
+            (g,) = ad.grad(f(x), [x])
+            return g.data
+
+        tape = Tape()
+        x = tape.param(x0)
+        (gx,) = ad.grad(f(x), [x], create_graph=True)
+        (hvp,) = ad.grad(ad.sum_all(ad.mul(gx, DiffValue.const(v))), [x])
+        h = 1e-4
+        fd = (grad_at(x0 + h * v) - grad_at(x0 - h * v)) / (2 * h)
+        denom = max(float(np.max(np.abs(fd))), 1e-8)
+        worst = max(worst, float(np.max(np.abs(hvp.data - fd))) / denom)
+    return {
+        "name": "hvp",
+        "inputs": {"functions": 10, "fd_step": 1e-4},
+        "measured": {"worst_relative_error": worst},
+        "criteria": {"relative": 1e-4},
+        "passed": worst <= 1e-4,
+    }
+
+
+def check_balance(seed):
+    mirrored = []
+    for s in range(seed, seed + 3):
+        case, pairings = build_mirrored(s)
+        mirrored.append(balance_check(case, pairings))
+    rng = np.random.default_rng([seed, 8])
+    gen = ep.GenConfig(way=2, shots=2, queries=2, dim=3, train_tasks=2,
+                       val_tasks=1, test_tasks=1, spread=0.6, seed=seed)
+    ds = ep.gen_gaussian_tasks(gen)
+    case, _ = build_mirrored(seed)
+    random_case = LogisticSpecialCase(
+        theta=rng.standard_normal(3), task_t=ds.meta_train[0],
+        set_params=case.set_params,
+    )
+    random_residual = balance_check(
+        random_case, [(ds.meta_train[1], np.array([1, 2]))]
+    )
+    ok = all(r <= 1e-12 for r in mirrored)
+    return {
+        "name": "balance",
+        "inputs": {"mirrored_constructions": 3},
+        "measured": {"mirrored_residuals": mirrored,
+                     "random_residual": random_residual},
+        "criteria": {"mirrored": 1e-12, "random": "reported only"},
+        "passed": ok,
+    }
+
+
+CHECKS = {
+    "closedform": check_closedform,
+    "thm1": check_thm1,
+    "prop1": check_prop1,
+    "prop2": check_prop2,
+    "neumann": check_neumann,
+    "hvp": check_hvp,
+    "balance": check_balance,
+}

@@ -249,12 +249,12 @@ def test_c5_proposition_1():
     t0 = time.perf_counter()
     worst_gap = 0.0
     for seed in range(5):
-        case, pairings = cli._build_mirrored(seed)
+        case, pairings = th.build_mirrored(seed)
         res = th.prop1_check(case, pairings)
         worst_gap = max(worst_gap, res["gap"])
     c_ok = True
     for seed in range(100, 120):
-        case, _ = cli._build_mirrored(seed)
+        case, _ = th.build_mirrored(seed)
         assert np.all(case.z_values() > 0)
         c_ok = c_ok and case.curvature_coefficient() > 0.0
     ok = worst_gap <= 1e-9 and c_ok

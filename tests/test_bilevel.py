@@ -433,12 +433,6 @@ class TestMetaTrain:
         cfg = short_cfg(max_iters=12, update_period=6)
         bl.meta_train(ds, cfg, "no-bilevel")
 
-    def test_ablation_variants_structure(self):
-        cfg = short_cfg()
-        variants = bl.ablation_variants(cfg)
-        names = [n for n, _ in variants]
-        assert names == ["meta-interp", "protonet-st", "no-bilevel", "no-singleton"]
-
     def test_early_stopping_triggers(self):
         ds = small_dataset(spread=0.05)
         cfg = short_cfg(max_iters=2000, update_period=5, patience=3)

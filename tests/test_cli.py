@@ -6,6 +6,7 @@ import pytest
 from metainterp import bilevel as bl
 from metainterp import cli
 from metainterp import episodes as ep
+from metainterp import theory as th
 
 
 CFG = """
@@ -261,6 +262,23 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: non-finite hypergradient at iteration 20"]
 
+    @pytest.mark.parametrize("bad", [
+        ["--set", "set_kind=full", "--set", "dropout_rate=1.0"],
+        ["--set", "set_kind=full", "--set", "dropout_rate=-0.5"],
+        ["--set", "metric=foo"],
+    ])
+    def test_bad_config_value_is_usage_error_before_training(self, workspace,
+                                                             capsys, bad):
+        tmp, cfg, tasks = workspace
+        out = tmp / "run"
+        with pytest.raises(SystemExit) as e:
+            cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
+                      "--out-dir", str(out), "--seed", "1", *bad])
+        assert e.value.code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith(
+            "metainterp: error:")
+        assert not out.exists()
+
     def test_prototypes_csv_has_both_sources(self, workspace):
         tmp, cfg, tasks = workspace
         out = tmp / "protos"
@@ -353,6 +371,20 @@ class TestTheoryCheck:
         assert "q " in out.splitlines()[0]
         assert any(line.startswith("50 ") for line in out.splitlines())
 
+    def test_all_checks_pass_in_suite_order(self, tmp_path, capsys):
+        rc = cli.main(["theory-check", "--check", "all", "--seed", "0",
+                       "--out", str(tmp_path / "rep.json")])
+        assert rc == 0
+        names = ["closedform", "thm1", "prop1", "prop2", "neumann", "hvp",
+                 "balance"]
+        assert list(th.CHECKS) == names
+        report = json.loads((tmp_path / "rep.json").read_text())
+        assert report["passed"]
+        assert [c["name"] for c in report["checks"]] == names
+        assert all(c["passed"] for c in report["checks"])
+        out = capsys.readouterr().out.splitlines()
+        assert [l for l in out if l.endswith(": PASS")] == [f"{n}: PASS" for n in names]
+
     def test_report_written_with_inputs_and_values(self, tmp_path):
         rc = cli.main(["theory-check", "--check", "hvp",
                        "--out", str(tmp_path / "rep.json")])
@@ -389,3 +421,18 @@ class TestAblate:
                   "--set", "eval_episodes=20"])
         rows = out.read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["0", "1"]
+
+    def test_zero_eval_episodes_is_usage_error_before_training(
+            self, workspace, tmp_path, monkeypatch):
+        _, cfg, _ = workspace
+
+        def boom(*a, **k):
+            raise AssertionError("meta_train called")
+
+        monkeypatch.setattr(bl, "meta_train", boom)
+        out = tmp_path / "ablate.csv"
+        with pytest.raises(SystemExit) as e:
+            cli.main(["ablate", "--axis", "strategy", "--config", str(cfg),
+                      "--out", str(out), "--set", "eval_episodes=0"])
+        assert e.value.code == 2
+        assert not out.exists()

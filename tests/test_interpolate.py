@@ -71,17 +71,26 @@ class TestPairClasses:
             itp.ClassPairing(np.array([1, 1]), np.array([1, 2]))
 
 
+def build_pairs(task1, task2, pairing, k):
+    """Support pairs (task1 example, task2 example) of new class k, as
+    the cardinality-2 fused sets of `_class_sets` index them."""
+    a = [i for i, ex in enumerate(task1.support) if ex.label == pairing.sigma1[k - 1]]
+    b = [j for j, ex in enumerate(task2.support) if ex.label == pairing.sigma2[k - 1]]
+    sets = itp._class_sets(np.array(a), np.array(b), 1, 1, np.random.default_rng(0))
+    return [(task1.support[i], task2.support[j]) for i, j in sets]
+
+
 class TestBuildPairs:
     def test_one_shot_single_pair(self):
         t1 = make_task(2, 1, 1, 3, seed=1)
         t2 = make_task(2, 1, 1, 3, seed=2)
-        pairs = itp.build_pairs(t1, t2, id_pairing(2), 1)
+        pairs = build_pairs(t1, t2, id_pairing(2), 1)
         assert len(pairs) == 1
 
     def test_cross_product_count(self):
         t1 = make_task(2, 2, 1, 3, seed=3)
         t2 = make_task(2, 3, 1, 3, seed=4)
-        pairs = itp.build_pairs(t1, t2, id_pairing(2), 1)
+        pairs = build_pairs(t1, t2, id_pairing(2), 1)
         assert len(pairs) == 6
         assert len({(id(a), id(b)) for a, b in pairs}) == 6
 
@@ -97,7 +106,7 @@ class TestBuildPairs:
                 for eb in t2.support:
                     if eb.label == pairing.sigma2[k - 1]:
                         want.append((ea, eb))
-            got = itp.build_pairs(t1, t2, pairing, k)
+            got = build_pairs(t1, t2, pairing, k)
             assert [(id(a), id(b)) for a, b in got] == [
                 (id(a), id(b)) for a, b in want
             ]
@@ -107,7 +116,7 @@ class TestBuildPairs:
             for s2 in range(1, 5):
                 t1 = make_task(2, s1, 1, 3, seed=10 + s1)
                 t2 = make_task(2, s2, 1, 3, seed=20 + s2)
-                pairs = itp.build_pairs(t1, t2, id_pairing(2), 2)
+                pairs = build_pairs(t1, t2, id_pairing(2), 2)
                 assert len(pairs) == s1 * s2
 
 
@@ -143,7 +152,7 @@ class TestInterpolatedPrototypes:
         M, b = sf.effective_affine(lam)
         for k in (1, 2):
             acc = []
-            for ea, eb in itp.build_pairs(t1, t2, pairing, k):
+            for ea, eb in build_pairs(t1, t2, pairing, k):
                 h1 = ea.features.reshape(1, -1)
                 h2 = eb.features.reshape(1, -1)
                 alpha, *_ = sf.alpha_pair(lam, h1, h2)

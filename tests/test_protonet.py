@@ -77,39 +77,41 @@ class TestEncoder:
 class TestPrototypes:
     def test_one_embedding_per_class(self, rng):
         e1, e2 = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
-        protos = pn.prototypes([(e1, 1), (e2, 2)], way=2).data
+        protos = pn.prototypes_from_matrix(np.vstack([e1, e2]), [1, 2], way=2).data
         np.testing.assert_array_equal(protos, np.vstack([e1, e2]))
 
     def test_class_mean(self):
-        protos = pn.prototypes(
-            [(np.array([[1.0, 2.0]]), 1), (np.array([[3.0, 4.0]]), 1)], way=1
+        protos = pn.prototypes_from_matrix(
+            np.array([[1.0, 2.0], [3.0, 4.0]]), [1, 1], way=1
         ).data
         np.testing.assert_array_equal(protos, [[2.0, 3.0]])
 
     def test_duplicating_supports_is_noop(self, rng):
-        pairs = [(rng.standard_normal((1, 3)), k) for k in (1, 1, 2) ]
-        once = pn.prototypes(pairs, way=2).data
-        twice = pn.prototypes(pairs + pairs, way=2).data
+        rows, labels = rng.standard_normal((3, 3)), [1, 1, 2]
+        once = pn.prototypes_from_matrix(rows, labels, way=2).data
+        twice = pn.prototypes_from_matrix(np.vstack([rows, rows]), labels + labels,
+                                          way=2).data
         np.testing.assert_allclose(once, twice, atol=1e-15)
 
     def test_missing_class_named(self, rng):
         with pytest.raises(pn.MissingClassError) as err:
-            pn.prototypes([(rng.standard_normal((1, 3)), 1)], way=3)
+            pn.prototypes_from_matrix(rng.standard_normal((1, 3)), [1], way=3)
         assert err.value.k == 2
 
 
 class TestDistances:
     def test_zero_distance(self):
         x = np.array([[1.0, -2.0]])
-        assert pn.sq_dist(x, x).item() == 0.0
+        assert pn.pairwise_dists(x, x).item() == 0.0
 
     def test_three_four_five(self):
-        assert pn.sq_dist([[0.0, 0.0]], [[3.0, 4.0]]).item() == 25.0
+        assert pn.pairwise_dists([[0.0, 0.0]], [[3.0, 4.0]]).item() == 25.0
 
     def test_symmetry(self, rng):
         for _ in range(20):
             a, b = rng.standard_normal((1, 5)), rng.standard_normal((1, 5))
-            assert abs(pn.sq_dist(a, b).item() - pn.sq_dist(b, a).item()) <= 1e-12
+            assert abs(pn.pairwise_dists(a, b).item()
+                       - pn.pairwise_dists(b, a).item()) <= 1e-12
 
     def test_pairwise_matches_loops(self, rng):
         q = rng.standard_normal((4, 3))
@@ -212,17 +214,27 @@ class TestLossSingleton:
         assert rel_err(g_lam.data, fd_lam) <= 1e-5
 
 
+def query_dists(theta, query, protos):
+    """(1, K) distances from one embedded query to the prototype rows."""
+    e = pn.embed_batch(sf.IdentitySet(), theta, np.reshape(query, (1, -1)))
+    return pn.pairwise_dists(e, protos)
+
+
 class TestClassify:
+    # accuracy_from_dists scores 1 exactly when the nearest prototype is
+    # the row's label
     def test_query_at_prototype(self, rng):
         theta = identity_encoder(3)
         protos = rng.standard_normal((3, 3)) * 3
-        k = pn.classify(sf.IdentitySet(), theta, protos[1], protos)
-        assert k == 2
+        assert pn.accuracy_from_dists(query_dists(theta, protos[1], protos), [2]) == 1.0
 
     def test_tie_goes_to_lower_index(self):
         theta = identity_encoder(1)
         protos = np.array([[1.0], [-1.0]])
-        assert pn.classify(sf.IdentitySet(), theta, np.array([0.0]), protos) == 1
+        d = query_dists(theta, np.array([0.0]), protos)
+        assert d.data[0, 0] == d.data[0, 1]
+        assert pn.accuracy_from_dists(d, [1]) == 1.0
+        assert pn.accuracy_from_dists(d, [2]) == 0.0
 
     def test_agrees_with_linear_scan(self, rng):
         theta = identity_encoder(4)
@@ -232,7 +244,7 @@ class TestClassify:
             want = min(
                 range(5), key=lambda k: (np.sum((q - protos[k]) ** 2), k)
             ) + 1
-            assert pn.classify(sf.IdentitySet(), theta, q, protos) == want
+            assert pn.accuracy_from_dists(query_dists(theta, q, protos), [want]) == 1.0
 
     def test_argmin_invariant_to_common_shift(self, rng):
         # adding a constant to all squared distances never changes argmin
