@@ -20,22 +20,23 @@ bias of `layer_norm`) each record one tape node, computing the forward in
 numpy and writing the VJP in primitives, so their gradients stay
 differentiable. `matmul_nt` (a b^T) and `matmul_tn` (a^T b) are products
 with a transposed operand; the VJPs of the three matmuls close over them,
-so no transpose is ever a node of its own. A VJP that needs its node's
-own output (`exp`, `div`, softmax, log-softmax, row normalization) refers
-to the node only weakly, so a tape is freed by reference counting as soon
-as its last value goes.
+so no transpose is ever a node of its own.
 
+Every VJP is called as vjp(g, need, node), and `grad` passes the node
+itself, so a VJP that needs its node's own output (`exp`, `div`,
+softmax, log-softmax, row normalization) holds no reference to the node,
+and a tape is freed by reference counting as soon as its last value goes.
 `grad` sweeps only the nodes through which a requested input reaches the
-outputs. A VJP with several parents takes a `need` tuple, one flag per
-parent, and returns None for a parent that is constant or unmarked, so
-gradients nobody asked for (the set-function weights' in a backward for
-the encoder only, a dropout mask's, a one-hot target's) are never built.
+outputs. need holds one flag per parent, and a VJP returns None for a
+parent that is constant or unmarked, so gradients nobody asked for (the
+set-function weights' in a backward for the encoder only, a dropout
+mask's, a one-hot target's) are never built.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
-import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -64,7 +65,7 @@ def _recording() -> bool:
     return getattr(_state, "recording", True)
 
 
-class pause_recording:
+class _pause_recording:
     """Context manager: ops executed inside produce constants."""
 
     def __enter__(self):
@@ -98,14 +99,11 @@ class Tape:
     """
 
     def __init__(self):
-        self._next = 0
         self.op_count = 0
 
     def _index(self) -> int:
-        i = self._next
-        self._next += 1
         self.op_count += 1
-        return i
+        return self.op_count - 1
 
     def param(self, data) -> "DiffValue":
         """Bind an array to this tape as a differentiable leaf."""
@@ -161,27 +159,16 @@ def _owner_tape(parents) -> Optional[Tape]:
 def _make(data, parents, vjp) -> DiffValue:
     """A node over parents, or a constant when nothing is recorded.
 
-    vjp maps the node's cotangent g to one gradient per parent: vjp(g)
-    with one parent, vjp(g, need) with several, None where need is False."""
+    vjp(g, need, node) maps the node's cotangent g to one gradient per
+    parent, None where the parent's flag in need is False; `grad` passes
+    the node itself, so a VJP that reads the node's output holds no
+    reference to it."""
     if not _recording():
         return DiffValue(data)
     tape = _owner_tape(parents)
     if tape is None:
         return DiffValue(data)
     return DiffValue(data, tape=tape, idx=tape._index(), parents=parents, vjp=vjp)
-
-
-def _make_with_output(data, parents, vjp) -> DiffValue:
-    """`_make` for a VJP that also takes the node itself as its last
-    argument: vjp(g, out), or vjp(g, need, out) with several parents.
-
-    The node holds itself through a weak reference, not a cycle; `grad`
-    keeps every node it differentiates alive while it runs."""
-    res = _make(data, parents, None)
-    if res.tape is not None:
-        ref = weakref.ref(res)
-        res._vjp = lambda *args: vjp(*args, ref())
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +181,7 @@ def matmul(a, b) -> DiffValue:
         raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
     out = a.data @ b.data
 
-    def vjp(g, need):
+    def vjp(g, need, node):
         return (matmul_nt(g, b) if need[0] else None,
                 matmul_tn(a, g) if need[1] else None)
 
@@ -208,7 +195,7 @@ def matmul_nt(a, b) -> DiffValue:
         raise ShapeError(f"matmul_nt inner dims differ: {a.shape} x {b.shape}^T")
     out = a.data @ b.data.T
 
-    def vjp(g, need):
+    def vjp(g, need, node):
         return (matmul(g, b) if need[0] else None,
                 matmul_tn(g, a) if need[1] else None)
 
@@ -222,7 +209,7 @@ def matmul_tn(a, b) -> DiffValue:
         raise ShapeError(f"matmul_tn inner dims differ: {a.shape}^T x {b.shape}")
     out = a.data.T @ b.data
 
-    def vjp(g, need):
+    def vjp(g, need, node):
         return (matmul_nt(b, g) if need[0] else None,
                 matmul(a, g) if need[1] else None)
 
@@ -244,12 +231,12 @@ def add(a, b) -> DiffValue:
     out = a.data + b.data
     if mode == "same":
 
-        def vjp(g, need):
+        def vjp(g, need, node):
             return g, g
 
     else:
 
-        def vjp(g, need):
+        def vjp(g, need, node):
             return g, col_sum(g) if need[1] else None
 
     return _make(out, (a, b), vjp)
@@ -261,12 +248,12 @@ def sub(a, b) -> DiffValue:
     out = a.data - b.data
     if mode == "same":
 
-        def vjp(g, need):
+        def vjp(g, need, node):
             return g, neg(g) if need[1] else None
 
     else:
 
-        def vjp(g, need):
+        def vjp(g, need, node):
             return g, neg(col_sum(g)) if need[1] else None
 
     return _make(out, (a, b), vjp)
@@ -278,7 +265,7 @@ def mul(a, b) -> DiffValue:
         raise ShapeError(f"mul: shapes differ {a.shape} vs {b.shape}")
     out = a.data * b.data
 
-    def vjp(g, need):
+    def vjp(g, need, node):
         return (mul(g, b) if need[0] else None,
                 mul(g, a) if need[1] else None)
 
@@ -295,7 +282,7 @@ def div(a, b) -> DiffValue:
         return (div(g, b) if need[0] else None,
                 neg(mul(g, div(res, b))) if need[1] else None)
 
-    return _make_with_output(out, (a, b), vjp)
+    return _make(out, (a, b), vjp)
 
 
 def scale(a, c: float) -> DiffValue:
@@ -303,7 +290,7 @@ def scale(a, c: float) -> DiffValue:
     c = float(c)
     out = a.data * c
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (scale(g, c),)
 
     return _make(out, (a,), vjp)
@@ -313,7 +300,7 @@ def neg(a) -> DiffValue:
     a = _lift(a)
     out = -a.data
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (neg(g),)
 
     return _make(out, (a,), vjp)
@@ -323,10 +310,10 @@ def exp(a) -> DiffValue:
     a = _lift(a)
     out = np.exp(a.data)
 
-    def vjp(g, res):
+    def vjp(g, need, res):
         return (mul(g, res),)
 
-    return _make_with_output(out, (a,), vjp)
+    return _make(out, (a,), vjp)
 
 
 def powf(a, p: float) -> DiffValue:
@@ -336,7 +323,7 @@ def powf(a, p: float) -> DiffValue:
         raise DomainError("powf: negative base with non-integer exponent")
     out = a.data ** p
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (mul(g, scale(powf(a, p - 1.0), p)),)
 
     return _make(out, (a,), vjp)
@@ -347,7 +334,7 @@ def relu(a) -> DiffValue:
     out = np.maximum(a.data, 0.0)
     mask = DiffValue((a.data > 0.0).astype(np.float64))
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (mul(g, mask),)
 
     return _make(out, (a,), vjp)
@@ -359,7 +346,7 @@ def leaky_relu(a, slope: float = 0.01) -> DiffValue:
     out = np.where(a.data > 0.0, a.data, slope * a.data)
     mask = DiffValue(np.where(a.data > 0.0, 1.0, slope))
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (mul(g, mask),)
 
     return _make(out, (a,), vjp)
@@ -370,7 +357,7 @@ def sum_all(a) -> DiffValue:
     out = a.data.sum().reshape(1, 1)
     m, n = a.shape
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (fill_like(g, (m, n)),)
 
     return _make(out, (a,), vjp)
@@ -381,7 +368,7 @@ def row_sum(a) -> DiffValue:
     out = a.data.sum(axis=1, keepdims=True)
     n = a.shape[1]
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (tile_cols(g, n),)
 
     return _make(out, (a,), vjp)
@@ -392,7 +379,7 @@ def col_sum(a) -> DiffValue:
     out = a.data.sum(axis=0, keepdims=True)
     m = a.shape[0]
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (tile_rows(g, m),)
 
     return _make(out, (a,), vjp)
@@ -405,7 +392,7 @@ def tile_rows(row, m: int) -> DiffValue:
         raise ShapeError(f"tile_rows expects a row vector, got {row.shape}")
     out = np.repeat(row.data, m, axis=0)
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (col_sum(g),)
 
     return _make(out, (row,), vjp)
@@ -418,7 +405,7 @@ def tile_cols(col, n: int) -> DiffValue:
         raise ShapeError(f"tile_cols expects a column vector, got {col.shape}")
     out = np.repeat(col.data, n, axis=1)
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (row_sum(g),)
 
     return _make(out, (col,), vjp)
@@ -431,7 +418,7 @@ def fill_like(scalar, shape) -> DiffValue:
         raise ShapeError(f"fill_like expects 1x1, got {scalar.shape}")
     out = np.full(shape, scalar.data[0, 0])
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (sum_all(g),)
 
     return _make(out, (scalar,), vjp)
@@ -444,7 +431,7 @@ def concat_rows(a, b) -> DiffValue:
     out = np.ascontiguousarray(np.concatenate([a.data, b.data], axis=0))
     ma = a.shape[0]
 
-    def vjp(g, need):
+    def vjp(g, need, node):
         return (slice_rows(g, 0, ma) if need[0] else None,
                 slice_rows(g, ma, out.shape[0]) if need[1] else None)
 
@@ -458,7 +445,7 @@ def concat_cols(a, b) -> DiffValue:
     out = np.ascontiguousarray(np.concatenate([a.data, b.data], axis=1))
     na = a.shape[1]
 
-    def vjp(g, need):
+    def vjp(g, need, node):
         return (slice_cols(g, 0, na) if need[0] else None,
                 slice_cols(g, na, out.shape[1]) if need[1] else None)
 
@@ -472,7 +459,7 @@ def slice_rows(a, i0: int, i1: int) -> DiffValue:
         raise ShapeError(f"slice_rows: [{i0}:{i1}] out of range for {a.shape}")
     out = np.ascontiguousarray(a.data[i0:i1, :])
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (pad_rows(g, i0, m),)
 
     return _make(out, (a,), vjp)
@@ -485,7 +472,7 @@ def slice_cols(a, j0: int, j1: int) -> DiffValue:
         raise ShapeError(f"slice_cols: [{j0}:{j1}] out of range for {a.shape}")
     out = np.ascontiguousarray(a.data[:, j0:j1])
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (pad_cols(g, j0, n),)
 
     return _make(out, (a,), vjp)
@@ -500,7 +487,7 @@ def pad_rows(a, i0: int, m_total: int) -> DiffValue:
     out = np.zeros((m_total, n), dtype=np.float64)
     out[i0 : i0 + m, :] = a.data
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (slice_rows(g, i0, i0 + m),)
 
     return _make(out, (a,), vjp)
@@ -514,7 +501,7 @@ def pad_cols(a, j0: int, n_total: int) -> DiffValue:
     out = np.zeros((m, n_total), dtype=np.float64)
     out[:, j0 : j0 + n] = a.data
 
-    def vjp(g):
+    def vjp(g, need, node):
         return (slice_cols(g, j0, j0 + n),)
 
     return _make(out, (a,), vjp)
@@ -535,10 +522,10 @@ def softmax_rows(a) -> DiffValue:
     out = e / e.sum(axis=1, keepdims=True)
     n = a.shape[1]
 
-    def vjp(g, s):
+    def vjp(g, need, s):
         return (mul(s, sub(g, tile_cols(row_sum(mul(g, s)), n))),)
 
-    return _make_with_output(out, (a,), vjp)
+    return _make(out, (a,), vjp)
 
 
 def log_softmax_rows(a) -> DiffValue:
@@ -548,10 +535,10 @@ def log_softmax_rows(a) -> DiffValue:
     out = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     n = a.shape[1]
 
-    def vjp(g, logp):
+    def vjp(g, need, logp):
         return (sub(g, mul(exp(logp), tile_cols(row_sum(g), n))),)
 
-    return _make_with_output(out, (a,), vjp)
+    return _make(out, (a,), vjp)
 
 
 def normalize_rows(x, eps: float = 1e-12) -> DiffValue:
@@ -561,14 +548,14 @@ def normalize_rows(x, eps: float = 1e-12) -> DiffValue:
     xc = x.data - x.data.sum(axis=1, keepdims=True) * (1.0 / n)
     inv = ((xc * xc).sum(axis=1, keepdims=True) * (1.0 / n) + eps) ** -0.5
 
-    def vjp(g, y):
+    def vjp(g, need, y):
         # inv * (g - mean(g) - y * mean(g * y)), row by row
         mean_g = tile_cols(scale(row_sum(g), 1.0 / n), n)
         mean_gy = tile_cols(scale(row_sum(mul(g, y)), 1.0 / n), n)
         inner = sub(sub(g, mean_g), mul(y, mean_gy))
         return (mul(tile_cols(_inv_std_rows(x, eps, inv), n), inner),)
 
-    return _make_with_output(xc * inv, (x,), vjp)
+    return _make(xc * inv, (x,), vjp)
 
 
 def _inv_std_rows(x, eps: float, inv: np.ndarray) -> DiffValue:
@@ -577,12 +564,12 @@ def _inv_std_rows(x, eps: float, inv: np.ndarray) -> DiffValue:
     VJP."""
     n = x.shape[1]
 
-    def vjp(g, r):
+    def vjp(g, need, r):
         # d r / dx = -r^2 / n * normalize_rows(x)
         coef = scale(mul(g, mul(r, r)), -1.0 / n)
         return (mul(normalize_rows(x, eps), tile_cols(coef, n)),)
 
-    return _make_with_output(inv, (x,), vjp)
+    return _make(inv, (x,), vjp)
 
 
 def pairwise_sq_dists(a, b) -> DiffValue:
@@ -596,7 +583,7 @@ def pairwise_sq_dists(a, b) -> DiffValue:
     out = (aa + bb) - (a.data @ np.ascontiguousarray(b.data.T)) * 2.0
     d = a.shape[1]
 
-    def vjp(g, need):
+    def vjp(g, need, node):
         # 2 (rowsum(g) a - g b) and 2 (colsum(g)^T b - g^T a)
         ga = gb = None
         if need[0]:
@@ -618,7 +605,7 @@ def affine(x, w, b) -> DiffValue:
         raise ShapeError(f"affine bias must be (1, {w.shape[1]}), got {b.shape}")
     out = x.data @ w.data + b.data
 
-    def vjp(g, need):
+    def vjp(g, need, node):
         return (matmul_nt(g, w) if need[0] else None,
                 matmul_tn(x, g) if need[1] else None,
                 _row_total(g) if need[2] else None)
@@ -642,7 +629,7 @@ def scale_shift(y, gain, bias=None) -> DiffValue:
         out = out + bias.data
         parents = (y, gain, bias)
 
-    def vjp(g, need):
+    def vjp(g, need, node):
         gy = scale_shift(g, gain) if need[0] else None
         g_gain = _row_total(mul(g, y)) if need[1] else None
         if bias is None:
@@ -774,14 +761,14 @@ def grad(
         else:
             adjoint[o._idx] = s
 
-    ctx = pause_recording() if not create_graph else _null_ctx()
+    ctx = _pause_recording() if not create_graph else contextlib.nullcontext()
     with ctx:
         for idx, need in reversed(needs.items()):
             g = adjoint.get(idx)
             if g is None:
                 continue
             node = reachable[idx]
-            parent_grads = node._vjp(g, need) if len(need) > 1 else node._vjp(g)
+            parent_grads = node._vjp(g, need, node)
             for p, n, pg in zip(node._parents, need, parent_grads):
                 if not n:
                     continue
@@ -795,11 +782,3 @@ def grad(
             g = DiffValue(np.zeros(i.shape, dtype=np.float64))
         result.append(g)
     return result
-
-
-class _null_ctx:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False

@@ -2,11 +2,12 @@
 periodic outer updates of the set-function parameters via a
 Neumann-series implicit hypergradient.
 
-The inner objective averages the singleton episode loss and the
-mixed-task loss over a batch of task pairs; every S-th iteration the
-retained inner-gradient graph feeds the hypergradient routine, which
-approximates the inverse Hessian with a truncated Neumann series and
-differentiates the result into the set-function parameters.
+The inner objective averages, over a batch of task pairs, the loss terms
+of the training method (`METHODS`): the singleton episode loss and the
+mixed-task loss for meta-interpolation. Every S-th iteration the retained
+inner-gradient graph feeds the hypergradient routine, which approximates
+the inverse Hessian with a truncated Neumann series and differentiates
+the result into the set-function parameters.
 """
 
 from __future__ import annotations
@@ -27,8 +28,21 @@ from . import setfunc
 from .autodiff import DiffValue, Tape
 from .interpolate import InterpConfig
 
-METHODS = ("meta-interp", "protonet", "protonet-st", "mlti",
-           "no-bilevel", "no-singleton")
+# method -> (loss terms averaged per task pair, in the order they draw from
+# the step's rng; how the set function λ learns). Terms: "single" the
+# singleton episode loss, "mix" the mixed-task loss, "mlti" the
+# manifold-mixup baseline. Rules: None, λ is the identity map; "joint", λ
+# steps with θ on the training-loss gradient; "hyper", λ steps on the
+# Neumann hypergradient every update_period iterations. The key order is
+# the checkpoint's method code.
+METHODS = {
+    "meta-interp": (("single", "mix"), "hyper"),
+    "protonet": (("single",), None),
+    "protonet-st": (("single",), "hyper"),
+    "mlti": (("mlti",), None),
+    "no-bilevel": (("single", "mix"), "joint"),
+    "no-singleton": (("mix",), "hyper"),
+}
 
 _INIT_TAG = 101
 _ITER_TAG = 211
@@ -55,24 +69,33 @@ class TrainConfig:
     interp: InterpConfig = field(default_factory=InterpConfig)
     eval_episodes: int = 3000
     encoder_widths: tuple = (32, 16)
-    set_kind: str = "simple"      # simple | full | deepsets | identity
+    set_kind: str = "simple"      # simple | full | deepsets
     set_hidden: Optional[int] = None
     dropout_rate: float = 0.1
     metric: str = "sqeuclidean"
     mlti_beta: tuple = (2.0, 2.0)
 
     def __post_init__(self):
-        if self.inner_lr <= 0 or self.hyper_lr < 0:
+        if not (self.inner_lr > 0 and self.hyper_lr >= 0):  # NaN fails too
             raise ValueError("learning rates must be positive")
         for name in ("update_period", "batch_size", "neumann_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.val_batch_size is not None and self.val_batch_size < 1:
+            raise ValueError("val_batch_size must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if self.hyper_schedule not in ("linear", "constant"):
             raise ValueError(f"unknown hyper schedule {self.hyper_schedule!r}")
-        if self.set_kind not in ("simple", "full", "deepsets", "identity"):
+        for name in ("theta_opt", "lam_opt"):
+            if getattr(self, name) not in ("adam", "sgd"):
+                raise ValueError(f"unknown optimizer {getattr(self, name)!r} for {name}")
+        if self.set_kind not in ("simple", "full", "deepsets"):
             raise ValueError(f"unknown set kind {self.set_kind!r}")
+        if self.set_kind == "full" and self.set_hidden is not None and not (
+                self.set_hidden > 0 and self.set_hidden % setfunc.N_HEADS == 0):
+            raise ValueError(f"set_hidden {self.set_hidden} is not a positive "
+                             f"multiple of {setfunc.N_HEADS}")
         if not 0 <= self.interp.layer < len(self.encoder_widths):
             raise ValueError("interpolation layer outside encoder depth")
         if not 0 <= self.dropout_rate < 1:
@@ -81,10 +104,12 @@ class TrainConfig:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
+        if len(self.mlti_beta) != 2 or not all(b > 0 for b in self.mlti_beta):
+            raise ValueError(f"mlti_beta {self.mlti_beta} is not two positive numbers")
 
     @property
     def bprime(self) -> int:
-        return self.val_batch_size if self.val_batch_size else self.batch_size
+        return self.val_batch_size or self.batch_size
 
 
 # ---------------------------------------------------------------------------
@@ -134,48 +159,27 @@ def opt_step(state: OptState, arrays, grads, lr: Optional[float] = None) -> list
 # losses
 
 
-def _variant(method: str) -> str:
-    return {
-        "meta-interp": "full",
-        "protonet": "singleton_only",
-        "protonet-st": "no_mix",
-        "mlti": "mlti",
-        "no-bilevel": "full",
-        "no-singleton": "no_singleton",
-    }[method]
-
-
 def inner_loss(lam, theta, pairs, cfg: TrainConfig, mode: str = "train",
                rng: Optional[np.random.Generator] = None,
-               variant: str = "full") -> DiffValue:
-    """Batch training objective.
-
-    full: (1/2B) sum of singleton + mixed losses per pair. no_mix /
-    no_singleton drop one term (renormalized to 1/B); singleton_only and
-    mlti are the identity-map and manifold-mixup baselines.
-    """
+               method: str = "meta-interp") -> DiffValue:
+    """Batch training objective: the mean over pairs of the mean of the
+    method's loss terms, so (1/2B) sum of singleton + mixed losses for
+    meta-interp and (1/B) sum of the one term of a one-term method."""
     if not pairs:
         raise ValueError("empty batch")
     total = None
     for task1, task2, pairing in pairs:
-        if variant == "full":
-            a = pn.loss_singleton(lam, theta, task1, mode, rng, cfg.metric)
-            b = itp.loss_mix(lam, theta, task1, task2, pairing, cfg.interp,
-                             mode, rng, cfg.metric)
-            term = ad.scale(ad.add(a, b), 0.5)
-        elif variant == "no_mix":
-            term = pn.loss_singleton(lam, theta, task1, mode, rng, cfg.metric)
-        elif variant == "no_singleton":
-            term = itp.loss_mix(lam, theta, task1, task2, pairing, cfg.interp,
-                                mode, rng, cfg.metric)
-        elif variant == "singleton_only":
-            term = pn.loss_singleton(setfunc.IdentitySet(), theta, task1,
-                                     mode, rng, cfg.metric)
-        elif variant == "mlti":
-            term = itp.mlti_baseline_loss(theta, task1, task2, pairing,
-                                          cfg.mlti_beta, rng, cfg.metric)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        parts = []
+        for name in METHODS[method][0]:
+            if name == "single":
+                parts.append(pn.loss_singleton(lam, theta, task1, mode, rng, cfg.metric))
+            elif name == "mix":
+                parts.append(itp.loss_mix(lam, theta, task1, task2, pairing,
+                                          cfg.interp, mode, rng, cfg.metric))
+            else:
+                parts.append(itp.mlti_baseline_loss(theta, task1, task2, pairing,
+                                                    cfg.mlti_beta, rng, cfg.metric))
+        term = parts[0] if len(parts) == 1 else ad.scale(ad.add(*parts), 0.5)
         total = term if total is None else ad.add(total, term)
     return ad.scale(total, 1.0 / len(pairs))
 
@@ -183,7 +187,7 @@ def inner_loss(lam, theta, pairs, cfg: TrainConfig, mode: str = "train",
 def theta_step(opt: OptState, theta, grads, lr: Optional[float] = None):
     """Optimizer step over the encoder's flattened tensors."""
     arrays = [a for _, a in _params.named_arrays(theta)]
-    new = opt_step(opt, arrays, [g.data if isinstance(g, DiffValue) else g for g in grads], lr)
+    new = opt_step(opt, arrays, [_params._leaf_array(g) for g in grads], lr)
     it = iter(new)
     return _params._map_leaves(theta, lambda _a: next(it))
 
@@ -287,27 +291,24 @@ def build_lambda(cfg: TrainConfig, d: int, rng: np.random.Generator):
         return setfunc.init_simple(d, rng)
     if cfg.set_kind == "full":
         return setfunc.init_full(d, cfg.set_hidden, rng, cfg.dropout_rate)
-    if cfg.set_kind == "deepsets":
-        return setfunc.init_deepsets(d, (max(8, d),), rng)
-    return setfunc.IdentitySet()
+    return setfunc.init_deepsets(d, (max(8, d),), rng)
 
 
 def init_state(dataset: ep.TaskDataset, cfg: TrainConfig,
                method: str = "meta-interp") -> TrainState:
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choices {METHODS}")
+        raise ValueError(f"unknown method {method!r}; choices {tuple(METHODS)}")
+    rule = METHODS[method][1]
     rng = np.random.default_rng([cfg.seed, _INIT_TAG])
     widths = [dataset.dim, *cfg.encoder_widths]
     theta = pn.init_encoder(widths, cfg.interp.layer, rng)
-    if method in ("protonet", "mlti"):
+    opt_lam = None
+    if rule is None:
         lam = setfunc.IdentitySet()
     else:
         lam = build_lambda(cfg, theta.interp_width, rng)
-    lam_arrays = [a for _, a in _params.named_arrays(lam)]
-    opt_lam = None
-    if lam_arrays:
-        lr = cfg.inner_lr if method == "no-bilevel" else cfg.hyper_lr
-        opt_lam = opt_init(cfg.lam_opt, lr, lam_arrays)
+        lr = cfg.inner_lr if rule == "joint" else cfg.hyper_lr
+        opt_lam = opt_init(cfg.lam_opt, lr, [a for _, a in _params.named_arrays(lam)])
     opt_theta = opt_init(cfg.theta_opt, cfg.inner_lr,
                          [a for _, a in _params.named_arrays(theta)])
     return TrainState(theta=theta, lam=lam, opt_theta=opt_theta, opt_lam=opt_lam)
@@ -326,12 +327,11 @@ def evaluate_validation(lam, theta, val_tasks, metric: str):
     """Deterministic validation metrics: mean episode loss and accuracy,
     both read from one embedding of each task."""
     losses, accs = [], []
-    with ad.pause_recording():
-        for t in val_tasks:
-            dists = pn.task_dists(lam, theta, t, "eval", None, metric)
-            labels = t.query_matrix()[1]
-            losses.append(pn.cross_entropy_to_prototypes(dists, labels).item())
-            accs.append(pn.accuracy_from_dists(dists, labels))
+    for t in val_tasks:
+        dists = pn.task_dists(lam, theta, t, "eval", None, metric)
+        labels = t.query_matrix()[1]
+        losses.append(pn.cross_entropy_to_prototypes(dists, labels).item())
+        accs.append(pn.accuracy_from_dists(dists, labels))
     return float(np.mean(losses)), float(np.mean(accs))
 
 
@@ -345,56 +345,50 @@ def _check_finite(arrays: list, what: str, i: int) -> list:
 
 def train_step(state: TrainState, dataset: ep.TaskDataset, cfg: TrainConfig,
                method: str) -> float:
-    """One Algorithm-1 iteration; returns the inner loss value."""
+    """One Algorithm-1 iteration; returns the inner loss value.
+
+    θ steps on the training-loss gradient. λ steps on the same gradient
+    ("joint"), on the hypergradient every update_period iterations
+    ("hyper"), or never (None, the identity map binds to no leaves)."""
+    rule = METHODS[method][1]
     i = state.iteration + 1
     rng = np.random.default_rng([cfg.seed, _ITER_TAG, i])
     tape = Tape()
     theta_live = _params.bind(state.theta, tape)
-    uses_lambda = not isinstance(state.lam, setfunc.IdentitySet)
-    lam_live = _params.bind(state.lam, tape) if uses_lambda else state.lam
+    lam_live = _params.bind(state.lam, tape)
 
     pairs = _sample_batch(dataset, cfg, rng)
-    ltr = inner_loss(lam_live, theta_live, pairs, cfg, "train", rng,
-                     _variant(method))
+    ltr = inner_loss(lam_live, theta_live, pairs, cfg, "train", rng, method)
     loss_val = ltr.item()
     if not np.isfinite(loss_val):
         raise TrainingDiverged(
             f"non-finite training loss {loss_val} at iteration {i}"
         )
 
-    bilevel_due = (
-        method in ("meta-interp", "protonet-st", "no-singleton")
-        and i % cfg.update_period == 0
-    )
+    hyper_due = rule == "hyper" and i % cfg.update_period == 0
     theta_leaves = _params.leaves(theta_live)
-    lam_leaves = _params.leaves(lam_live) if uses_lambda else []
-
-    if method == "no-bilevel":
-        grads = ad.grad(ltr, theta_leaves + lam_leaves)
+    g_lam, eta = [], None
+    if rule == "joint":
+        grads = ad.grad(ltr, theta_leaves + _params.leaves(lam_live))
         g_theta = grads[: len(theta_leaves)]
-        g_lam = grads[len(theta_leaves) :]
+        g_lam = [g.data for g in grads[len(theta_leaves) :]]
     else:
-        g_theta = ad.grad(ltr, theta_leaves, create_graph=bilevel_due)
-        g_lam = None
+        g_theta = ad.grad(ltr, theta_leaves, create_graph=hyper_due)
 
     state.theta = theta_step(state.opt_theta, state.theta, g_theta)
 
-    if method == "no-bilevel" and g_lam:
-        arrays = [a for _, a in _params.named_arrays(state.lam)]
-        new = _check_finite(opt_step(state.opt_lam, arrays, [g.data for g in g_lam]),
-                            "set-function update", i)
-        it = iter(new)
-        state.lam = _params._map_leaves(state.lam, lambda _a: next(it))
-    elif bilevel_due and uses_lambda:
-        g = hypergrad(state.theta, lam_live, theta_leaves, g_theta,
+    if hyper_due:
+        g_lam = _check_finite(
+            hypergrad(state.theta, lam_live, theta_leaves, g_theta,
                       dataset.meta_val, cfg.inner_lr, cfg.bprime,
-                      cfg.neumann_iters, rng, tape, cfg.metric)
-        _check_finite(g, "hypergradient", i)
+                      cfg.neumann_iters, rng, tape, cfg.metric),
+            "hypergradient", i)
         eta = cfg.hyper_lr
         if cfg.hyper_schedule == "linear":
             eta = cfg.hyper_lr * max(0.0, 1.0 - i / cfg.max_iters)
+    if g_lam:
         arrays = [a for _, a in _params.named_arrays(state.lam)]
-        new = _check_finite(opt_step(state.opt_lam, arrays, g, lr=eta),
+        new = _check_finite(opt_step(state.opt_lam, arrays, g_lam, lr=eta),
                             "set-function update", i)
         it = iter(new)
         state.lam = _params._map_leaves(state.lam, lambda _a: next(it))
@@ -632,7 +626,7 @@ def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
     named["meta.best_val_acc"] = np.array([[state.best_val_acc]])
     named["meta.best_iter"] = np.array([[float(state.best_iter)]])
     named["meta.evals_since_best"] = np.array([[float(state.evals_since_best)]])
-    named["meta.method"] = np.array([[float(METHODS.index(method))]])
+    named["meta.method"] = np.array([[float(list(METHODS).index(method))]])
     if state.loss_window:  # a stop between evaluations
         named["meta.loss_window"] = np.array([state.loss_window])
     return named
@@ -673,4 +667,6 @@ def state_from_named(named: dict, cfg: TrainConfig):
         loss_window=[] if window is None else window[0].tolist(),
     )
     method = _code(named, "meta.method", dict(enumerate(METHODS)))
+    if (METHODS[method][1] is None) != isinstance(lam, setfunc.IdentitySet):
+        raise ValueError(f"checkpoint's set function does not fit its method {method!r}")
     return state, method

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import bilevel as bl
 from . import episodes as ep
 from . import interpolate as itp
@@ -70,24 +69,21 @@ def _write_prototypes(path, theta, lam, dataset, method, seed) -> None:
     rng = np.random.default_rng([seed, 0x9907])
     for tid, task in enumerate(dataset.meta_train):
         xs, ys = task.support_matrix()
-        with ad.pause_recording():
-            es = pn.embed_batch(lam, theta, xs, mode="eval")
-            protos = pn.prototypes_from_matrix(es, ys, task.way).data
+        es = pn.embed_batch(lam, theta, xs, mode="eval")
+        protos = pn.prototypes_from_matrix(es, ys, task.way).data
         dim_out = protos.shape[1]
         for k in range(task.way):
             feats = ",".join(_fmt(v) for v in protos[k])
             lines.append(f"{tid},{k + 1},original,{feats}")
-    if method not in ("protonet", "mlti") and len(dataset.meta_train) >= 2:
+    if bl.METHODS[method][1] is not None and len(dataset.meta_train) >= 2:
         tasks = dataset.meta_train
         for tid in range(len(tasks)):
             other = (tid + 1) % len(tasks)
             pairing = itp.pair_classes(tasks[tid].way, rng)
-            with ad.pause_recording():
-                protos = itp.interpolated_prototypes(
-                    lam, theta, tasks[tid], tasks[other], pairing,
-                    itp.InterpConfig(strategy="support"), mode="eval",
-                    rng=rng,
-                ).data
+            protos = itp.interpolated_prototypes(
+                lam, theta, tasks[tid], tasks[other], pairing,
+                itp.InterpConfig(strategy="support"), mode="eval", rng=rng,
+            ).data
             for k in range(tasks[tid].way):
                 feats = ",".join(_fmt(v) for v in protos[k])
                 lines.append(f"{tid},{k + 1},interpolated,{feats}")

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import setfunc
+from ._params import _leaf_array
 from .autodiff import DiffValue
 from .episodes import Task
 
@@ -55,12 +56,8 @@ class EncoderParams:
     @property
     def interp_width(self) -> int:
         if self.split == 0:
-            w = self.layers[0].w
-            arr = w.data if isinstance(w, DiffValue) else w
-            return arr.shape[0]
-        w = self.layers[self.split - 1].w
-        arr = w.data if isinstance(w, DiffValue) else w
-        return arr.shape[1]
+            return _leaf_array(self.layers[0].w).shape[0]
+        return _leaf_array(self.layers[self.split - 1].w).shape[1]
 
 
 def init_encoder(widths, split: int, rng: np.random.Generator,
@@ -182,8 +179,7 @@ def loss_singleton(lam, theta: EncoderParams, task: Task, mode: str = "train",
 def task_accuracy(lam, theta: EncoderParams, task: Task,
                   metric: str = "sqeuclidean") -> float:
     """Fraction of query points classified to their own class."""
-    with ad.pause_recording():
-        d = task_dists(lam, theta, task, "eval", None, metric)
+    d = task_dists(lam, theta, task, "eval", None, metric)
     return accuracy_from_dists(d, task.query_matrix()[1])
 
 

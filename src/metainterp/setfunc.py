@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
+from ._params import _leaf_array
 from .autodiff import DiffValue
 
 
@@ -107,8 +108,7 @@ class SimpleSetParams:
 
     @property
     def dim(self) -> int:
-        arr = self.w1q.data if isinstance(self.w1q, DiffValue) else self.w1q
-        return arr.shape[0]
+        return _leaf_array(self.w1q).shape[0]
 
 
 def init_simple(d: int, rng: np.random.Generator, qk_scale: float = 0.5) -> SimpleSetParams:
@@ -138,11 +138,8 @@ def effective_affine(p: SimpleSetParams):
     M is the transpose of the column-convention combined value matrix; b
     likewise. Recomputed from the fields, never stored.
     """
-    w1v = p.w1v.data if isinstance(p.w1v, DiffValue) else p.w1v
-    w2v = p.w2v.data if isinstance(p.w2v, DiffValue) else p.w2v
-    b1v = p.b1v.data if isinstance(p.b1v, DiffValue) else p.b1v
-    b2v = p.b2v.data if isinstance(p.b2v, DiffValue) else p.b2v
-    return w1v @ w2v, b1v @ w2v + b2v
+    w1v, w2v = _leaf_array(p.w1v), _leaf_array(p.w2v)
+    return w1v @ w2v, _leaf_array(p.b1v) @ w2v + _leaf_array(p.b2v)
 
 
 def simple_forward(p: SimpleSetParams, elems, set_size: Optional[int] = None) -> DiffValue:
@@ -174,26 +171,21 @@ def alpha_pair(p: SimpleSetParams, h, h_prime):
     column of the 2x2 self-attention softmax, p2 the first entry of the
     pooling softmax, and alpha = p2(1-p1) + (1-p2)(1-p1_tilde).
     """
-    def arr(x):
-        return x.data if isinstance(x, DiffValue) else np.asarray(x, dtype=np.float64).reshape(1, -1)
-
-    H = np.vstack([arr(h), arr(h_prime)])
+    H = np.vstack([np.asarray(_leaf_array(x), dtype=np.float64).reshape(1, -1)
+                   for x in (h, h_prime)])
     d = H.shape[1]
-
-    def val(x):
-        return x.data if isinstance(x, DiffValue) else x
 
     def soft(z):
         z = z - z.max(axis=1, keepdims=True)
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
 
-    q1 = H @ val(p.w1q) + val(p.b1q)
-    k1 = H @ val(p.w1k) + val(p.b1k)
+    q1 = H @ _leaf_array(p.w1q) + _leaf_array(p.b1q)
+    k1 = H @ _leaf_array(p.w1k) + _leaf_array(p.b1k)
     s1 = soft(q1 @ k1.T / math.sqrt(d))
-    h2 = s1 @ (H @ val(p.w1v) + val(p.b1v))
-    q2 = val(p.seed) @ val(p.w2q) + val(p.b2q)
-    k2 = h2 @ val(p.w2k) + val(p.b2k)
+    h2 = s1 @ (H @ _leaf_array(p.w1v) + _leaf_array(p.b1v))
+    q2 = _leaf_array(p.seed) @ _leaf_array(p.w2q) + _leaf_array(p.b2q)
+    k2 = h2 @ _leaf_array(p.w2k) + _leaf_array(p.b2k)
     s2 = soft(q2 @ k2.T / math.sqrt(d))
     p1, p1t, p2 = s1[0, 0], s1[1, 0], s2[0, 0]
     alpha = p2 * (1.0 - p1) + (1.0 - p2) * (1.0 - p1t)
@@ -243,13 +235,11 @@ class FullSetTransformerParams:
 
     @property
     def dim(self) -> int:
-        arr = self.w4.data if isinstance(self.w4, DiffValue) else self.w4
-        return arr.shape[1]
+        return _leaf_array(self.w4).shape[1]
 
     @property
     def hidden(self) -> int:
-        arr = self.w4.data if isinstance(self.w4, DiffValue) else self.w4
-        return arr.shape[0]
+        return _leaf_array(self.w4).shape[0]
 
 
 def _init_head(d_in: int, d_k: int, rng) -> AttnHead:

@@ -73,8 +73,7 @@ class TheoryProblem:
 
 def _phi_rows(problem: TheoryProblem, examples) -> np.ndarray:
     x = np.stack([ex.features for ex in examples])
-    with ad.pause_recording():
-        return pn.encode_lower(problem.encoder, x).data
+    return pn.encode_lower(problem.encoder, x).data
 
 
 def _pair_alphas(problem: TheoryProblem, k: int):
@@ -139,9 +138,8 @@ def prototype_loss(problem: TheoryProblem, protos: np.ndarray) -> float:
     """Episode loss of task t's queries against an arbitrary prototype
     matrix (the function whose derivatives the expansion uses)."""
     eq, labels = _query_embeddings(problem)
-    with ad.pause_recording():
-        dists = pn.pairwise_dists(eq, protos)
-        return pn.cross_entropy_to_prototypes(dists, labels).item()
+    dists = pn.pairwise_dists(eq, protos)
+    return pn.cross_entropy_to_prototypes(dists, labels).item()
 
 
 def mix_loss_frozen(problem: TheoryProblem, eps: float = 1.0) -> float:

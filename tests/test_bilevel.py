@@ -71,7 +71,7 @@ class TestInnerLoss:
         pairs = [(ds.meta_train[0], ds.meta_train[1], pairing)]
         cfg = short_cfg(batch_size=1)
         lam = FirstElement()
-        full = bl.inner_loss(lam, theta, pairs, cfg, "eval", variant="full")
+        full = bl.inner_loss(lam, theta, pairs, cfg, "eval", method="meta-interp")
         single = pn.loss_singleton(lam, theta, ds.meta_train[0], "eval")
         assert full.item() == pytest.approx(single.item(), abs=1e-12)
 
@@ -84,8 +84,8 @@ class TestInnerLoss:
         pairs = [(ds.meta_train[0], ds.meta_train[1], pairing)]
         cfg = short_cfg(batch_size=1)
         lam = FirstElement()
-        full = bl.inner_loss(lam, theta, pairs, cfg, "eval", variant="full")
-        no_mix = bl.inner_loss(lam, theta, pairs, cfg, "eval", variant="no_mix")
+        full = bl.inner_loss(lam, theta, pairs, cfg, "eval", method="meta-interp")
+        no_mix = bl.inner_loss(lam, theta, pairs, cfg, "eval", method="protonet-st")
         assert full.item() == pytest.approx(no_mix.item(), abs=1e-12)
         # the 1/2B weighting halves each term relative to its 1/B variant
         half = ad.scale(
@@ -118,7 +118,7 @@ class TestInnerLoss:
         pairing = itp.pair_classes(3, np.random.default_rng(7))
         pairs = [(ds.meta_train[0], ds.meta_train[1], pairing)]
         cfg = short_cfg()
-        got = bl.inner_loss(lam, theta, pairs, cfg, "eval", variant="no_singleton")
+        got = bl.inner_loss(lam, theta, pairs, cfg, "eval", method="no-singleton")
         want = itp.loss_mix(lam, theta, ds.meta_train[0], ds.meta_train[1],
                             pairing, cfg.interp, "eval", None, cfg.metric)
         assert got.item() == pytest.approx(want.item(), abs=1e-12)
@@ -522,12 +522,12 @@ class TestCheckpoints:
 
     def test_model_rebuild_all_kinds(self, tmp_path, rng):
         ds = small_dataset()
-        for kind in ("simple", "full", "deepsets", "identity"):
+        for kind, method in (("simple", "meta-interp"), ("full", "meta-interp"),
+                             ("deepsets", "meta-interp"), ("simple", "protonet")):
             cfg = short_cfg(set_kind=kind, set_hidden=8 if kind == "full" else None)
-            method = "protonet" if kind == "identity" else "meta-interp"
             state = bl.init_state(ds, cfg, method)
             named = bl.model_to_named(state.theta, state.lam, cfg)
-            path = tmp_path / f"{kind}.ckpt"
+            path = tmp_path / f"{kind}-{method}.ckpt"
             bl.save_checkpoint(path, named)
             theta, lam, metric = bl.model_from_named(bl.load_checkpoint(path))
             assert metric == cfg.metric
@@ -535,6 +535,18 @@ class TestCheckpoints:
             a = pn.task_accuracy(state.lam, state.theta, task)
             b = pn.task_accuracy(lam, theta, task)
             assert a == b
+
+    def test_method_and_set_function_must_fit(self):
+        # a method that learns λ needs a set function, and one that does
+        # not needs the identity map
+        ds = small_dataset()
+        cfg = short_cfg()
+        for trained, claimed in (("protonet", "protonet-st"), ("meta-interp", "mlti")):
+            state = bl.init_state(ds, cfg, trained)
+            state.best_theta, state.best_lam = state.theta, state.lam
+            named = bl.state_to_named(state, cfg, claimed)
+            with pytest.raises(ValueError, match="does not fit"):
+                bl.state_from_named(named, cfg)
 
     def test_resume_matches_uninterrupted_tail(self, tmp_path):
         ds = small_dataset()

@@ -107,18 +107,19 @@ class TestTrain:
         named = bl.load_checkpoint(out / "best.ckpt")
         assert not any(k.startswith("lam.") for k in named)
 
-    def test_interrupt_resume_matches_tail(self, workspace):
+    @pytest.mark.parametrize("method", list(bl.METHODS))
+    def test_interrupt_resume_matches_tail(self, workspace, method):
+        # the stop at 20 falls on the first outer update
         tmp, cfg, tasks = workspace
         full, paused = tmp / "full", tmp / "paused"
-        cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
-                  "--out-dir", str(full), "--seed", "2"])
-        cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
-                  "--out-dir", str(paused), "--seed", "2",
-                  "--stop-after", "20"])
-        cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
-                  "--out-dir", str(paused), "--seed", "2",
-                  "--resume", str(paused / "final.ckpt")])
-        assert (paused / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
+        run = ["train", "--config", str(cfg), "--tasks", str(tasks), "--seed", "2"]
+        assert cli.main([*run, "--out-dir", str(full), "--method", method]) == 0
+        assert cli.main([*run, "--out-dir", str(paused), "--method", method,
+                         "--stop-after", "20"]) == 0
+        assert cli.main([*run, "--out-dir", str(paused),
+                         "--resume", str(paused / "final.ckpt")]) == 0
+        for name in ("metrics.csv", "final.ckpt"):
+            assert (paused / name).read_bytes() == (full / name).read_bytes()
 
     def test_resume_after_crash_at_new_best_matches(self, workspace, monkeypatch):
         # a crash right after the evaluation-time final.ckpt of a new best
@@ -266,6 +267,16 @@ class TestTrain:
         ["--set", "set_kind=full", "--set", "dropout_rate=1.0"],
         ["--set", "set_kind=full", "--set", "dropout_rate=-0.5"],
         ["--set", "metric=foo"],
+        ["--set", "theta_opt=foo"],
+        ["--set", "lam_opt=rmsprop"],
+        ["--set", "set_kind=full", "--set", "set_hidden=3"],
+        ["--set", "set_kind=full", "--set", "set_hidden=0"],
+        ["--set", "inner_lr=nan"],
+        ["--set", "hyper_lr=nan"],
+        ["--set", "set_kind=identity"],
+        ["--set", "val_batch_size=-2"],
+        ["--set", "mlti_beta=-1,2"],
+        ["--set", "mlti_beta=1"],
     ])
     def test_bad_config_value_is_usage_error_before_training(self, workspace,
                                                              capsys, bad):
