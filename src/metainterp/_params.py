@@ -1,8 +1,9 @@
 """Helpers for dataclass parameter containers.
 
 Containers hold float64 numpy leaves (or DiffValues after binding).
-`named_arrays` flattens a container to (name, array) pairs in a stable
-order — the order checkpoints and optimizer slots rely on.
+`named_leaves` walks a container in a stable order — the order
+checkpoints and optimizer slots rely on — and `named_arrays` and `leaves`
+flatten it along that walk.
 """
 
 from __future__ import annotations
@@ -22,21 +23,23 @@ def _leaf_array(x) -> np.ndarray:
     return x.data if isinstance(x, DiffValue) else x
 
 
-def named_arrays(obj, prefix: str = "") -> list:
-    """Flatten nested dataclasses/lists into ordered (name, ndarray) pairs."""
-    out = []
+def named_leaves(obj, prefix: str = ""):
+    """Walk nested dataclasses/lists, yielding ordered (name, leaf) pairs."""
     if _is_leaf(obj):
-        out.append((prefix or "param", _leaf_array(obj)))
+        yield prefix or "param", obj
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
-            v = getattr(obj, f.name)
             key = f"{prefix}.{f.name}" if prefix else f.name
-            out.extend(named_arrays(v, key))
+            yield from named_leaves(getattr(obj, f.name), key)
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
-            out.extend(named_arrays(v, f"{prefix}[{i}]"))
+            yield from named_leaves(v, f"{prefix}[{i}]")
     # scalars/str/None carry no tensors
-    return out
+
+
+def named_arrays(obj, prefix: str = "") -> list:
+    """Flatten nested dataclasses/lists into ordered (name, ndarray) pairs."""
+    return [(name, _leaf_array(x)) for name, x in named_leaves(obj, prefix)]
 
 
 def _map_leaves(obj, fn):
@@ -67,16 +70,7 @@ def values(obj):
 
 def leaves(obj) -> list:
     """Ordered leaf list (DiffValues or arrays, as stored)."""
-    out = []
-    if _is_leaf(obj):
-        out.append(obj)
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            out.extend(leaves(getattr(obj, f.name)))
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            out.extend(leaves(v))
-    return out
+    return [x for _, x in named_leaves(obj)]
 
 
 def from_named_arrays(template, pairs: dict):

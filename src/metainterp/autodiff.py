@@ -35,8 +35,6 @@ mask's, a one-hot target's) are never built.
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,26 +56,6 @@ class GraphError(AutodiffError):
     pass
 
 
-_state = threading.local()
-
-
-def _recording() -> bool:
-    return getattr(_state, "recording", True)
-
-
-class _pause_recording:
-    """Context manager: ops executed inside produce constants."""
-
-    def __enter__(self):
-        self._prev = _recording()
-        _state.recording = False
-        return self
-
-    def __exit__(self, *exc):
-        _state.recording = self._prev
-        return False
-
-
 def as_matrix(x) -> np.ndarray:
     """Coerce to a C-contiguous float64 matrix; scalars 1x1, vectors 1xn."""
     a = np.asarray(x, dtype=np.float64)
@@ -95,11 +73,13 @@ class Tape:
 
     Node order (the creation index) is a topological order of the graph,
     which backward replays in reverse. `op_count` is a deterministic work
-    meter: it counts recorded primitives.
+    meter: it counts recorded primitives. While `recording` is False, ops
+    on the tape's values produce constants.
     """
 
     def __init__(self):
         self.op_count = 0
+        self.recording = True
 
     def _index(self) -> int:
         self.op_count += 1
@@ -163,10 +143,8 @@ def _make(data, parents, vjp) -> DiffValue:
     parent, None where the parent's flag in need is False; `grad` passes
     the node itself, so a VJP that reads the node's output holds no
     reference to it."""
-    if not _recording():
-        return DiffValue(data)
     tape = _owner_tape(parents)
-    if tape is None:
+    if tape is None or not tape.recording:
         return DiffValue(data)
     return DiffValue(data, tape=tape, idx=tape._index(), parents=parents, vjp=vjp)
 
@@ -761,8 +739,8 @@ def grad(
         else:
             adjoint[o._idx] = s
 
-    ctx = _pause_recording() if not create_graph else contextlib.nullcontext()
-    with ctx:
+    was_recording, tape.recording = tape.recording, create_graph
+    try:
         for idx, need in reversed(needs.items()):
             g = adjoint.get(idx)
             if g is None:
@@ -774,6 +752,8 @@ def grad(
                     continue
                 prev = adjoint.get(p._idx)
                 adjoint[p._idx] = pg if prev is None else add(prev, pg)
+    finally:
+        tape.recording = was_recording
 
     result = []
     for i in ins:

@@ -85,6 +85,8 @@ class TrainConfig:
             raise ValueError("val_batch_size must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        if not self.patience >= 0:  # NaN fails too
+            raise ValueError("patience must be >= 0")
         if self.hyper_schedule not in ("linear", "constant"):
             raise ValueError(f"unknown hyper schedule {self.hyper_schedule!r}")
         for name in ("theta_opt", "lam_opt"):
@@ -185,7 +187,7 @@ def inner_loss(lam, theta, pairs, cfg: TrainConfig, mode: str = "train",
 
 
 def theta_step(opt: OptState, theta, grads, lr: Optional[float] = None):
-    """Optimizer step over the encoder's flattened tensors."""
+    """Optimizer step over a parameter container's flattened tensors."""
     arrays = [a for _, a in _params.named_arrays(theta)]
     new = opt_step(opt, arrays, [_params._leaf_array(g) for g in grads], lr)
     it = iter(new)
@@ -271,19 +273,12 @@ class TrainState:
     evals_since_best: int = 0
     history: list = field(default_factory=list)
     loss_window: list = field(default_factory=list)  # since the last evaluation
+    stopped_early: bool = False    # set by each meta_train call; not checkpointed
 
 
-@dataclass
-class TrainResult:
-    theta: pn.EncoderParams
-    lam: object
-    history: list
-    best_theta: pn.EncoderParams
-    best_lam: object
-    best_val_acc: float
-    best_iter: int
-    iterations: int
-    stopped_early: bool
+# the run's counters, each checkpointed as meta.<name>, in tensor order
+_COUNTERS = (("iteration", int), ("work", int), ("best_val_acc", float),
+             ("best_iter", int), ("evals_since_best", int))
 
 
 def build_lambda(cfg: TrainConfig, d: int, rng: np.random.Generator):
@@ -387,11 +382,9 @@ def train_step(state: TrainState, dataset: ep.TaskDataset, cfg: TrainConfig,
         if cfg.hyper_schedule == "linear":
             eta = cfg.hyper_lr * max(0.0, 1.0 - i / cfg.max_iters)
     if g_lam:
-        arrays = [a for _, a in _params.named_arrays(state.lam)]
-        new = _check_finite(opt_step(state.opt_lam, arrays, g_lam, lr=eta),
-                            "set-function update", i)
-        it = iter(new)
-        state.lam = _params._map_leaves(state.lam, lambda _a: next(it))
+        new = theta_step(state.opt_lam, state.lam, g_lam, eta)
+        _check_finite(_params.leaves(new), "set-function update", i)
+        state.lam = new
 
     state.iteration = i
     state.work += tape.op_count
@@ -402,8 +395,9 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
                method: str = "meta-interp",
                state: Optional[TrainState] = None,
                on_eval=None,
-               stop_iteration: Optional[int] = None) -> TrainResult:
-    """Run Algorithm 1 to max_iters (or early stop on validation accuracy).
+               stop_iteration: Optional[int] = None) -> TrainState:
+    """Run Algorithm 1 to max_iters (or early stop on validation accuracy)
+    and return the advanced state.
 
     Fully deterministic per (cfg.seed, cfg, dataset): every iteration
     derives its randomness from the seed and the iteration index, so a
@@ -416,7 +410,7 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
     if state.best_theta is None:
         state.best_theta = _params.values(state.theta)
         state.best_lam = _params.values(state.lam)
-    stopped = False
+    state.stopped_early = False
     limit = cfg.max_iters if stop_iteration is None else min(cfg.max_iters, stop_iteration)
 
     while state.iteration < limit:
@@ -447,20 +441,9 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
             if on_eval is not None:
                 on_eval(row)
             if cfg.patience > 0 and state.evals_since_best >= cfg.patience:
-                stopped = True
+                state.stopped_early = True
                 break
-
-    return TrainResult(
-        theta=state.theta,
-        lam=state.lam,
-        history=state.history,
-        best_theta=state.best_theta,
-        best_lam=state.best_lam,
-        best_val_acc=state.best_val_acc,
-        best_iter=state.best_iter,
-        iterations=state.iteration,
-        stopped_early=stopped,
-    )
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +604,8 @@ def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
         for i, (m, v) in enumerate(zip(opt.m, opt.v)):
             named[f"{slot}.m[{i}]"] = m
             named[f"{slot}.v[{i}]"] = v
-    named["meta.iteration"] = np.array([[float(state.iteration)]])
-    named["meta.work"] = np.array([[float(state.work)]])
-    named["meta.best_val_acc"] = np.array([[state.best_val_acc]])
-    named["meta.best_iter"] = np.array([[float(state.best_iter)]])
-    named["meta.evals_since_best"] = np.array([[float(state.evals_since_best)]])
+    for name, _kind in _COUNTERS:
+        named[f"meta.{name}"] = np.array([[float(getattr(state, name))]])
     named["meta.method"] = np.array([[float(list(METHODS).index(method))]])
     if state.loss_window:  # a stop between evaluations
         named["meta.loss_window"] = np.array([state.loss_window])
@@ -657,14 +637,10 @@ def state_from_named(named: dict, cfg: TrainConfig):
         lam=lam,
         opt_theta=opt_from("opt_theta", theta_arrays),
         opt_lam=opt_from("opt_lam", lam_arrays),
-        iteration=int(_tensor(named, "meta.iteration")[0, 0]),
-        work=int(_tensor(named, "meta.work")[0, 0]),
-        best_val_acc=float(_tensor(named, "meta.best_val_acc")[0, 0]),
-        best_iter=int(_tensor(named, "meta.best_iter")[0, 0]),
         best_theta=best_theta,
         best_lam=best_lam,
-        evals_since_best=int(_tensor(named, "meta.evals_since_best")[0, 0]),
         loss_window=[] if window is None else window[0].tolist(),
+        **{name: kind(_tensor(named, f"meta.{name}")[0, 0]) for name, kind in _COUNTERS},
     )
     method = _code(named, "meta.method", dict(enumerate(METHODS)))
     if (METHODS[method][1] is None) != isinstance(lam, setfunc.IdentitySet):

@@ -144,8 +144,8 @@ def cmd_train(args) -> int:
         saved_at = state.iteration
 
     try:
-        result = bl.meta_train(dataset, train_cfg, method, state=state,
-                               on_eval=on_eval, stop_iteration=args.stop_after)
+        bl.meta_train(dataset, train_cfg, method, state=state,
+                      on_eval=on_eval, stop_iteration=args.stop_after)
     except bl.TrainingDiverged as e:
         metrics.close()
         print(f"error: {e}", file=sys.stderr)
@@ -156,19 +156,19 @@ def cmd_train(args) -> int:
         bl.save_checkpoint(out_dir / "final.ckpt",
                            bl.state_to_named(state, train_cfg, method))
     bl.save_checkpoint(out_dir / "best.ckpt",
-                       bl.model_to_named(result.best_theta, result.best_lam,
+                       bl.model_to_named(state.best_theta, state.best_lam,
                                          train_cfg))
-    _write_prototypes(out_dir / "prototypes.csv", result.best_theta,
-                      result.best_lam, dataset, method, train_cfg.seed)
+    _write_prototypes(out_dir / "prototypes.csv", state.best_theta,
+                      state.best_lam, dataset, method, train_cfg.seed)
 
-    history = result.history
+    history = state.history
     report = {
         "method": method,
         "seed": train_cfg.seed,
-        "iterations": result.iterations,
-        "stopped_early": result.stopped_early,
-        "best_val_acc": result.best_val_acc,
-        "best_iter": result.best_iter,
+        "iterations": state.iteration,
+        "stopped_early": state.stopped_early,
+        "best_val_acc": state.best_val_acc,
+        "best_iter": state.best_iter,
         "wall_seconds": time.perf_counter() - t0,
         # the training-loss-vs-validation-loss observation is recorded,
         # not asserted: harder augmented tasks show up as higher train loss
@@ -185,8 +185,8 @@ def cmd_train(args) -> int:
         json.dumps(report, indent=2) + "\n", encoding="utf-8"
     )
     print(
-        f"method={method} iters={result.iterations} "
-        f"best_val_acc={result.best_val_acc:.4f} at {result.best_iter}"
+        f"method={method} iters={state.iteration} "
+        f"best_val_acc={state.best_val_acc:.4f} at {state.best_iter}"
     )
     return 0
 
@@ -256,40 +256,31 @@ def cmd_theory_check(args) -> int:
 # ablations
 
 
-def _ablate_settings(axis, cfg):
-    if axis == "strategy":
-        return [(s, lambda c, s=s: replace(c, train=replace(
-            c.train, interp=replace(c.train.interp, strategy=s)))) for s in itp.STRATEGIES]
-    if axis == "layer":
-        depth = len(cfg.train.encoder_widths)
-        return [(str(l), lambda c, l=l: replace(c, train=replace(
-            c.train, interp=replace(c.train.interp, layer=l)))) for l in range(depth)]
-    if axis == "cardinality":
-        return [(str(n), lambda c, n=n: replace(c, train=replace(
-            c.train, interp=replace(c.train.interp, cardinality=n)))) for n in (2, 3, 4, 5)]
-    if axis == "setfunc":
-        return [(k, lambda c, k=k: replace(c, train=replace(c.train, set_kind=k)))
-                for k in ("simple", "full", "deepsets")]
-    if axis == "num-train-tasks":
-        return [(str(t), lambda c, t=t: replace(c, gen=replace(c.gen, train_tasks=t)))
-                for t in (2, 3, 5, 8)]
-    if axis == "num-val-tasks":
-        return [(str(t), lambda c, t=t: replace(c, gen=replace(c.gen, val_tasks=t)))
-                for t in (1, 2, 4)]
-    raise ValueError(f"unknown axis {axis!r}")
+# axis -> (config key, settings); None spans the encoder depth
+_ABLATE_AXES = {
+    "strategy": ("strategy", itp.STRATEGIES),
+    "layer": ("interp_layer", None),
+    "cardinality": ("cardinality", (2, 3, 4, 5)),
+    "setfunc": ("set_kind", ("simple", "full", "deepsets")),
+    "num-train-tasks": ("train_tasks", (2, 3, 5, 8)),
+    "num-val-tasks": ("val_tasks", (1, 2, 4)),
+}
 
 
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.set)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    key, settings = _ABLATE_AXES[args.axis]
+    if settings is None:
+        settings = range(len(cfg.train.encoder_widths))
     rows = []
-    for setting, apply_fn in _ablate_settings(args.axis, cfg):
-        varied = apply_fn(cfg)
+    for setting in settings:
+        varied = load_run_config(args.config, [*args.set, f"{key}={setting}"])
         ds = ep.gen_gaussian_tasks(varied.gen)
         for seed in seeds:
             train_cfg = replace(varied.train, seed=seed)
-            result = bl.meta_train(ds, train_cfg, "meta-interp")
-            mean, half = pn.accuracy(result.best_lam, result.best_theta,
+            state = bl.meta_train(ds, train_cfg, "meta-interp")
+            mean, half = pn.accuracy(state.best_lam, state.best_theta,
                                      ds.meta_test, train_cfg.eval_episodes,
                                      seed, train_cfg.metric,
                                      threads=args.threads)
@@ -348,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="theory_report.json")
 
     p = sub.add_parser("ablate", help="sweep one design axis")
-    p.add_argument("--axis", required=True,
-                   choices=["strategy", "layer", "cardinality", "setfunc",
-                            "num-train-tasks", "num-val-tasks"])
+    p.add_argument("--axis", required=True, choices=_ABLATE_AXES)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", default="0")
@@ -376,7 +365,7 @@ def main(argv=None) -> int:
             return cmd_ablate(args)
     except ConfigError as e:
         parser.error(str(e))  # exits 2
-    except (ep.ParseError, ep.TaskError, FileNotFoundError, ValueError) as e:
+    except (ep.ParseError, ep.TaskError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

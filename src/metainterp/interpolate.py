@@ -53,6 +53,8 @@ class InterpConfig:
             raise ValueError(f"strategy {self.strategy!r} not in {STRATEGIES}")
         if not 2 <= self.cardinality <= 5:
             raise ValueError("cardinality must be in 2..5")
+        if not self.noise_std >= 0:  # NaN fails too
+            raise ValueError(f"noise_std {self.noise_std} must be >= 0")
 
 
 def pair_classes(way: int, rng: np.random.Generator) -> ClassPairing:

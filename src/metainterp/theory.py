@@ -87,17 +87,13 @@ def _pair_alphas(problem: TheoryProblem, k: int):
     return alphas, h, hp
 
 
-def delta_k(problem: TheoryProblem, k: int, diff_scale: float = 1.0,
-            frozen_alphas: Optional[np.ndarray] = None) -> np.ndarray:
+def delta_k(problem: TheoryProblem, k: int, diff_scale: float = 1.0) -> np.ndarray:
     """Expected attention-weighted, upper-mapped difference vector for
     class k: the exact double sum over the finite support index sets.
 
     diff_scale multiplies the representation differences while the
-    attention coefficients stay at their unscaled values (frozen_alphas
-    overrides them entirely)."""
+    attention coefficients stay at their unscaled values."""
     alphas, h, hp = _pair_alphas(problem, k)
-    if frozen_alphas is not None:
-        alphas = frozen_alphas
     M, _b = setfunc.effective_affine(problem.set_params)
     G = problem.upper.w
     acc = np.zeros(G.shape[1])
@@ -258,11 +254,6 @@ class LogisticSpecialCase:
         z = self.z_values()
         psi = np.exp(z) / (1.0 + np.exp(z))
         return float(np.mean(0.25 * psi * (psi - 0.5) / (1.0 + np.exp(z))))
-
-    def gradient_coefficient(self) -> float:
-        z = self.z_values()
-        psi = np.exp(z) / (1.0 + np.exp(z))
-        return float(np.mean(0.5 * psi / (1.0 + np.exp(z))))
 
 
 def delta_sum(case: LogisticSpecialCase, task_tp: ep.Task, sigma) -> np.ndarray:

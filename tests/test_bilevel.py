@@ -438,7 +438,7 @@ class TestMetaTrain:
         cfg = short_cfg(max_iters=2000, update_period=5, patience=3)
         res = bl.meta_train(ds, cfg, "protonet")
         assert res.stopped_early
-        assert res.iterations < 2000
+        assert res.iteration < 2000
 
 
 class TestPrunedGradients:

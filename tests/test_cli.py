@@ -277,6 +277,9 @@ class TestTrain:
         ["--set", "val_batch_size=-2"],
         ["--set", "mlti_beta=-1,2"],
         ["--set", "mlti_beta=1"],
+        ["--set", "strategy=support_noise", "--set", "noise_std=-1"],
+        ["--set", "noise_std=nan"],
+        ["--set", "patience=-3"],
     ])
     def test_bad_config_value_is_usage_error_before_training(self, workspace,
                                                              capsys, bad):
@@ -366,6 +369,23 @@ class TestEval:
         rc, err = self._eval_broken_ckpt(workspace, capsys, drop_slope)
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error:") and "meta.slope" in err[0]
+
+
+class TestPathErrors:
+    @pytest.mark.parametrize("argv", [
+        ["gen-tasks", "--out", "{tmp}"],
+        ["train", "--tasks", "{tmp}", "--out-dir", "{tmp}/run"],
+        ["train", "--tasks", "{tasks}", "--out-dir", "{tasks}"],
+        ["eval", "--ckpt", "{tmp}", "--tasks", "{tasks}"],
+    ])
+    def test_directory_or_file_in_wrong_place_is_one_line_error(
+            self, workspace, capsys, argv):
+        tmp, _, tasks = workspace
+        capsys.readouterr()
+        rc = cli.main([a.format(tmp=tmp, tasks=tasks) for a in argv])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 class TestTheoryCheck:
