@@ -22,6 +22,15 @@ differentiable. `matmul_nt` (a b^T) and `matmul_tn` (a^T b) are products
 with a transposed operand; the VJPs of the three matmuls close over them,
 so no transpose is ever a node of its own.
 
+Multi-head attention runs its heads as row blocks of one matrix.
+`heads_to_rows` moves column block j of an (m, h k) matrix to row block j
+of an (h m, k) one and `rows_to_heads` moves it back; each is the other's
+VJP. The block-batched trio `bmm` (a_j b_j), `bmm_nt` (a_j b_j^T) and
+`bmm_tn` (a_j^T b_j) multiply row block j of a by row block j of b for
+all h blocks in one node, and their VJPs close over each other as the
+2-D trio's do. The 2-D trio stays separate, so paths without heads record
+exactly what they did.
+
 Every VJP is called as vjp(g, need, node), and `grad` passes the node
 itself, so a VJP that needs its node's own output (`exp`, `div`,
 softmax, log-softmax, row normalization) holds no reference to the node,
@@ -192,6 +201,86 @@ def matmul_tn(a, b) -> DiffValue:
                 matmul(a, g) if need[1] else None)
 
     return _make(out, (a, b), vjp)
+
+
+def _blocks(x: DiffValue, h: int, op: str) -> np.ndarray:
+    """The (h, rows / h, cols) view of the h row blocks of x."""
+    m, n = x.shape
+    if h < 1 or m % h:
+        raise ShapeError(f"{op}: {m} rows do not split into {h} blocks")
+    return x.data.reshape(h, m // h, n)
+
+
+def bmm(a, b, h: int) -> DiffValue:
+    """a_j b_j for the h row blocks: (h m, k) x (h k, n) -> (h m, n)."""
+    a, b = _lift(a), _lift(b)
+    a3, b3 = _blocks(a, h, "bmm"), _blocks(b, h, "bmm")
+    if a3.shape[2] != b3.shape[1]:
+        raise ShapeError(f"bmm inner dims differ: {a3.shape} x {b3.shape}")
+    out = np.matmul(a3, b3).reshape(-1, b3.shape[2])
+
+    def vjp(g, need, node):
+        return (bmm_nt(g, b, h) if need[0] else None,
+                bmm_tn(a, g, h) if need[1] else None)
+
+    return _make(out, (a, b), vjp)
+
+
+def bmm_nt(a, b, h: int) -> DiffValue:
+    """a_j b_j^T for the h row blocks: (h m, k) x (h n, k) -> (h m, n)."""
+    a, b = _lift(a), _lift(b)
+    a3, b3 = _blocks(a, h, "bmm_nt"), _blocks(b, h, "bmm_nt")
+    if a3.shape[2] != b3.shape[2]:
+        raise ShapeError(f"bmm_nt inner dims differ: {a3.shape} x {b3.shape}^T")
+    out = np.matmul(a3, b3.transpose(0, 2, 1)).reshape(-1, b3.shape[1])
+
+    def vjp(g, need, node):
+        return (bmm(g, b, h) if need[0] else None,
+                bmm_tn(g, a, h) if need[1] else None)
+
+    return _make(out, (a, b), vjp)
+
+
+def bmm_tn(a, b, h: int) -> DiffValue:
+    """a_j^T b_j for the h row blocks: (h k, m) x (h k, n) -> (h m, n)."""
+    a, b = _lift(a), _lift(b)
+    a3, b3 = _blocks(a, h, "bmm_tn"), _blocks(b, h, "bmm_tn")
+    if a3.shape[1] != b3.shape[1]:
+        raise ShapeError(f"bmm_tn inner dims differ: {a3.shape}^T x {b3.shape}")
+    out = np.matmul(a3.transpose(0, 2, 1), b3).reshape(-1, b3.shape[2])
+
+    def vjp(g, need, node):
+        return (bmm_nt(b, g, h) if need[0] else None,
+                bmm(a, g, h) if need[1] else None)
+
+    return _make(out, (a, b), vjp)
+
+
+def heads_to_rows(x, h: int) -> DiffValue:
+    """(m, h k) -> (h m, k): column block j becomes row block j."""
+    x = _lift(x)
+    m, n = x.shape
+    if h < 1 or n % h:
+        raise ShapeError(f"heads_to_rows: {n} columns do not split into {h} heads")
+    out = np.ascontiguousarray(x.data.reshape(m, h, n // h).transpose(1, 0, 2))
+
+    def vjp(g, need, node):
+        return (rows_to_heads(g, h),)
+
+    return _make(out.reshape(h * m, n // h), (x,), vjp)
+
+
+def rows_to_heads(x, h: int) -> DiffValue:
+    """(h m, k) -> (m, h k): row block j becomes column block j."""
+    x = _lift(x)
+    x3 = _blocks(x, h, "rows_to_heads")
+    m, k = x3.shape[1:]
+    out = np.ascontiguousarray(x3.transpose(1, 0, 2))
+
+    def vjp(g, need, node):
+        return (heads_to_rows(g, h),)
+
+    return _make(out.reshape(m, h * k), (x,), vjp)
 
 
 def _binary_shapes(a, b, op):
@@ -416,18 +505,21 @@ def concat_rows(a, b) -> DiffValue:
     return _make(out, (a, b), vjp)
 
 
-def concat_cols(a, b) -> DiffValue:
-    a, b = _lift(a), _lift(b)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: heights differ {a.shape} vs {b.shape}")
-    out = np.ascontiguousarray(np.concatenate([a.data, b.data], axis=1))
-    na = a.shape[1]
+def concat_cols(*parts) -> DiffValue:
+    """The parts side by side, in one node."""
+    parts = tuple(_lift(p) for p in parts)
+    if not parts:
+        raise ShapeError("concat_cols needs at least one part")
+    if len({p.shape[0] for p in parts}) > 1:
+        raise ShapeError(f"concat_cols: heights differ {[p.shape for p in parts]}")
+    out = np.ascontiguousarray(np.concatenate([p.data for p in parts], axis=1))
+    edges = np.cumsum([0] + [p.shape[1] for p in parts]).tolist()
 
     def vjp(g, need, node):
-        return (slice_cols(g, 0, na) if need[0] else None,
-                slice_cols(g, na, out.shape[1]) if need[1] else None)
+        return tuple(slice_cols(g, j0, j1) if n else None
+                     for n, j0, j1 in zip(need, edges, edges[1:]))
 
-    return _make(out, (a, b), vjp)
+    return _make(out, parts, vjp)
 
 
 def slice_rows(a, i0: int, i1: int) -> DiffValue:

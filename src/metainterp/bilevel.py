@@ -590,11 +590,14 @@ def _strip(named: dict, prefix: str) -> dict:
 
 
 def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
+    """The state's tensors; the best model is written only when it is not
+    the current one (a state saved at a new best leaves it out)."""
     named = model_to_named(state.theta, state.lam, cfg)
-    for name, arr in _params.named_arrays(state.best_theta):
-        named[f"best_theta.{name}"] = arr
-    for name, arr in _params.named_arrays(state.best_lam):
-        named[f"best_lam.{name}"] = arr
+    if state.best_iter != state.iteration:
+        for name, arr in _params.named_arrays(state.best_theta):
+            named[f"best_theta.{name}"] = arr
+        for name, arr in _params.named_arrays(state.best_lam):
+            named[f"best_lam.{name}"] = arr
     for slot, opt in (("opt_theta", state.opt_theta), ("opt_lam", state.opt_lam)):
         if opt is None:
             continue
@@ -614,9 +617,11 @@ def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
 
 def state_from_named(named: dict, cfg: TrainConfig):
     theta, lam, _metric = model_from_named(named)
-    best_theta = _params.from_named_arrays(theta, _strip(named, "best_theta."))
-    best_lam_named = _strip(named, "best_lam.")
-    best_lam = _params.from_named_arrays(lam, best_lam_named) if best_lam_named else lam
+    # a missing best model is a copy of the current one
+    best_theta, best_lam = (
+        _params.from_named_arrays(model, best) if best else _params.values(model)
+        for model, best in ((theta, _strip(named, "best_theta.")),
+                            (lam, _strip(named, "best_lam."))))
 
     def opt_from(slot, template_arrays):
         key = f"{slot}.meta"

@@ -195,15 +195,27 @@ def cmd_train(args) -> int:
 # eval
 
 
+def _seed_list(text: str, parser) -> list:
+    """The distinct non-negative integers of the comma-separated --seeds;
+    anything else, or none, ends in a usage error (exit 2)."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        seeds = None
+    if seeds is None or any(s < 0 for s in seeds) or len(set(seeds)) < len(seeds):
+        parser.error(f"--seeds must be distinct non-negative integers, got {text!r}")
+    if not seeds:
+        parser.error("--seeds must list at least one seed")
+    return seeds
+
+
 def cmd_eval(args, parser) -> int:
     if args.episodes < 1:
         parser.error("--episodes must be positive")
+    seeds = _seed_list(args.seeds, parser)
     named = bl.load_checkpoint(args.ckpt)
     theta, lam, metric = bl.model_from_named(named)
     dataset = ep.load_tasks(args.tasks)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if not seeds:
-        parser.error("--seeds must list at least one seed")
 
     results = pn.accuracy(lam, theta, dataset.meta_test, args.episodes,
                           seeds, metric, threads=args.threads)
@@ -267,9 +279,9 @@ _ABLATE_AXES = {
 }
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args, parser) -> int:
+    seeds = _seed_list(args.seeds, parser)
     cfg = load_run_config(args.config, args.set)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     key, settings = _ABLATE_AXES[args.axis]
     if settings is None:
         settings = range(len(cfg.train.encoder_widths))
@@ -362,7 +374,7 @@ def main(argv=None) -> int:
         if args.command == "theory-check":
             return cmd_theory_check(args)
         if args.command == "ablate":
-            return cmd_ablate(args)
+            return cmd_ablate(args, parser)
     except ConfigError as e:
         parser.error(str(e))  # exits 2
     except (ep.ParseError, ep.TaskError, OSError, ValueError) as e:

@@ -17,13 +17,20 @@ a constant additive mask on the scores. At set_size 1 every attention
 weight is exactly 1, so the scores are skipped and a singleton costs what
 its closed form costs. Vectors are carried as rows throughout; the classic
 column-convention output is the transpose of ours.
+
+The full form runs all heads of an attention block in one set of nodes:
+the heads' weights sit side by side, so one affine gives every head's
+projection, and the heads are then stacked as row blocks, (m, H k) ->
+(H m, k), for the block-batched score and weighting products and one
+row normalization.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import singledispatch
+from functools import cached_property, singledispatch
 from typing import Optional
 
 import numpy as np
@@ -60,21 +67,25 @@ def _split(n_rows: int, set_size: Optional[int]):
 _OFF = -1e30  # additive score mask: exp underflows to exactly 0
 
 
-def _set_masks(n: int, sets: int):
+def _set_masks(n: int, sets: int, heads: int = 1):
     """Additive score masks that keep attention inside each set: (N, N) for
-    self-attention and (P, N) for pooling. None where no mask is needed
-    (one set, or singletons, whose attention is skipped)."""
+    self-attention and (P, N) for pooling, repeated down the rows once per
+    head. None where no mask is needed (one set, or singletons, whose
+    attention is skipped)."""
     if n == 1 or sets == 1:
         return None, None
     member = np.kron(np.eye(sets), np.ones((1, n)))  # (P, N): row p marks set p
     within = np.where(member.T @ member > 0.0, 0.0, _OFF)
     pool = np.where(member > 0.0, 0.0, _OFF)
-    return DiffValue(within), DiffValue(pool)
+    return DiffValue(np.tile(within, (heads, 1))), DiffValue(np.tile(pool, (heads, 1)))
 
 
-def _weights(q, k, mask) -> DiffValue:
-    """Attention weights softmax(q k^T / sqrt(width) + mask), row by row."""
-    scores = ad.scale(ad.matmul_nt(q, k), 1.0 / math.sqrt(q.shape[1]))
+def _weights(q, k, mask, heads: int = 1) -> DiffValue:
+    """Attention weights softmax(q k^T / sqrt(width) + mask), row by row;
+    with heads > 1, q and k hold the heads as row blocks and block j of q
+    scores against block j of k."""
+    qk = ad.matmul_nt(q, k) if heads == 1 else ad.bmm_nt(q, k, heads)
+    scores = ad.scale(qk, 1.0 / math.sqrt(q.shape[1]))
     if mask is not None:
         scores = ad.add(scores, mask)
     return ad.softmax_rows(scores)
@@ -219,6 +230,15 @@ class AttnBlock:
     ln_gain: np.ndarray  # (1, d_h)
     ln_bias: np.ndarray
 
+    @cached_property
+    def packed(self) -> AttnHead:
+        """Every head tensor of the block with the heads side by side, head
+        j in column block j: one `concat_cols` node each, built once per
+        block. Binding makes new blocks and no leaf changes in place, so
+        the cache never outlives its leaves."""
+        return AttnHead(*(ad.concat_cols(*(getattr(hd, f.name) for hd in self.heads))
+                          for f in dataclasses.fields(AttnHead)))
+
 
 @dataclass
 class FullSetTransformerParams:
@@ -286,21 +306,24 @@ def init_full(d: int, d_h: Optional[int] = None, rng: Optional[np.random.Generat
 
 
 def _attend(block: AttnBlock, queries, keys_values, mask, one_key: bool) -> DiffValue:
-    """Multi-head attention with per-head layer norm on Q + softmax(QK/s)V.
+    """Multi-head attention with per-head layer norm on Q + softmax(QK/s)V,
+    the heads' outputs side by side.
 
-    mask is the additive score mask of `_set_masks`; with one_key (every
+    The heads run as row blocks of one matrix. mask is the additive score
+    mask of `_set_masks`, repeated once per head; with one_key (every
     query's set is the single matching row of keys_values) the weights are
     1 and V is used as it is."""
-    outs = None
-    for head in block.heads:
-        q = ad.affine(queries, head.wq, head.bq)
-        k = None if one_key else ad.affine(keys_values, head.wk, head.bk)
-        v = ad.affine(keys_values, head.wv, head.bv)
-        if k is not None:
-            v = ad.matmul(_weights(q, k, mask), v)
-        a = ad.layer_norm(ad.add(q, v), head.ln_gain, head.ln_bias)
-        outs = a if outs is None else ad.concat_cols(outs, a)
-    return outs
+    w, h = block.packed, len(block.heads)
+    q = ad.affine(queries, w.wq, w.bq)
+    v = ad.affine(keys_values, w.wv, w.bv)
+    if one_key:
+        a = ad.heads_to_rows(ad.add(q, v), h)
+    else:
+        q = ad.heads_to_rows(q, h)
+        k = ad.heads_to_rows(ad.affine(keys_values, w.wk, w.bk), h)
+        v = ad.bmm(_weights(q, k, mask, h), ad.heads_to_rows(v, h), h)
+        a = ad.add(q, v)
+    return ad.scale_shift(ad.rows_to_heads(ad.normalize_rows(a), h), w.ln_gain, w.ln_bias)
 
 
 def _block_mix(block: AttnBlock, o, first_block: bool) -> DiffValue:
@@ -341,7 +364,7 @@ def full_forward(p: FullSetTransformerParams, elems, masks=None,
     """
     x = _stack(elems)
     n, sets = _split(x.shape[0], set_size)
-    within, pool = _set_masks(n, sets)
+    within, pool = _set_masks(n, sets, N_HEADS)
     one = n == 1
     g1 = _block_mix(p.block1, _attend(p.block1, x, x, within, one), first_block=True)
     h2 = _block_mix(p.block2, _attend(p.block2, g1, g1, within, one), first_block=False)

@@ -81,6 +81,34 @@ class TestForwardValues:
         np.testing.assert_array_equal(ad.slice_cols(cat, 0, 2).data, a)
         np.testing.assert_array_equal(ad.slice_cols(cat, 2, 6).data, b)
 
+    def test_concat_cols_many_parts(self, rng):
+        parts = [rng.standard_normal((3, w)) for w in (2, 1, 4)]
+        np.testing.assert_array_equal(ad.concat_cols(*parts).data, np.hstack(parts))
+
+    def test_block_products_match_per_block(self, rng):
+        # row block j of a with row block j of b, for h = 3 blocks
+        a, b = rng.standard_normal((6, 4)), rng.standard_normal((12, 5))
+        c, d = rng.standard_normal((9, 4)), rng.standard_normal((6, 5))
+        cases = [
+            (ad.bmm(a, b, 3), [a[2 * j:2 * j + 2] @ b[4 * j:4 * j + 4] for j in range(3)]),
+            (ad.bmm_nt(a, c, 3), [a[2 * j:2 * j + 2] @ c[3 * j:3 * j + 3].T for j in range(3)]),
+            (ad.bmm_tn(a, d, 3), [a[2 * j:2 * j + 2].T @ d[2 * j:2 * j + 2] for j in range(3)]),
+        ]
+        for got, blocks in cases:
+            np.testing.assert_array_equal(got.data, np.vstack(blocks))
+        with pytest.raises(ad.ShapeError):
+            ad.bmm(a, b, 4)  # 6 rows do not split into 4 blocks
+        with pytest.raises(ad.ShapeError):
+            ad.bmm_nt(a, b, 3)  # widths 4 and 5 differ
+
+    def test_head_relayout_roundtrip(self, rng):
+        x = rng.standard_normal((3, 8))
+        rows = ad.heads_to_rows(x, 4).data
+        np.testing.assert_array_equal(rows, np.vstack([x[:, 2 * j:2 * j + 2] for j in range(4)]))
+        np.testing.assert_array_equal(ad.rows_to_heads(rows, 4).data, x)
+        with pytest.raises(ad.ShapeError):
+            ad.heads_to_rows(x, 3)
+
     def test_scalar_helpers(self):
         assert ad.mean_all([[1.0, 2.0], [3.0, 4.0]]).item() == 2.5
         assert ad.sum_all([[1.0, 2.0]]).item() == 3.0
@@ -138,6 +166,18 @@ class TestGradients:
         ("scale_shift_bias", (1, 3), lambda x, c: ad.sum_all(ad.exp(ad.scale_shift(c[:6].reshape(2, 3), c[6:9].reshape(1, 3), x)))),
         ("scale_shift_row", (1, 3), lambda x, c: ad.sum_all(ad.exp(ad.scale_shift(ad.mul(x, x), x, x)))),
         ("scale_shift_no_bias", (2, 3), lambda x, c: ad.sum_all(ad.exp(ad.scale_shift(x, ad.slice_rows(x, 0, 1))))),
+        ("concat_3", (2, 2), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.concat_cols(x, c[:4].reshape(2, 2), ad.mul(x, x))), c[4:16].reshape(2, 6)))),
+        ("bmm_l", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.bmm(x, c[:12].reshape(6, 2), 2)))),
+        ("bmm_r", (6, 2), lambda x, c: ad.sum_all(ad.exp(ad.bmm(c[:12].reshape(4, 3), x, 2)))),
+        ("bmm_self", (4, 2), lambda x, c: ad.sum_all(ad.mul(ad.bmm(x, x, 2), c[:8].reshape(4, 2)))),
+        ("bmm_nt_l", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.bmm_nt(x, c[:12].reshape(4, 3), 2)))),
+        ("bmm_nt_r", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.bmm_nt(c[:12].reshape(4, 3), x, 2)))),
+        ("bmm_nt_self", (4, 3), lambda x, c: ad.sum_all(ad.mul(ad.bmm_nt(x, x, 2), c[:8].reshape(4, 2)))),
+        ("bmm_tn_l", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.bmm_tn(x, c[:8].reshape(4, 2), 2)))),
+        ("bmm_tn_r", (4, 2), lambda x, c: ad.sum_all(ad.exp(ad.bmm_tn(c[:12].reshape(4, 3), x, 2)))),
+        ("bmm_tn_self", (4, 2), lambda x, c: ad.sum_all(ad.mul(ad.bmm_tn(x, x, 2), c[:8].reshape(4, 2)))),
+        ("heads_to_rows", (2, 6), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.heads_to_rows(x, 3)), c[:12].reshape(6, 2)))),
+        ("rows_to_heads", (6, 2), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.rows_to_heads(x, 3)), c[:12].reshape(2, 6)))),
     ]
 
     @pytest.mark.parametrize("name,shape,build", CASES, ids=[c[0] for c in CASES])
@@ -202,16 +242,43 @@ class TestSecondOrder:
         (hvp,) = ad.grad(inner, [x])
         return hvp.data
 
+    # block-batched ops over h = 2 row blocks, on operands that depend on x
+    # (dep) or are constant (fix), each (n, 4)
+    BLOCK_HVP = {
+        "bmm_l": lambda dep, fix: ad.bmm(dep(4), fix(8), 2),
+        "bmm_r": lambda dep, fix: ad.bmm(fix(4), dep(8), 2),
+        "bmm_both": lambda dep, fix: ad.bmm(dep(4), dep(8), 2),
+        "bmm_nt_l": lambda dep, fix: ad.bmm_nt(dep(4), fix(6), 2),
+        "bmm_nt_r": lambda dep, fix: ad.bmm_nt(fix(4), dep(6), 2),
+        "bmm_nt_both": lambda dep, fix: ad.bmm_nt(dep(4), dep(6), 2),
+        "bmm_tn_l": lambda dep, fix: ad.bmm_tn(dep(4), fix(4), 2),
+        "bmm_tn_r": lambda dep, fix: ad.bmm_tn(fix(4), dep(4), 2),
+        "bmm_tn_both": lambda dep, fix: ad.bmm_tn(dep(4), ad.mul(dep(4), dep(4)), 2),
+        "heads_to_rows": lambda dep, fix: ad.heads_to_rows(ad.mul(dep(3), dep(3)), 2),
+        "rows_to_heads": lambda dep, fix: ad.rows_to_heads(ad.mul(dep(4), dep(4)), 2),
+        "concat_3": lambda dep, fix: ad.concat_cols(dep(2), fix(2), ad.mul(dep(2), dep(2))),
+    }
+
     @pytest.mark.parametrize(
         "case", ["exp_quad", "softmax", "layernorm", "log_softmax", "sq_dists",
-                 "matmul_nt", "matmul_tn", "affine", "affine_rows", "scale_shift"]
+                 "matmul_nt", "matmul_tn", "affine", "affine_rows", "scale_shift",
+                 *BLOCK_HVP]
     )
     def test_hvp_matches_fd_of_gradient(self, case, rng):
         shape = (1, 4)
         c = rng.standard_normal((4, 4))
         C = DiffValue.const(c)
 
-        if case == "matmul_nt":
+        if case in self.BLOCK_HVP:
+            cs = rng.standard_normal((2, 8, 4))
+
+            def build(x):
+                out = self.BLOCK_HVP[case](
+                    lambda n: ad.mul(ad.tile_rows(x, n), DiffValue.const(cs[0, :n])),
+                    lambda n: DiffValue.const(cs[1, :n]))
+                w = DiffValue.const(np.resize(cs, out.shape))
+                return ad.sum_all(ad.mul(ad.exp(ad.scale(out, 0.3)), w))
+        elif case == "matmul_nt":
             # both operands depend on x, so both halves of the VJP count
             def build(x):
                 return ad.sum_all(ad.exp(ad.matmul_nt(x, ad.matmul(x, C))))
@@ -329,6 +396,27 @@ class TestSecondOrder:
         assert abs(got - want) <= 1e-4 * max(abs(want), 1.0)
 
 
+    def test_third_order_through_bmm_nt(self, rng):
+        # as above, through the block-batched products of each VJP
+        c, v, w, u, x0 = (rng.standard_normal((4, 3)) for _ in range(5))
+
+        def hvp_dot_w(x0, create_graph=False):
+            tape = Tape()
+            x = tape.param(x0)
+            f = ad.sum_all(ad.exp(ad.scale(ad.bmm_nt(x, ad.mul(x, DiffValue.const(c)), 2), 0.5)))
+            (g,) = ad.grad(f, [x], create_graph=True)
+            (hv,) = ad.grad(ad.sum_all(ad.mul(g, DiffValue.const(v))), [x],
+                            create_graph=create_graph)
+            return x, ad.sum_all(ad.mul(hv, DiffValue.const(w)))
+
+        x, s = hvp_dot_w(x0, create_graph=True)
+        (third,) = ad.grad(s, [x])
+        h = 1e-4
+        want = (hvp_dot_w(x0 + h * u)[1].item() - hvp_dot_w(x0 - h * u)[1].item()) / (2 * h)
+        got = float(np.sum(third.data * u))
+        assert abs(got - want) <= 1e-4 * max(abs(want), 1.0)
+
+
 class TestPrunedSweep:
     def _graph(self, rng):
         tape = Tape()
@@ -396,6 +484,12 @@ class TestDeterminism:
         ("matmul_tn", (3, 4), lambda x: ad.matmul_tn(x, x)),
         ("affine", (3, 4), lambda x: ad.affine(x, np.ones((4, 2)), np.zeros((1, 2)))),
         ("scale_shift", (3, 4), lambda x: ad.scale_shift(x, np.ones((1, 4)), np.zeros((1, 4)))),
+        ("bmm", (4, 2), lambda x: ad.bmm(x, x, 2)),
+        ("bmm_nt", (4, 3), lambda x: ad.bmm_nt(x, x, 2)),
+        ("bmm_tn", (4, 3), lambda x: ad.bmm_tn(x, x, 2)),
+        ("heads_to_rows", (3, 4), lambda x: ad.heads_to_rows(x, 2)),
+        ("rows_to_heads", (4, 3), lambda x: ad.rows_to_heads(x, 2)),
+        ("concat_cols_3", (3, 4), lambda x: ad.concat_cols(x, x, np.ones((3, 2)))),
     ]
 
     @pytest.mark.parametrize("name,shape,op", FUSED, ids=[f[0] for f in FUSED])

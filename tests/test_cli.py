@@ -148,6 +148,10 @@ class TestTrain:
         with pytest.raises(Crash):
             cli.main(argv + ["--out-dir", str(crashed)])
         monkeypatch.undo()
+        # at a new best the best model is the current one, so it is not written
+        named = bl.load_checkpoint(crashed / "final.ckpt")
+        assert int(named["meta.best_iter"][0, 0]) == 30
+        assert not any(k.startswith("best_") for k in named)
         cli.main(argv + ["--out-dir", str(crashed),
                          "--resume", str(crashed / "final.ckpt")])
         for name in ("metrics.csv", "final.ckpt", "best.ckpt"):
@@ -342,6 +346,19 @@ class TestEval:
         want = 1.96 * np.std(means, ddof=1) / np.sqrt(3)
         assert payload["ci95"] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("seeds", ["x", "0,x", "-1", "0,0"])
+    def test_bad_seed_list_is_usage_error(self, workspace, seeds, capsys):
+        tmp, cfg, tasks = workspace
+        out = tmp / "run"
+        cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
+                  "--out-dir", str(out), "--seed", "1"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as e:
+            cli.main(["eval", "--ckpt", str(out / "best.ckpt"),
+                      "--tasks", str(tasks), "--seeds", seeds])
+        assert e.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
     def _eval_broken_ckpt(self, workspace, capsys, edit):
         tmp, cfg, tasks = workspace
         out = tmp / "run"
@@ -452,6 +469,23 @@ class TestAblate:
                   "--set", "eval_episodes=20"])
         rows = out.read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["0", "1"]
+
+    @pytest.mark.parametrize("seeds", ["x", "0,x", ",", "", "-1", "0,0"])
+    def test_bad_seed_list_is_usage_error_before_training(
+            self, workspace, tmp_path, monkeypatch, seeds, capsys):
+        _, cfg, _ = workspace
+
+        def boom(*a, **k):
+            raise AssertionError("meta_train called")
+
+        monkeypatch.setattr(bl, "meta_train", boom)
+        out = tmp_path / "ablate.csv"
+        with pytest.raises(SystemExit) as e:
+            cli.main(["ablate", "--axis", "strategy", "--config", str(cfg),
+                      "--out", str(out), "--seeds", seeds])
+        assert e.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_eval_episodes_is_usage_error_before_training(
             self, workspace, tmp_path, monkeypatch):

@@ -289,3 +289,80 @@ class TestBatchedSets:
         for s in range(2):
             np.testing.assert_array_equal(m2[3 * s:3 * s + 3], ref.random((3, 8)) < 0.7)
             np.testing.assert_array_equal(m3[s:s + 1], ref.random((1, 8)) < 0.7)
+
+
+def _attend_per_head(block, queries, keys_values, mask, one_key, packed_projections=False):
+    """The head loop that the batched `_attend` replaced, built from
+    primitives: each head's projections, attention weights and layer norm,
+    the heads' outputs joined side by side. With packed_projections each
+    head's Q, K and V are its columns of the packed affines."""
+    m, outs = queries.shape[0], []
+    for j, head in enumerate(block.heads):
+        if packed_projections:
+            w, width = block.packed, head.wq.shape[1]
+
+            def project(x, weight, bias):
+                return ad.slice_cols(ad.affine(x, weight, bias), j * width, (j + 1) * width)
+
+            q = project(queries, w.wq, w.bq)
+            k = None if one_key else project(keys_values, w.wk, w.bk)
+            v = project(keys_values, w.wv, w.bv)
+        else:
+            q = ad.affine(queries, head.wq, head.bq)
+            k = None if one_key else ad.affine(keys_values, head.wk, head.bk)
+            v = ad.affine(keys_values, head.wv, head.bv)
+        if k is not None:
+            # the score mask is repeated once per head; its first block is one head's
+            v = ad.matmul(sf._weights(q, k, None if mask is None else mask.data[:m]), v)
+        outs.append(ad.layer_norm(ad.add(q, v), head.ln_gain, head.ln_bias))
+    return ad.concat_cols(*outs)
+
+
+class TestBatchedHeads:
+    @pytest.mark.parametrize("n,sets,masked", [
+        (n, sets, masked) for n in (1, 2, 3) for sets in (1, 5) for masked in (False, True)])
+    def test_matches_per_head_loop(self, n, sets, masked, rng, monkeypatch):
+        p = sf.init_full(10, 20, rng, dropout_rate=0.2)
+        x0 = rng.standard_normal((n * sets, 10))
+        weights = ad.DiffValue.const(rng.standard_normal((sets, 10)))
+        masks = sf.make_masks(p, n * sets, rng, set_size=n) if masked else None
+        batched_attend = sf._attend
+
+        def run(attend):
+            monkeypatch.setattr(sf, "_attend", attend)
+            tape = ad.Tape()
+            lam = _params.bind(p, tape)
+            x = tape.param(x0)  # the encoder rows, through which θ's gradient flows
+            out = sf.set_forward(lam, x, masks, set_size=n)
+            grads = ad.grad(ad.sum_all(ad.mul(out, weights)), _params.leaves(lam) + [x])
+            return out.data, [g.data for g in grads]
+
+        got, got_grads = run(batched_attend)
+        for packed in (True, False):
+            want, want_grads = run(
+                lambda *a: _attend_per_head(*a, packed_projections=packed))
+            if packed:
+                assert got.tobytes() == want.tobytes()
+            else:
+                # one (m, H k) projection may round unlike H (m, k) ones
+                assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+            # the backward adds the heads' terms in another order
+            scale = max(np.max(np.abs(w)) for w in want_grads)
+            for g, w in zip(got_grads, want_grads):
+                assert np.max(np.abs(g - w)) <= 1e-12 * scale
+
+    def test_packed_once_per_block(self, rng):
+        # the packed head tensors are built at the first forward of a bound
+        # block and reused by the next; a new binding packs afresh
+        p = sf.init_full(4, 8, rng)
+        tape = ad.Tape()
+        lam = _params.bind(p, tape)
+        x = rng.standard_normal((3, 4))
+        sf.set_forward(lam, x)
+        first = tape.op_count
+        sf.set_forward(lam, x)
+        assert tape.op_count - first == first - 3 * 8 - len(_params.leaves(lam))
+        packed = lam.block1.packed
+        np.testing.assert_array_equal(
+            packed.wq.data, np.hstack([hd.wq.data for hd in lam.block1.heads]))
+        assert _params.bind(p, tape).block1.packed is not packed
