@@ -13,23 +13,28 @@ an explicit op. The broadcasts `tile_rows`, `tile_cols` and `fill_like`
 are primitives (`np.repeat` forward, a row, column or full sum backward),
 not matmuls with a ones matrix.
 
+Rows are picked and pooled by index, never by a product with a
+selection matrix: `take_rows` gathers rows (an index of -1 gives a zero
+row) and `scatter_rows` sums rows into place; each is the other's VJP.
+
 The hot composites are fused: `softmax_rows`, `log_softmax_rows`,
 `normalize_rows` (the row normalization inside `layer_norm`),
-`pairwise_sq_dists`, `affine` (x W + b) and `scale_shift` (the gain and
-bias of `layer_norm`) each record one tape node, computing the forward in
-numpy and writing the VJP in primitives, so their gradients stay
-differentiable. `matmul_nt` (a b^T) and `matmul_tn` (a^T b) are products
-with a transposed operand; the VJPs of the three matmuls close over them,
-so no transpose is ever a node of its own.
+`block_sq_dists` (squared distances within each row block, of which
+`pairwise_sq_dists` is the one-block case), `affine` (x W + b) and
+`scale_shift` (the gain and bias of `layer_norm`) each record one tape
+node, computing the forward in numpy and writing the VJP in primitives,
+so their gradients stay differentiable. `matmul_nt` (a b^T) and
+`matmul_tn` (a^T b) are products with a transposed operand; the VJPs of
+the three matmuls close over them, so no transpose is ever a node of its
+own.
 
-Multi-head attention runs its heads as row blocks of one matrix.
-`heads_to_rows` moves column block j of an (m, h k) matrix to row block j
-of an (h m, k) one and `rows_to_heads` moves it back; each is the other's
-VJP. The block-batched trio `bmm` (a_j b_j), `bmm_nt` (a_j b_j^T) and
-`bmm_tn` (a_j^T b_j) multiply row block j of a by row block j of b for
-all h blocks in one node, and their VJPs close over each other as the
-2-D trio's do. The 2-D trio stays separate, so paths without heads record
-exactly what they did.
+Set-wise attention runs its sets, and the heads of each set, as row
+blocks of one matrix. `heads_to_rows` moves column block j of an
+(m, h k) matrix to row block j of an (h m, k) one and `rows_to_heads`
+moves it back; each is the other's VJP. The block-batched trio `bmm`
+(a_j b_j), `bmm_nt` (a_j b_j^T) and `bmm_tn` (a_j^T b_j) multiply row
+block j of a by row block j of b for all h blocks in one node, and their
+VJPs close over each other as the 2-D trio's do.
 
 Every VJP is called as vjp(g, need, node), and `grad` passes the node
 itself, so a VJP that needs its node's own output (`exp`, `div`,
@@ -577,6 +582,47 @@ def pad_cols(a, j0: int, n_total: int) -> DiffValue:
     return _make(out, (a,), vjp)
 
 
+def _row_index(index, m: int) -> np.ndarray:
+    """A row index of `take_rows` or `scatter_rows` as a flat int array:
+    row numbers in 0..m-1, or -1 for a zero row (take) or a dropped row
+    (scatter)."""
+    index = np.asarray(index, dtype=np.int64).reshape(-1)
+    if index.size and (index.min() < -1 or index.max() >= m):
+        raise ShapeError(f"row index outside -1..{m - 1}")
+    return index
+
+
+def take_rows(x, index) -> DiffValue:
+    """The rows x[index] in one node; an index of -1 gives a zero row."""
+    x = _lift(x)
+    m = x.shape[0]
+    index = _row_index(index, m)
+    out = x.data[index]
+    out[index < 0] = 0.0
+
+    def vjp(g, need, node):
+        return (scatter_rows(g, index, m),)
+
+    return _make(out, (x,), vjp)
+
+
+def scatter_rows(x, index, m: int) -> DiffValue:
+    """(m, n) row sums: row i of x is added to row index[i]; a row whose
+    index is -1 is dropped. The adjoint of `take_rows`."""
+    x = _lift(x)
+    index = _row_index(index, m)
+    if len(index) != x.shape[0]:
+        raise ShapeError(f"scatter_rows: {len(index)} indices for {x.shape[0]} rows")
+    kept = index >= 0
+    out = np.zeros((m, x.shape[1]))
+    np.add.at(out, index[kept], x.data[kept])
+
+    def vjp(g, need, node):
+        return (take_rows(g, index),)
+
+    return _make(out, (x,), vjp)
+
+
 # ---------------------------------------------------------------------------
 # fused primitives: one node each, VJPs written in the primitives above
 
@@ -642,28 +688,36 @@ def _inv_std_rows(x, eps: float, inv: np.ndarray) -> DiffValue:
     return _make(inv, (x,), vjp)
 
 
-def pairwise_sq_dists(a, b) -> DiffValue:
-    """(N, K) squared Euclidean distances between the rows of a (N, D) and
-    of b (K, D): |a_i|^2 + |b_j|^2 - 2 a_i . b_j."""
+def block_sq_dists(a, b, h: int) -> DiffValue:
+    """Squared Euclidean distances within each of the h row blocks: block j
+    of a (h m, D) against block j of b (h k, D) gives block j of the
+    (h m, k) result, |a_i|^2 + |b_l|^2 - 2 a_i . b_l."""
     a, b = _lift(a), _lift(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"pairwise_sq_dists: widths differ {a.shape} vs {b.shape}")
-    aa = (a.data * a.data).sum(axis=1, keepdims=True)
-    bb = (b.data * b.data).sum(axis=1, keepdims=True).T
-    out = (aa + bb) - (a.data @ np.ascontiguousarray(b.data.T)) * 2.0
+    a3, b3 = _blocks(a, h, "block_sq_dists"), _blocks(b, h, "block_sq_dists")
+    if a3.shape[2] != b3.shape[2]:
+        raise ShapeError(f"block_sq_dists: widths differ {a.shape} vs {b.shape}")
+    aa = (a3 * a3).sum(axis=2, keepdims=True)
+    bb = (b3 * b3).sum(axis=2)[:, None, :]
+    out = ((aa + bb) - np.matmul(a3, b3.transpose(0, 2, 1)) * 2.0).reshape(-1, b3.shape[1])
     d = a.shape[1]
 
     def vjp(g, need, node):
-        # 2 (rowsum(g) a - g b) and 2 (colsum(g)^T b - g^T a)
+        # per block: 2 (rowsum(g) a - g b) and 2 (colsum(g)^T b - g^T a)
         ga = gb = None
         if need[0]:
-            ga = scale(sub(mul(tile_cols(row_sum(g), d), a), matmul(g, b)), 2.0)
+            ga = scale(sub(mul(tile_cols(row_sum(g), d), a), bmm(g, b, h)), 2.0)
         if need[1]:
-            col = matmul_tn(g, np.ones((g.shape[0], 1)))  # colsum(g)^T, (K, 1)
-            gb = scale(sub(mul(tile_cols(col, d), b), matmul_tn(g, a)), 2.0)
+            col = bmm_tn(g, np.ones((g.shape[0], 1)), h)  # blocks' colsum(g)^T
+            gb = scale(sub(mul(tile_cols(col, d), b), bmm_tn(g, a, h)), 2.0)
         return ga, gb
 
     return _make(out, (a, b), vjp)
+
+
+def pairwise_sq_dists(a, b) -> DiffValue:
+    """(N, K) squared Euclidean distances between the rows of a (N, D) and
+    of b (K, D): one block of `block_sq_dists`."""
+    return block_sq_dists(a, b, 1)
 
 
 def affine(x, w, b) -> DiffValue:

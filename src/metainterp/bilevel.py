@@ -4,7 +4,8 @@ Neumann-series implicit hypergradient.
 
 The inner objective averages, over a batch of task pairs, the loss terms
 of the training method (`METHODS`): the singleton episode loss and the
-mixed-task loss for meta-interpolation. Every S-th iteration the retained
+mixed-task loss for meta-interpolation. All pairs and terms of a step are
+one graph (`protonet.Batch`). Every S-th iteration the retained
 inner-gradient graph feeds the hypergradient routine, which approximates
 the inverse Hessian with a truncated Neumann series and differentiates
 the result into the set-function parameters.
@@ -166,24 +167,25 @@ def inner_loss(lam, theta, pairs, cfg: TrainConfig, mode: str = "train",
                method: str = "meta-interp") -> DiffValue:
     """Batch training objective: the mean over pairs of the mean of the
     method's loss terms, so (1/2B) sum of singleton + mixed losses for
-    meta-interp and (1/B) sum of the one term of a one-term method."""
+    meta-interp and (1/B) sum of the one term of a one-term method.
+
+    Every term of every pair is an episode of one `pn.Batch`, added pair
+    by pair and term by term, so the draws keep that order; the loss is
+    then one graph over all of them."""
     if not pairs:
         raise ValueError("empty batch")
-    total = None
+    terms = METHODS[method][0]
+    weight = 1.0 / (len(pairs) * len(terms))
+    batch = pn.Batch(lam, theta, mode)
     for task1, task2, pairing in pairs:
-        parts = []
-        for name in METHODS[method][0]:
+        for name in terms:
             if name == "single":
-                parts.append(pn.loss_singleton(lam, theta, task1, mode, rng, cfg.metric))
+                batch.add_singleton(task1, weight, rng)
             elif name == "mix":
-                parts.append(itp.loss_mix(lam, theta, task1, task2, pairing,
-                                          cfg.interp, mode, rng, cfg.metric))
+                itp.add_mix(batch, task1, task2, pairing, cfg.interp, weight, rng)
             else:
-                parts.append(itp.mlti_baseline_loss(theta, task1, task2, pairing,
-                                                    cfg.mlti_beta, rng, cfg.metric))
-        term = parts[0] if len(parts) == 1 else ad.scale(ad.add(*parts), 0.5)
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / len(pairs))
+                itp.add_mlti(batch, task1, task2, pairing, cfg.mlti_beta, weight, rng)
+    return batch.forward(cfg.metric).loss()
 
 
 def theta_step(opt: OptState, theta, grads, lr: Optional[float] = None):
@@ -232,17 +234,16 @@ def hypergrad(theta, lam_live, theta_leaves, dltr_dtheta, val_tasks,
     theta holds the current (already updated) encoder arrays; the
     second-order terms reuse the retained training-loss graph through
     theta_leaves / dltr_dtheta. The validation loss is evaluated in eval
-    mode, so it is deterministic given the sampled tasks.
+    mode, so it is deterministic given the sampled tasks, and as one
+    batch of the B' drawn tasks.
     """
     if not val_tasks:
         raise ValueError("no validation tasks")
     theta_val = _params.bind(theta, tape)
-    lv = None
+    batch = pn.Batch(lam_live, theta_val, "eval")
     for _ in range(bprime):
-        task = val_tasks[int(rng.integers(len(val_tasks)))]
-        term = pn.loss_singleton(lam_live, theta_val, task, "eval", None, metric)
-        lv = term if lv is None else ad.add(lv, term)
-    lv = ad.scale(lv, 1.0 / bprime)
+        batch.add_singleton(val_tasks[int(rng.integers(len(val_tasks)))], 1.0 / bprime)
+    lv = batch.forward(metric).loss()
 
     theta_val_leaves = _params.leaves(theta_val)
     lam_leaves = _params.leaves(lam_live)
@@ -320,22 +321,21 @@ def _sample_batch(dataset, cfg, rng):
 
 def evaluate_validation(lam, theta, val_tasks, metric: str):
     """Deterministic validation metrics: mean episode loss and accuracy,
-    both read from one embedding of each task."""
-    losses, accs = [], []
+    both read from one batched pass over every task."""
+    batch = pn.Batch(lam, theta)
     for t in val_tasks:
-        dists = pn.task_dists(lam, theta, t, "eval", None, metric)
-        labels = t.query_matrix()[1]
-        losses.append(pn.cross_entropy_to_prototypes(dists, labels).item())
-        accs.append(pn.accuracy_from_dists(dists, labels))
-    return float(np.mean(losses)), float(np.mean(accs))
+        batch.add_singleton(t)
+    scores = batch.forward(metric)
+    return float(np.mean(scores.episode_losses())), float(np.mean(scores.accuracies()))
 
 
-def _check_finite(arrays: list, what: str, i: int) -> list:
-    """arrays, or TrainingDiverged if any entry is NaN or infinite."""
-    for a in arrays:
+def _check_finite(values, what: str, i: int):
+    """values (a list of arrays or a parameter container), or
+    TrainingDiverged if any entry is NaN or infinite."""
+    for a in _params.leaves(values):
         if not np.all(np.isfinite(a)):
             raise TrainingDiverged(f"non-finite {what} at iteration {i}")
-    return arrays
+    return values
 
 
 def train_step(state: TrainState, dataset: ep.TaskDataset, cfg: TrainConfig,
@@ -370,7 +370,8 @@ def train_step(state: TrainState, dataset: ep.TaskDataset, cfg: TrainConfig,
     else:
         g_theta = ad.grad(ltr, theta_leaves, create_graph=hyper_due)
 
-    state.theta = theta_step(state.opt_theta, state.theta, g_theta)
+    state.theta = _check_finite(
+        theta_step(state.opt_theta, state.theta, g_theta), "encoder update", i)
 
     if hyper_due:
         g_lam = _check_finite(
@@ -382,9 +383,8 @@ def train_step(state: TrainState, dataset: ep.TaskDataset, cfg: TrainConfig,
         if cfg.hyper_schedule == "linear":
             eta = cfg.hyper_lr * max(0.0, 1.0 - i / cfg.max_iters)
     if g_lam:
-        new = theta_step(state.opt_lam, state.lam, g_lam, eta)
-        _check_finite(_params.leaves(new), "set-function update", i)
-        state.lam = new
+        state.lam = _check_finite(
+            theta_step(state.opt_lam, state.lam, g_lam, eta), "set-function update", i)
 
     state.iteration = i
     state.work += tape.op_count

@@ -64,16 +64,16 @@ def _metric_row(row) -> str:
 def _write_prototypes(path, theta, lam, dataset, method, seed) -> None:
     """Raw prototype dump per (task, class, source); the embedding-space
     record that replaces plots."""
-    dim_out = None
     lines = []
     rng = np.random.default_rng([seed, 0x9907])
+    batch = pn.Batch(lam, theta)
+    for task in dataset.meta_train:
+        batch.add_singleton(task)
+    protos = batch.forward().protos.data
+    dim_out = protos.shape[1]
     for tid, task in enumerate(dataset.meta_train):
-        xs, ys = task.support_matrix()
-        es = pn.embed_batch(lam, theta, xs, mode="eval")
-        protos = pn.prototypes_from_matrix(es, ys, task.way).data
-        dim_out = protos.shape[1]
         for k in range(task.way):
-            feats = ",".join(_fmt(v) for v in protos[k])
+            feats = ",".join(_fmt(v) for v in protos[tid * task.way + k])
             lines.append(f"{tid},{k + 1},original,{feats}")
     if bl.METHODS[method][1] is not None and len(dataset.meta_train) >= 2:
         tasks = dataset.meta_train

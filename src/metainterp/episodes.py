@@ -10,6 +10,7 @@ controllable "few distinct tasks" axis without any real dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,13 +39,33 @@ class Example:
             raise TaskError("non-finite feature")
 
 
-@dataclass
+def _features(examples, width: int) -> np.ndarray:
+    """The examples' features as one read-only (N, width) matrix."""
+    x = np.stack([ex.features for ex in examples]) if examples else np.empty((0, width))
+    x.flags.writeable = False
+    return x
+
+
+def _labels(examples) -> np.ndarray:
+    """The examples' labels as one read-only int array."""
+    y = np.array([ex.label for ex in examples], dtype=np.int64)
+    y.flags.writeable = False
+    return y
+
+
+@dataclass(frozen=True)
 class Task:
-    support: list
-    query: list
+    """An episode's examples, fixed at construction (stored as tuples; to
+    change a task, build a new one), and their arrays, each built on first
+    use and kept."""
+
+    support: tuple
+    query: tuple
     way: int
 
     def __post_init__(self):
+        object.__setattr__(self, "support", tuple(self.support))
+        object.__setattr__(self, "query", tuple(self.query))
         for ex in self.support + self.query:
             if not 1 <= ex.label <= self.way:
                 raise TaskError(f"label {ex.label} outside 1..{self.way}")
@@ -52,18 +73,25 @@ class Task:
             if not any(ex.label == k for ex in self.support):
                 raise TaskError(f"class {k} has no support examples")
 
-    def support_matrix(self):
-        """(N_s, D_in) features and a parallel label list."""
-        return (
-            np.stack([ex.features for ex in self.support]),
-            [ex.label for ex in self.support],
-        )
+    @cached_property
+    def xs(self) -> np.ndarray:
+        """Support features, (N_s, D_in)."""
+        return _features(self.support, 0)
 
-    def query_matrix(self):
-        return (
-            np.stack([ex.features for ex in self.query]),
-            [ex.label for ex in self.query],
-        )
+    @cached_property
+    def ys(self) -> np.ndarray:
+        """Support labels, 1..way."""
+        return _labels(self.support)
+
+    @cached_property
+    def xq(self) -> np.ndarray:
+        """Query features, (N_q, D_in)."""
+        return _features(self.query, self.xs.shape[1])
+
+    @cached_property
+    def yq(self) -> np.ndarray:
+        """Query labels, 1..way."""
+        return _labels(self.query)
 
     def support_of_class(self, k: int) -> list:
         out = [ex for ex in self.support if ex.label == k]

@@ -7,6 +7,12 @@ layer are fused by the set function and lifted by the upper stack, and
 task1's queries are scored against the fused prototypes. Queries are left
 unmixed in the main strategy; the query / query+support / noise variants
 are the ablation axes.
+
+A pair's terms are episodes of a `protonet.Batch` (`add_mix`, `add_mlti`):
+its fused sets join the sets of every other pair of the training step in
+one `set_forward` per set size, and its queries and prototypes one block
+of the step's distances. `loss_mix`, `mlti_baseline_loss` and
+`interpolated_prototypes` are batches of the one pair.
 """
 
 from __future__ import annotations
@@ -16,9 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from . import protonet as pn
-from . import setfunc
 from .autodiff import DiffValue
 from .episodes import Task
 
@@ -31,6 +35,8 @@ class ClassPairing:
     sigma2: np.ndarray
 
     def __post_init__(self):
+        self.sigma1 = np.asarray(self.sigma1, dtype=np.int64)
+        self.sigma2 = np.asarray(self.sigma2, dtype=np.int64)
         for s in (self.sigma1, self.sigma2):
             if sorted(s) != list(range(1, len(s) + 1)):
                 raise ValueError(f"not a permutation of 1..{len(s)}: {s}")
@@ -76,24 +82,65 @@ def _extra_members(anchor: int, count: int, pool_size: int,
     return list(rng.integers(pool_size, size=count))
 
 
-def _class_sets(a, b, n1: int, n2: int, rng: np.random.Generator) -> list:
+def _class_sets(a, b, n1: int, n2: int, rng: np.random.Generator) -> np.ndarray:
     """Member rows of one class's fused sets, one set per support pair
     (a[i], b[j]) in i-major order: a[i] and n1 - 1 other rows of a, then
     b[j] and n2 - 1 other rows of b. Extras are drawn set by set."""
-    return [[a[i], *a[_extra_members(i, n1 - 1, len(a), rng)],
-             b[j], *b[_extra_members(j, n2 - 1, len(b), rng)]]
-            for i in range(len(a)) for j in range(len(b))]
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    return np.array([[a[i], *a[_extra_members(i, n1 - 1, len(a), rng)],
+                      b[j], *b[_extra_members(j, n2 - 1, len(b), rng)]]
+                     for i in range(len(a)) for j in range(len(b))],
+                    dtype=np.int64).reshape(-1, n1 + n2)
 
 
-def _gather(h, index, fill=None) -> DiffValue:
-    """Rows h[index] as one product with a constant selection matrix; an
-    index of -1 gives a zero row. The constant `fill` is added if given."""
-    index = np.asarray(index, dtype=np.int64).reshape(-1)
-    pick = np.zeros((len(index), h.shape[0]))
-    used = np.flatnonzero(index >= 0)
-    pick[used, index[used]] = 1.0
-    out = ad.matmul(DiffValue.const(pick), h)
-    return out if fill is None else ad.add(out, DiffValue.const(fill))
+def _inverse(sigma) -> np.ndarray:
+    """Lookup from an original label to its new class k (entry 0 unused)."""
+    out = np.zeros(len(sigma) + 1, dtype=np.int64)
+    out[sigma] = np.arange(1, len(sigma) + 1)
+    return out
+
+
+def _support_pairs(s1, task1: Task, s2, task2: Task, pairing: ClassPairing):
+    """Every pair of a task1 and a task2 support row of one new class,
+    class by class and task1-major within a class, as the fused sets of
+    cardinality 2 are; s1 and s2 are the tasks' support rows. Returns the
+    (P, 2) rows and the pairs' classes."""
+    k1, k2 = _inverse(pairing.sigma1)[task1.ys], _inverse(pairing.sigma2)[task2.ys]
+    a, b = s1[np.argsort(k1, kind="stable")], s2[np.argsort(k2, kind="stable")]
+    c1 = np.bincount(k1, minlength=pairing.way + 1)[1:]  # class sizes
+    c2 = np.bincount(k2, minlength=pairing.way + 1)[1:]
+    cls = np.repeat(np.arange(pairing.way), c1 * c2)  # each pair's class - 1
+    p = np.arange(len(cls)) - (np.cumsum(c1 * c2) - c1 * c2)[cls]  # pair number in its class
+    rows1 = a[(np.cumsum(c1) - c1)[cls] + p // c2[cls]]
+    rows2 = b[(np.cumsum(c2) - c2)[cls] + p % c2[cls]]
+    return np.column_stack([rows1, rows2]), cls + 1
+
+
+def _fused_sets(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
+                cfg: InterpConfig, rng: np.random.Generator) -> tuple:
+    """Adds every fused support set of the pair to batch; returns their ref
+    and new classes. Draws, class by class: the class's extra members (or
+    noise rows), then in train mode its sets' dropout masks, set by set."""
+    n = cfg.cardinality
+    s1 = batch.rows(task1, "s")
+    s2 = None if cfg.strategy == "support_noise" else batch.rows(task2, "s")
+    group, sets, classes = None, [], []
+    for k in range(1, task1.way + 1):
+        a = s1[task1.ys == pairing.sigma1[k - 1]]
+        fill = None
+        if s2 is None:
+            d = batch.theta.interp_width
+            index = np.column_stack([a, np.full((len(a), n - 1), -1)])
+            fill = np.zeros((len(a), n, d))
+            fill[:, 1:] = rng.normal(cfg.noise_mean, cfg.noise_std, size=(len(a), n - 1, d))
+            fill = fill.reshape(-1, d)
+        else:
+            b = s2[task2.ys == pairing.sigma2[k - 1]]
+            index = _class_sets(a, b, (n + 1) // 2, n // 2, rng)
+        group, numbers = batch.sets(index, rng, fill)
+        sets.append(numbers)
+        classes.append(np.full(len(index), k))
+    return (group, np.concatenate(sets)), np.concatenate(classes)
 
 
 def interpolated_prototypes(lam, theta, task1: Task, task2: Task,
@@ -103,71 +150,54 @@ def interpolated_prototypes(lam, theta, task1: Task, task2: Task,
     """Fused class prototypes: the split-layer rows of every fused set of
     every class go through the set function in one batched pass, the upper
     stack lifts the fusions, and the per-class mean is the prototype.
-    Returns a (K, D) matrix.
-
-    Draws, class by class: the class's extra members (or noise rows), then
-    in train mode its sets' dropout masks, set by set.
+    Returns a (K, D) matrix. Draws as `_fused_sets`.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    n = cfg.cardinality
-    noise_only = cfg.strategy == "support_noise"
-    xs1, ys1 = task1.support_matrix()
-    xs2, ys2 = task2.support_matrix()
-    h = pn.encode_lower(theta, xs1 if noise_only else np.vstack([xs1, xs2]))
-    d = h.shape[1]
-
-    index, noise, classes, masks = [], [], [], []
-    for k in range(1, task1.way + 1):
-        a = np.flatnonzero(np.asarray(ys1) == pairing.sigma1[k - 1])
-        if noise_only:
-            sets = np.column_stack([a, np.full((len(a), n - 1), -1)]).tolist()
-            fill = np.zeros((len(a), n, d))
-            fill[:, 1:] = rng.normal(cfg.noise_mean, cfg.noise_std,
-                                     size=(len(a), n - 1, d))
-            noise.append(fill.reshape(-1, d))
-        else:
-            b = len(xs1) + np.flatnonzero(np.asarray(ys2) == pairing.sigma2[k - 1])
-            sets = _class_sets(a, b, (n + 1) // 2, n // 2, rng)
-        index += sets
-        classes += [k] * len(sets)
-        if mode == "train":
-            masks.append(setfunc.make_masks(lam, len(sets) * n, rng, set_size=n))
-
-    x = _gather(h, index, np.vstack(noise) if noise else None)
-    masks = tuple(map(np.vstack, zip(*masks))) if masks and masks[0] else None
-    z = setfunc.set_forward(lam, x, masks, set_size=n)
-    return pn.prototypes_from_matrix(pn.encode_upper(theta, z), classes, task1.way)
+    batch = pn.Batch(lam, theta, mode)
+    protos, classes = _fused_sets(batch, task1, task2, pairing, cfg, rng)
+    batch.episode(pn.NO_QUERIES, [], protos, classes, task1.way)
+    return batch.forward().protos
 
 
-def _query_partners(task1: Task, task2: Task, pairing: ClassPairing,
-                    rng: np.random.Generator):
-    """For each task1 query in order, the index of a task2 query drawn from
-    the paired class, and the query's new class k."""
-    yq2 = np.asarray(task2.query_matrix()[1])
-    label_to_k = {int(pairing.sigma1[k - 1]): k for k in range(1, task1.way + 1)}
-    partners, ks = [], []
-    for y in task1.query_matrix()[1]:
-        k = label_to_k[y]
-        pool = np.flatnonzero(yq2 == pairing.sigma2[k - 1])
+def _query_pairs(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
+                 rng: np.random.Generator):
+    """Each task1 query's input row beside the row of a task2 query drawn
+    from the paired class, in task1's query order, as a (Nq, 2) index; and
+    each query's new class k."""
+    ks = _inverse(pairing.sigma1)[task1.yq]
+    pools = {}
+    partners = np.zeros(len(ks), dtype=np.int64)
+    for i, label in enumerate(pairing.sigma2[ks - 1]):
+        if label not in pools:
+            pools[label] = np.flatnonzero(task2.yq == label)
+        pool = pools[label]
         if not len(pool):
-            raise ValueError(
-                f"task2 has no queries of class {int(pairing.sigma2[k - 1])}"
-            )
-        partners.append(int(pool[int(rng.integers(len(pool)))]))
-        ks.append(k)
-    return partners, ks
+            raise ValueError(f"task2 has no queries of class {int(label)}")
+        partners[i] = pool[int(rng.integers(len(pool)))]
+    return np.column_stack([batch.rows(task1, "q"), batch.rows(task2, "q")[partners]]), ks
 
 
-def _mixed_query_rows(lam, theta, task1, task2, pairing, mode, rng):
-    """Fuse each task1 query with a drawn task2 partner in one batched set
-    pass; returns the (Nq, D) embeddings and the per-row target class k."""
-    partners, ks = _query_partners(task1, task2, pairing, rng)
-    xq1, xq2 = task1.query_matrix()[0], task2.query_matrix()[0]
-    h = pn.encode_lower(theta, np.vstack([xq1, xq2]))
-    index = np.column_stack([np.arange(len(xq1)), len(xq1) + np.asarray(partners)])
-    masks = setfunc.make_masks(lam, index.size, rng, set_size=2) if mode == "train" else None
-    z = setfunc.set_forward(lam, _gather(h, index), masks, set_size=2)
-    return pn.encode_upper(theta, z), ks
+def add_mix(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
+            cfg: InterpConfig, weight: float = 1.0,
+            rng: Optional[np.random.Generator] = None) -> None:
+    """Adds the mixed-task episode under the configured strategy: task1's
+    queries (or, for the query strategies, each fused with a drawn task2
+    partner of the paired class) against the fused prototypes (or, for
+    the query strategy, task1's own). Draws the prototypes' randomness,
+    then the queries' partners and masks."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    if cfg.strategy == "query":  # plain task1 prototypes, by original label
+        protos, classes = batch.singletons(batch.rows(task1, "s"), rng), task1.ys
+    else:
+        protos, classes = _fused_sets(batch, task1, task2, pairing, cfg, rng)
+    if cfg.strategy in ("query", "support_and_query"):
+        pairs, ks = _query_pairs(batch, task1, task2, pairing, rng)
+        queries = batch.sets(pairs, rng)
+        targets = pairing.sigma1[ks - 1] if cfg.strategy == "query" else ks
+    else:
+        queries = batch.singletons(batch.rows(task1, "q"), rng)
+        targets = _inverse(pairing.sigma1)[task1.yq]
+    batch.episode(queries, targets, protos, classes, task1.way, weight)
 
 
 def loss_mix(lam, theta, task1: Task, task2: Task, pairing: ClassPairing,
@@ -175,42 +205,18 @@ def loss_mix(lam, theta, task1: Task, task2: Task, pairing: ClassPairing,
              rng: Optional[np.random.Generator] = None,
              metric: str = "sqeuclidean") -> DiffValue:
     """Mixed-task episode loss under the configured strategy."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    way = task1.way
-
-    if cfg.strategy in ("support", "support_noise", "support_and_query"):
-        protos = interpolated_prototypes(lam, theta, task1, task2, pairing,
-                                         cfg, mode, rng)
-        proto_index = {k: k for k in range(1, way + 1)}  # row k-1 is class k
-    else:  # query strategy: plain task1 prototypes
-        xs, ys = task1.support_matrix()
-        es = pn.embed_batch(lam, theta, xs, mode, rng)
-        protos = pn.prototypes_from_matrix(es, ys, way)
-        proto_index = None  # rows indexed by original task1 labels
-
-    if cfg.strategy in ("query", "support_and_query"):
-        rows, ks = _mixed_query_rows(lam, theta, task1, task2, pairing, mode, rng)
-        if proto_index is None:
-            targets = [int(pairing.sigma1[k - 1]) for k in ks]
-        else:
-            targets = ks
-    else:
-        xq, yq = task1.query_matrix()
-        rows = pn.embed_batch(lam, theta, xq, mode, rng)
-        label_to_k = {int(pairing.sigma1[k - 1]): k for k in range(1, way + 1)}
-        targets = [label_to_k[y] for y in yq]
-
-    dists = pn.pairwise_dists(rows, protos, metric)
-    return pn.cross_entropy_to_prototypes(dists, targets)
+    batch = pn.Batch(lam, theta, mode)
+    add_mix(batch, task1, task2, pairing, cfg, rng=rng)
+    return batch.forward(metric).loss()
 
 
-def mlti_baseline_loss(theta, task1: Task, task2: Task, pairing: ClassPairing,
-                       beta_params=(2.0, 2.0),
-                       rng: Optional[np.random.Generator] = None,
-                       metric: str = "sqeuclidean") -> DiffValue:
-    """Manifold-mixup task interpolation: convex mixing of split-layer rows
+def add_mlti(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
+             beta_params=(2.0, 2.0), weight: float = 1.0,
+             rng: Optional[np.random.Generator] = None) -> None:
+    """Adds the manifold-mixup episode: convex mixing of split-layer rows
     with a Beta-drawn coefficient, applied to support pairs and query
-    pairs; no set function, no bilevel structure.
+    pairs; no set function, no bilevel structure. Draws the coefficient,
+    then the query partners.
 
     beta_params (a, b) draws the coefficient from Beta(a, b); b <= 0 pins
     it to exactly a (useful for the degenerate checks).
@@ -218,30 +224,19 @@ def mlti_baseline_loss(theta, task1: Task, task2: Task, pairing: ClassPairing,
     rng = rng if rng is not None else np.random.default_rng(0)
     beta_a, beta_b = beta_params
     lam_mix = float(beta_a) if beta_b <= 0 else float(rng.beta(beta_a, beta_b))
-    partners, ks = _query_partners(task1, task2, pairing, rng)
+    query_pairs, ks = _query_pairs(batch, task1, task2, pairing, rng)
+    sup_pairs, classes = _support_pairs(batch.rows(task1, "s"), task1,
+                                        batch.rows(task2, "s"), task2, pairing)
+    coef = (lam_mix, 1.0 - lam_mix)
+    protos = batch.mixes(sup_pairs, coef)
+    batch.episode(batch.mixes(query_pairs, coef), ks, protos, classes, task1.way, weight)
 
-    xs1, ys1 = task1.support_matrix()
-    xs2, ys2 = task2.support_matrix()
-    xq1, xq2 = task1.query_matrix()[0], task2.query_matrix()[0]
-    h = pn.encode_lower(theta, np.vstack([xs1, xs2, xq1, xq2]))
-    sup_pairs, classes = [], []
-    for k in range(1, task1.way + 1):
-        a = np.flatnonzero(np.asarray(ys1) == pairing.sigma1[k - 1])
-        b = len(xs1) + np.flatnonzero(np.asarray(ys2) == pairing.sigma2[k - 1])
-        pairs = _class_sets(a, b, 1, 1, rng)
-        sup_pairs += pairs
-        classes += [k] * len(pairs)
-    q0 = len(xs1) + len(xs2)
-    query_pairs = np.column_stack([q0 + np.arange(len(xq1)),
-                                   q0 + len(xq1) + np.asarray(partners)])
-    pairs = np.vstack([np.asarray(sup_pairs, dtype=np.int64), query_pairs])
 
-    mix = np.zeros((len(pairs), h.shape[0]))
-    mix[np.arange(len(pairs)), pairs[:, 0]] = lam_mix
-    mix[np.arange(len(pairs)), pairs[:, 1]] = 1.0 - lam_mix
-    e = pn.encode_upper(theta, ad.matmul(DiffValue.const(mix), h))
-    n_sup = len(classes)
-    protos = pn.prototypes_from_matrix(ad.slice_rows(e, 0, n_sup), classes, task1.way)
-    rows = ad.slice_rows(e, n_sup, len(pairs))
-    dists = pn.pairwise_dists(rows, protos, metric)
-    return pn.cross_entropy_to_prototypes(dists, ks)
+def mlti_baseline_loss(theta, task1: Task, task2: Task, pairing: ClassPairing,
+                       beta_params=(2.0, 2.0),
+                       rng: Optional[np.random.Generator] = None,
+                       metric: str = "sqeuclidean") -> DiffValue:
+    """Manifold-mixup task interpolation loss of one pair (`add_mlti`)."""
+    batch = pn.Batch(None, theta)
+    add_mlti(batch, task1, task2, pairing, beta_params, rng=rng)
+    return batch.forward(metric).loss()

@@ -12,17 +12,19 @@ Three families:
 Every forward is batched over sets. It takes an (N, d) matrix, or a list
 of (1, d) rows, cut into P = N / set_size sets of `set_size` consecutive
 rows (by default all N rows form one set), and returns the (P, d) matrix
-of the P set outputs in one pass. Attention stays inside each set through
-a constant additive mask on the scores. At set_size 1 every attention
-weight is exactly 1, so the scores are skipped and a singleton costs what
-its closed form costs. Vectors are carried as rows throughout; the classic
-column-convention output is the transpose of ours.
+of the P set outputs in one pass. Attention runs set by set: the sets are
+the row blocks of the block-batched products (`bmm_nt` for the scores,
+`bmm` for the weighting), so a set's scores are (n, n), or (1, n) for the
+pooling query, and no score ever crosses two sets. At set_size 1 every
+attention weight is exactly 1, so the scores are skipped and a singleton
+costs what its closed form costs. Vectors are carried as rows throughout;
+the classic column-convention output is the transpose of ours.
 
 The full form runs all heads of an attention block in one set of nodes:
 the heads' weights sit side by side, so one affine gives every head's
 projection, and the heads are then stacked as row blocks, (m, H k) ->
-(H m, k), for the block-batched score and weighting products and one
-row normalization.
+(H m, k), so that head j of set p is block j P + p of the block-batched
+products, and one row normalization covers every head.
 """
 
 from __future__ import annotations
@@ -64,30 +66,12 @@ def _split(n_rows: int, set_size: Optional[int]):
     return n, n_rows // n
 
 
-_OFF = -1e30  # additive score mask: exp underflows to exactly 0
-
-
-def _set_masks(n: int, sets: int, heads: int = 1):
-    """Additive score masks that keep attention inside each set: (N, N) for
-    self-attention and (P, N) for pooling, repeated down the rows once per
-    head. None where no mask is needed (one set, or singletons, whose
-    attention is skipped)."""
-    if n == 1 or sets == 1:
-        return None, None
-    member = np.kron(np.eye(sets), np.ones((1, n)))  # (P, N): row p marks set p
-    within = np.where(member.T @ member > 0.0, 0.0, _OFF)
-    pool = np.where(member > 0.0, 0.0, _OFF)
-    return DiffValue(np.tile(within, (heads, 1))), DiffValue(np.tile(pool, (heads, 1)))
-
-
-def _weights(q, k, mask, heads: int = 1) -> DiffValue:
-    """Attention weights softmax(q k^T / sqrt(width) + mask), row by row;
-    with heads > 1, q and k hold the heads as row blocks and block j of q
-    scores against block j of k."""
-    qk = ad.matmul_nt(q, k) if heads == 1 else ad.bmm_nt(q, k, heads)
-    scores = ad.scale(qk, 1.0 / math.sqrt(q.shape[1]))
-    if mask is not None:
-        scores = ad.add(scores, mask)
+def _weights(q, k, blocks: int) -> DiffValue:
+    """Attention weights softmax(q_j k_j^T / sqrt(width)), row by row, for
+    each of the `blocks` row blocks j of q and k: every set (and, for the
+    full form, every head of every set) is one block, so attention never
+    crosses a set."""
+    scores = ad.scale(ad.bmm_nt(q, k, blocks), 1.0 / math.sqrt(q.shape[1]))
     return ad.softmax_rows(scores)
 
 
@@ -162,17 +146,17 @@ def simple_forward(p: SimpleSetParams, elems, set_size: Optional[int] = None) ->
     if n == 1:  # both attention weights are 1
         v1 = ad.affine(h1, p.w1v, p.b1v)
         return ad.affine(v1, p.w2v, p.b2v)
-    within, pool = _set_masks(n, sets)
 
     q1 = ad.affine(h1, p.w1q, p.b1q)
     k1 = ad.affine(h1, p.w1k, p.b1k)
     v1 = ad.affine(h1, p.w1v, p.b1v)
-    h2 = ad.matmul(_weights(q1, k1, within), v1)
+    h2 = ad.bmm(_weights(q1, k1, sets), v1, sets)
 
+    # one seed query per set: 1-row blocks against the set's n-row blocks
     q2 = ad.affine(ad.tile_rows(p.seed, sets), p.w2q, p.b2q)
     k2 = ad.affine(h2, p.w2k, p.b2k)
     v2 = ad.affine(h2, p.w2v, p.b2v)
-    return ad.matmul(_weights(q2, k2, pool), v2)
+    return ad.bmm(_weights(q2, k2, sets), v2, sets)
 
 
 def alpha_pair(p: SimpleSetParams, h, h_prime):
@@ -305,14 +289,15 @@ def init_full(d: int, d_h: Optional[int] = None, rng: Optional[np.random.Generat
     )
 
 
-def _attend(block: AttnBlock, queries, keys_values, mask, one_key: bool) -> DiffValue:
+def _attend(block: AttnBlock, queries, keys_values, sets: int, one_key: bool) -> DiffValue:
     """Multi-head attention with per-head layer norm on Q + softmax(QK/s)V,
     the heads' outputs side by side.
 
-    The heads run as row blocks of one matrix. mask is the additive score
-    mask of `_set_masks`, repeated once per head; with one_key (every
-    query's set is the single matching row of keys_values) the weights are
-    1 and V is used as it is."""
+    The queries and keys_values rows hold `sets` sets each, as consecutive
+    equal row blocks. The heads run as row blocks of one matrix, so head j
+    of set p is block j * sets + p of the block-batched products. With
+    one_key (every query's set is the single matching row of keys_values)
+    the weights are 1 and V is used as it is."""
     w, h = block.packed, len(block.heads)
     q = ad.affine(queries, w.wq, w.bq)
     v = ad.affine(keys_values, w.wv, w.bv)
@@ -321,7 +306,7 @@ def _attend(block: AttnBlock, queries, keys_values, mask, one_key: bool) -> Diff
     else:
         q = ad.heads_to_rows(q, h)
         k = ad.heads_to_rows(ad.affine(keys_values, w.wk, w.bk), h)
-        v = ad.bmm(_weights(q, k, mask, h), ad.heads_to_rows(v, h), h)
+        v = ad.bmm(_weights(q, k, h * sets), ad.heads_to_rows(v, h), h * sets)
         a = ad.add(q, v)
     return ad.scale_shift(ad.rows_to_heads(ad.normalize_rows(a), h), w.ln_gain, w.ln_bias)
 
@@ -364,14 +349,13 @@ def full_forward(p: FullSetTransformerParams, elems, masks=None,
     """
     x = _stack(elems)
     n, sets = _split(x.shape[0], set_size)
-    within, pool = _set_masks(n, sets, N_HEADS)
     one = n == 1
-    g1 = _block_mix(p.block1, _attend(p.block1, x, x, within, one), first_block=True)
-    h2 = _block_mix(p.block2, _attend(p.block2, g1, g1, within, one), first_block=False)
+    g1 = _block_mix(p.block1, _attend(p.block1, x, x, sets, one), first_block=True)
+    h2 = _block_mix(p.block2, _attend(p.block2, g1, g1, sets, one), first_block=False)
     if masks is not None:
         m2, m3 = masks
         h2 = ad.dropout(h2, p.dropout_rate, m2)
-    pooled = _attend(p.block3, ad.tile_rows(p.seed, sets), h2, pool, one)
+    pooled = _attend(p.block3, ad.tile_rows(p.seed, sets), h2, sets, one)
     h3 = _block_mix(p.block3, pooled, first_block=False)
     if masks is not None:
         h3 = ad.dropout(h3, p.dropout_rate, m3)
@@ -417,9 +401,8 @@ def deepsets_forward(p: DeepSetsParams, elems, set_size: Optional[int] = None) -
     x = _stack(elems)
     n, sets = _split(x.shape[0], set_size)
     x = _run_stack(p.pre, x, p.slope, activate_last=True)
-    if n > 1:
-        member = DiffValue(np.kron(np.eye(sets), np.ones((1, n))))
-        x = ad.scale(ad.matmul(member, x), 1.0 / n)
+    if n > 1:  # the mean of each set's n consecutive rows
+        x = ad.scale(ad.scatter_rows(x, np.repeat(np.arange(sets), n), sets), 1.0 / n)
     return _run_stack(p.post, x, p.slope, activate_last=False)
 
 

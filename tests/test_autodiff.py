@@ -101,6 +101,30 @@ class TestForwardValues:
         with pytest.raises(ad.ShapeError):
             ad.bmm_nt(a, b, 3)  # widths 4 and 5 differ
 
+    def test_block_sq_dists_match_per_block(self, rng):
+        a, b = rng.standard_normal((6, 4)), rng.standard_normal((9, 4))
+        got = ad.block_sq_dists(a, b, 3).data
+        want = np.vstack([ad.pairwise_sq_dists(a[2 * j:2 * j + 2], b[3 * j:3 * j + 3]).data
+                          for j in range(3)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        with pytest.raises(ad.ShapeError):
+            ad.block_sq_dists(a, b, 4)
+
+    def test_take_and_scatter_rows_are_adjoint(self, rng):
+        # <take(x), y> = <x, scatter(y)>, with repeated and -1 indices
+        index = np.array([2, -1, 0, 2, 3])
+        x, y = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
+        taken = ad.take_rows(x, index).data
+        np.testing.assert_array_equal(taken, [x[2], np.zeros(3), x[0], x[2], x[3]])
+        scattered = ad.scatter_rows(y, index, 4).data
+        np.testing.assert_allclose(scattered, [y[2], np.zeros(3), y[0] + y[3], y[4]],
+                                   rtol=0, atol=1e-15)
+        assert abs(np.sum(taken * y) - np.sum(x * scattered)) <= 1e-12
+        with pytest.raises(ad.ShapeError):
+            ad.take_rows(x, [4])
+        with pytest.raises(ad.ShapeError):
+            ad.scatter_rows(y, [0, 1], 4)  # two indices for five rows
+
     def test_head_relayout_roundtrip(self, rng):
         x = rng.standard_normal((3, 8))
         rows = ad.heads_to_rows(x, 4).data
@@ -178,6 +202,12 @@ class TestGradients:
         ("bmm_tn_self", (4, 2), lambda x, c: ad.sum_all(ad.mul(ad.bmm_tn(x, x, 2), c[:8].reshape(4, 2)))),
         ("heads_to_rows", (2, 6), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.heads_to_rows(x, 3)), c[:12].reshape(6, 2)))),
         ("rows_to_heads", (6, 2), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.rows_to_heads(x, 3)), c[:12].reshape(2, 6)))),
+        ("take_rows", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.take_rows(x, [2, -1, 0, 2])), c[:8].reshape(4, 2)))),
+        ("scatter_rows", (4, 2), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.scatter_rows(x, [1, -1, 1, 0], 3)), c[:6].reshape(3, 2)))),
+        ("take_scatter", (3, 2), lambda x, c: ad.sum_all(ad.exp(ad.scatter_rows(ad.mul(ad.take_rows(x, [0, 2, 2]), c[:6].reshape(3, 2)), [1, 0, 1], 2)))),
+        ("block_sq_dists_l", (4, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(x, c[:12].reshape(6, 2), 2), c[4:16].reshape(4, 3)))),
+        ("block_sq_dists_r", (6, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(c[:8].reshape(4, 2), x, 2), c[4:16].reshape(4, 3)))),
+        ("block_sq_dists_both", (4, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(x, ad.mul(x, c[:8].reshape(4, 2)), 2), c[8:16].reshape(4, 2)))),
     ]
 
     @pytest.mark.parametrize("name,shape,build", CASES, ids=[c[0] for c in CASES])
@@ -257,6 +287,11 @@ class TestSecondOrder:
         "heads_to_rows": lambda dep, fix: ad.heads_to_rows(ad.mul(dep(3), dep(3)), 2),
         "rows_to_heads": lambda dep, fix: ad.rows_to_heads(ad.mul(dep(4), dep(4)), 2),
         "concat_3": lambda dep, fix: ad.concat_cols(dep(2), fix(2), ad.mul(dep(2), dep(2))),
+        "take_rows": lambda dep, fix: ad.take_rows(ad.mul(dep(3), dep(3)), [2, -1, 0, 2]),
+        "scatter_rows": lambda dep, fix: ad.scatter_rows(ad.mul(dep(4), dep(4)), [1, -1, 1, 0], 3),
+        "block_sq_dists_l": lambda dep, fix: ad.block_sq_dists(dep(4), fix(6), 2),
+        "block_sq_dists_r": lambda dep, fix: ad.block_sq_dists(fix(4), dep(6), 2),
+        "block_sq_dists_both": lambda dep, fix: ad.block_sq_dists(dep(4), dep(6), 2),
     }
 
     @pytest.mark.parametrize(
@@ -396,6 +431,30 @@ class TestSecondOrder:
         assert abs(got - want) <= 1e-4 * max(abs(want), 1.0)
 
 
+    def test_third_order_through_row_gathers_and_block_dists(self, rng):
+        # as above, through take_rows, scatter_rows and block_sq_dists,
+        # whose VJPs are each other and the block-batched products
+        c, v, w, u, x0 = (rng.standard_normal((4, 3)) for _ in range(5))
+
+        def hvp_dot_w(x0, create_graph=False):
+            tape = Tape()
+            x = tape.param(x0)
+            rows = ad.take_rows(x, [3, 0, -1, 0, 1, 2])
+            protos = ad.scatter_rows(ad.mul(x, DiffValue.const(c)), [1, 0, 2, 1], 4)
+            d = ad.block_sq_dists(rows, protos, 2)
+            f = ad.sum_all(ad.exp(ad.scale(d, -0.2)))
+            (g,) = ad.grad(f, [x], create_graph=True)
+            (hv,) = ad.grad(ad.sum_all(ad.mul(g, DiffValue.const(v))), [x],
+                            create_graph=create_graph)
+            return x, ad.sum_all(ad.mul(hv, DiffValue.const(w)))
+
+        x, s = hvp_dot_w(x0, create_graph=True)
+        (third,) = ad.grad(s, [x])
+        h = 1e-4
+        want = (hvp_dot_w(x0 + h * u)[1].item() - hvp_dot_w(x0 - h * u)[1].item()) / (2 * h)
+        got = float(np.sum(third.data * u))
+        assert abs(got - want) <= 1e-4 * max(abs(want), 1.0)
+
     def test_third_order_through_bmm_nt(self, rng):
         # as above, through the block-batched products of each VJP
         c, v, w, u, x0 = (rng.standard_normal((4, 3)) for _ in range(5))
@@ -490,6 +549,9 @@ class TestDeterminism:
         ("heads_to_rows", (3, 4), lambda x: ad.heads_to_rows(x, 2)),
         ("rows_to_heads", (4, 3), lambda x: ad.rows_to_heads(x, 2)),
         ("concat_cols_3", (3, 4), lambda x: ad.concat_cols(x, x, np.ones((3, 2)))),
+        ("take_rows", (3, 4), lambda x: ad.take_rows(x, [2, 0, -1, 2])),
+        ("scatter_rows", (3, 4), lambda x: ad.scatter_rows(x, [1, 1, -1], 2)),
+        ("block_sq_dists", (4, 3), lambda x: ad.block_sq_dists(x, x, 2)),
     ]
 
     @pytest.mark.parametrize("name,shape,op", FUSED, ids=[f[0] for f in FUSED])

@@ -267,6 +267,21 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: non-finite hypergradient at iteration 20"]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_encoder_step_exits_one(self, workspace, capsys):
+        # an SGD step of 1e308 overflows the encoder at the first iteration:
+        # the run stops there, before any evaluation or checkpoint
+        tmp, cfg, tasks = workspace
+        out = tmp / "inf"
+        rc = cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
+                       "--out-dir", str(out), "--seed", "2", "--method", "protonet",
+                       "--set", "theta_opt=sgd", "--set", "inner_lr=1e308",
+                       "--set", "max_iters=1"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: non-finite encoder update at iteration 1"]
+        assert not (out / "best.ckpt").exists()
+
     @pytest.mark.parametrize("bad", [
         ["--set", "set_kind=full", "--set", "dropout_rate=1.0"],
         ["--set", "set_kind=full", "--set", "dropout_rate=-0.5"],

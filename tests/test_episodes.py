@@ -65,6 +65,18 @@ class TestGeneration:
         assert len(t.support) == cfg.way * cfg.shots
         assert len(t.query) == cfg.way * cfg.queries
 
+    def test_task_arrays_cannot_go_stale(self):
+        # the arrays are built once, so the examples they come from are fixed
+        t = ep.gen_gaussian_tasks(small_cfg()).meta_train[0]
+        np.testing.assert_array_equal(t.xs, np.stack([ex.features for ex in t.support]))
+        np.testing.assert_array_equal(t.yq, [ex.label for ex in t.query])
+        with pytest.raises(AttributeError):
+            t.support = t.support[:1]
+        with pytest.raises(AttributeError):
+            t.query.append(t.query[0])
+        with pytest.raises(ValueError):
+            t.xs[0, 0] = 1.0
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             small_cfg(way=0)

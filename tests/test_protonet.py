@@ -215,8 +215,9 @@ class TestLossSingleton:
 
 
 def query_dists(theta, query, protos):
-    """(1, K) distances from one embedded query to the prototype rows."""
-    e = pn.embed_batch(sf.IdentitySet(), theta, np.reshape(query, (1, -1)))
+    """(1, K) distances from one embedded query to the prototype rows (the
+    identity set function adds nothing between the stacks)."""
+    e = pn.encode_upper(theta, pn.encode_lower(theta, np.reshape(query, (1, -1))))
     return pn.pairwise_dists(e, protos)
 
 

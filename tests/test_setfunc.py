@@ -291,12 +291,12 @@ class TestBatchedSets:
             np.testing.assert_array_equal(m3[s:s + 1], ref.random((1, 8)) < 0.7)
 
 
-def _attend_per_head(block, queries, keys_values, mask, one_key, packed_projections=False):
+def _attend_per_head(block, queries, keys_values, sets, one_key, packed_projections=False):
     """The head loop that the batched `_attend` replaced, built from
     primitives: each head's projections, attention weights and layer norm,
     the heads' outputs joined side by side. With packed_projections each
     head's Q, K and V are its columns of the packed affines."""
-    m, outs = queries.shape[0], []
+    outs = []
     for j, head in enumerate(block.heads):
         if packed_projections:
             w, width = block.packed, head.wq.shape[1]
@@ -312,8 +312,8 @@ def _attend_per_head(block, queries, keys_values, mask, one_key, packed_projecti
             k = None if one_key else ad.affine(keys_values, head.wk, head.bk)
             v = ad.affine(keys_values, head.wv, head.bv)
         if k is not None:
-            # the score mask is repeated once per head; its first block is one head's
-            v = ad.matmul(sf._weights(q, k, None if mask is None else mask.data[:m]), v)
+            # one head's attention, set by set
+            v = ad.bmm(sf._weights(q, k, sets), v, sets)
         outs.append(ad.layer_norm(ad.add(q, v), head.ln_gain, head.ln_bias))
     return ad.concat_cols(*outs)
 

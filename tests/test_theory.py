@@ -84,12 +84,15 @@ class TestDelta:
     def test_one_shot_single_term(self, rng):
         prob = linear_problem(rng, shots=(1, 1), seed=4)
         # restrict both tasks to one support per class
-        for task in (prob.task_t, prob.task_tp):
+
+        def first_per_class(task):
             seen = set()
-            task.support = [
-                e for e in task.support
-                if e.label not in seen and not seen.add(e.label)
-            ]
+            support = [e for e in task.support
+                       if e.label not in seen and not seen.add(e.label)]
+            return ep.Task(support, task.query, task.way)
+
+        prob.task_t = first_per_class(prob.task_t)
+        prob.task_tp = first_per_class(prob.task_tp)
         M, _ = sf.effective_affine(prob.set_params)
         G = prob.upper.w
         for k in (1, 2):
