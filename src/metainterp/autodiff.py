@@ -15,26 +15,24 @@ not matmuls with a ones matrix.
 
 Rows are picked and pooled by index, never by a product with a
 selection matrix: `take_rows` gathers rows (an index of -1 gives a zero
-row) and `scatter_rows` sums rows into place; each is the other's VJP.
+row) and `scatter_rows` sums rows into place; each is the other's VJP,
+and `concat_rows`'s VJP gathers each part's rows.
 
 The hot composites are fused: `softmax_rows`, `log_softmax_rows`,
 `normalize_rows` (the row normalization inside `layer_norm`),
-`block_sq_dists` (squared distances within each row block, of which
-`pairwise_sq_dists` is the one-block case), `affine` (x W + b) and
-`scale_shift` (the gain and bias of `layer_norm`) each record one tape
-node, computing the forward in numpy and writing the VJP in primitives,
-so their gradients stay differentiable. `matmul_nt` (a b^T) and
-`matmul_tn` (a^T b) are products with a transposed operand; the VJPs of
-the three matmuls close over them, so no transpose is ever a node of its
-own.
+`block_sq_dists` (squared distances within each row block), `affine`
+(x W + b) and `scale_shift` (the gain and bias of `layer_norm`) each
+record one tape node, computing the forward in numpy and writing the VJP
+in primitives, so their gradients stay differentiable.
 
-Set-wise attention runs its sets, and the heads of each set, as row
-blocks of one matrix. `heads_to_rows` moves column block j of an
-(m, h k) matrix to row block j of an (h m, k) one and `rows_to_heads`
-moves it back; each is the other's VJP. The block-batched trio `bmm`
-(a_j b_j), `bmm_nt` (a_j b_j^T) and `bmm_tn` (a_j^T b_j) multiply row
-block j of a by row block j of b for all h blocks in one node, and their
-VJPs close over each other as the 2-D trio's do.
+The product trio `matmul` (a_j b_j), `matmul_nt` (a_j b_j^T) and
+`matmul_tn` (a_j^T b_j) multiplies row block j of a by row block j of b
+for all `blocks` row blocks in one node; with the default one block they
+are the plain products. Their VJPs close over each other, so no transpose
+is ever a node of its own. Set-wise attention runs its sets, and the heads
+of each set, as row blocks of one matrix: `heads_to_rows` moves column
+block j of an (m, h k) matrix to row block j of an (h m, k) one and
+`rows_to_heads` moves it back; each is the other's VJP.
 
 Every VJP is called as vjp(g, need, node), and `grad` passes the node
 itself, so a VJP that needs its node's own output (`exp`, `div`,
@@ -167,47 +165,6 @@ def _make(data, parents, vjp) -> DiffValue:
 # primitives
 
 
-def matmul(a, b) -> DiffValue:
-    a, b = _lift(a), _lift(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    out = a.data @ b.data
-
-    def vjp(g, need, node):
-        return (matmul_nt(g, b) if need[0] else None,
-                matmul_tn(a, g) if need[1] else None)
-
-    return _make(out, (a, b), vjp)
-
-
-def matmul_nt(a, b) -> DiffValue:
-    """a b^T: (m,k) x (n,k) -> (m,n), without a transpose node."""
-    a, b = _lift(a), _lift(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"matmul_nt inner dims differ: {a.shape} x {b.shape}^T")
-    out = a.data @ b.data.T
-
-    def vjp(g, need, node):
-        return (matmul(g, b) if need[0] else None,
-                matmul_tn(g, a) if need[1] else None)
-
-    return _make(out, (a, b), vjp)
-
-
-def matmul_tn(a, b) -> DiffValue:
-    """a^T b: (k,m) x (k,n) -> (m,n), without a transpose node."""
-    a, b = _lift(a), _lift(b)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"matmul_tn inner dims differ: {a.shape}^T x {b.shape}")
-    out = a.data.T @ b.data
-
-    def vjp(g, need, node):
-        return (matmul_nt(b, g) if need[0] else None,
-                matmul(a, g) if need[1] else None)
-
-    return _make(out, (a, b), vjp)
-
-
 def _blocks(x: DiffValue, h: int, op: str) -> np.ndarray:
     """The (h, rows / h, cols) view of the h row blocks of x."""
     m, n = x.shape
@@ -216,47 +173,47 @@ def _blocks(x: DiffValue, h: int, op: str) -> np.ndarray:
     return x.data.reshape(h, m // h, n)
 
 
-def bmm(a, b, h: int) -> DiffValue:
-    """a_j b_j for the h row blocks: (h m, k) x (h k, n) -> (h m, n)."""
+def matmul(a, b, blocks: int = 1) -> DiffValue:
+    """a_j b_j for the h = blocks row blocks j: (h m, k) x (h k, n) -> (h m, n)."""
     a, b = _lift(a), _lift(b)
-    a3, b3 = _blocks(a, h, "bmm"), _blocks(b, h, "bmm")
+    a3, b3 = _blocks(a, blocks, "matmul"), _blocks(b, blocks, "matmul")
     if a3.shape[2] != b3.shape[1]:
-        raise ShapeError(f"bmm inner dims differ: {a3.shape} x {b3.shape}")
+        raise ShapeError(f"matmul inner dims differ: {a3.shape} x {b3.shape}")
     out = np.matmul(a3, b3).reshape(-1, b3.shape[2])
 
     def vjp(g, need, node):
-        return (bmm_nt(g, b, h) if need[0] else None,
-                bmm_tn(a, g, h) if need[1] else None)
+        return (matmul_nt(g, b, blocks) if need[0] else None,
+                matmul_tn(a, g, blocks) if need[1] else None)
 
     return _make(out, (a, b), vjp)
 
 
-def bmm_nt(a, b, h: int) -> DiffValue:
-    """a_j b_j^T for the h row blocks: (h m, k) x (h n, k) -> (h m, n)."""
+def matmul_nt(a, b, blocks: int = 1) -> DiffValue:
+    """a_j b_j^T for the h = blocks row blocks j: (h m, k) x (h n, k) -> (h m, n)."""
     a, b = _lift(a), _lift(b)
-    a3, b3 = _blocks(a, h, "bmm_nt"), _blocks(b, h, "bmm_nt")
+    a3, b3 = _blocks(a, blocks, "matmul_nt"), _blocks(b, blocks, "matmul_nt")
     if a3.shape[2] != b3.shape[2]:
-        raise ShapeError(f"bmm_nt inner dims differ: {a3.shape} x {b3.shape}^T")
+        raise ShapeError(f"matmul_nt inner dims differ: {a3.shape} x {b3.shape}^T")
     out = np.matmul(a3, b3.transpose(0, 2, 1)).reshape(-1, b3.shape[1])
 
     def vjp(g, need, node):
-        return (bmm(g, b, h) if need[0] else None,
-                bmm_tn(g, a, h) if need[1] else None)
+        return (matmul(g, b, blocks) if need[0] else None,
+                matmul_tn(g, a, blocks) if need[1] else None)
 
     return _make(out, (a, b), vjp)
 
 
-def bmm_tn(a, b, h: int) -> DiffValue:
-    """a_j^T b_j for the h row blocks: (h k, m) x (h k, n) -> (h m, n)."""
+def matmul_tn(a, b, blocks: int = 1) -> DiffValue:
+    """a_j^T b_j for the h = blocks row blocks j: (h k, m) x (h k, n) -> (h m, n)."""
     a, b = _lift(a), _lift(b)
-    a3, b3 = _blocks(a, h, "bmm_tn"), _blocks(b, h, "bmm_tn")
+    a3, b3 = _blocks(a, blocks, "matmul_tn"), _blocks(b, blocks, "matmul_tn")
     if a3.shape[1] != b3.shape[1]:
-        raise ShapeError(f"bmm_tn inner dims differ: {a3.shape}^T x {b3.shape}")
+        raise ShapeError(f"matmul_tn inner dims differ: {a3.shape}^T x {b3.shape}")
     out = np.matmul(a3.transpose(0, 2, 1), b3).reshape(-1, b3.shape[2])
 
     def vjp(g, need, node):
-        return (bmm_nt(b, g, h) if need[0] else None,
-                bmm(a, g, h) if need[1] else None)
+        return (matmul_nt(b, g, blocks) if need[0] else None,
+                matmul(a, g, blocks) if need[1] else None)
 
     return _make(out, (a, b), vjp)
 
@@ -504,8 +461,8 @@ def concat_rows(a, b) -> DiffValue:
     ma = a.shape[0]
 
     def vjp(g, need, node):
-        return (slice_rows(g, 0, ma) if need[0] else None,
-                slice_rows(g, ma, out.shape[0]) if need[1] else None)
+        return (take_rows(g, np.arange(ma)) if need[0] else None,
+                take_rows(g, np.arange(ma, out.shape[0])) if need[1] else None)
 
     return _make(out, (a, b), vjp)
 
@@ -527,19 +484,6 @@ def concat_cols(*parts) -> DiffValue:
     return _make(out, parts, vjp)
 
 
-def slice_rows(a, i0: int, i1: int) -> DiffValue:
-    a = _lift(a)
-    m = a.shape[0]
-    if not (0 <= i0 <= i1 <= m):
-        raise ShapeError(f"slice_rows: [{i0}:{i1}] out of range for {a.shape}")
-    out = np.ascontiguousarray(a.data[i0:i1, :])
-
-    def vjp(g, need, node):
-        return (pad_rows(g, i0, m),)
-
-    return _make(out, (a,), vjp)
-
-
 def slice_cols(a, j0: int, j1: int) -> DiffValue:
     a = _lift(a)
     n = a.shape[1]
@@ -549,21 +493,6 @@ def slice_cols(a, j0: int, j1: int) -> DiffValue:
 
     def vjp(g, need, node):
         return (pad_cols(g, j0, n),)
-
-    return _make(out, (a,), vjp)
-
-
-def pad_rows(a, i0: int, m_total: int) -> DiffValue:
-    """Embed a into rows [i0, i0+m) of an m_total-row zero matrix."""
-    a = _lift(a)
-    m, n = a.shape
-    if i0 < 0 or i0 + m > m_total:
-        raise ShapeError("pad_rows: block out of range")
-    out = np.zeros((m_total, n), dtype=np.float64)
-    out[i0 : i0 + m, :] = a.data
-
-    def vjp(g, need, node):
-        return (slice_rows(g, i0, i0 + m),)
 
     return _make(out, (a,), vjp)
 
@@ -705,19 +634,13 @@ def block_sq_dists(a, b, h: int) -> DiffValue:
         # per block: 2 (rowsum(g) a - g b) and 2 (colsum(g)^T b - g^T a)
         ga = gb = None
         if need[0]:
-            ga = scale(sub(mul(tile_cols(row_sum(g), d), a), bmm(g, b, h)), 2.0)
+            ga = scale(sub(mul(tile_cols(row_sum(g), d), a), matmul(g, b, h)), 2.0)
         if need[1]:
-            col = bmm_tn(g, np.ones((g.shape[0], 1)), h)  # blocks' colsum(g)^T
-            gb = scale(sub(mul(tile_cols(col, d), b), bmm_tn(g, a, h)), 2.0)
+            col = matmul_tn(g, np.ones((g.shape[0], 1)), h)  # blocks' colsum(g)^T
+            gb = scale(sub(mul(tile_cols(col, d), b), matmul_tn(g, a, h)), 2.0)
         return ga, gb
 
     return _make(out, (a, b), vjp)
-
-
-def pairwise_sq_dists(a, b) -> DiffValue:
-    """(N, K) squared Euclidean distances between the rows of a (N, D) and
-    of b (K, D): one block of `block_sq_dists`."""
-    return block_sq_dists(a, b, 1)
 
 
 def affine(x, w, b) -> DiffValue:

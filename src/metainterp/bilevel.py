@@ -170,21 +170,21 @@ def inner_loss(lam, theta, pairs, cfg: TrainConfig, mode: str = "train",
     meta-interp and (1/B) sum of the one term of a one-term method.
 
     Every term of every pair is an episode of one `pn.Batch`, added pair
-    by pair and term by term, so the draws keep that order; the loss is
-    then one graph over all of them."""
+    by pair and term by term, so the draws from rng (which train mode
+    needs) keep that order; the loss is then one graph over all of them."""
     if not pairs:
         raise ValueError("empty batch")
     terms = METHODS[method][0]
     weight = 1.0 / (len(pairs) * len(terms))
-    batch = pn.Batch(lam, theta, mode)
+    batch = pn.Batch(lam, theta, mode, rng)
     for task1, task2, pairing in pairs:
         for name in terms:
             if name == "single":
-                batch.add_singleton(task1, weight, rng)
+                batch.add_singleton(task1, weight)
             elif name == "mix":
-                itp.add_mix(batch, task1, task2, pairing, cfg.interp, weight, rng)
+                itp.add_mix(batch, task1, task2, pairing, cfg.interp, weight)
             else:
-                itp.add_mlti(batch, task1, task2, pairing, cfg.mlti_beta, weight, rng)
+                itp.add_mlti(batch, task1, task2, pairing, cfg.mlti_beta, weight)
     return batch.forward(cfg.metric).loss()
 
 

@@ -217,8 +217,7 @@ def cmd_eval(args, parser) -> int:
     theta, lam, metric = bl.model_from_named(named)
     dataset = ep.load_tasks(args.tasks)
 
-    results = pn.accuracy(lam, theta, dataset.meta_test, args.episodes,
-                          seeds, metric, threads=args.threads)
+    results = pn.accuracy(lam, theta, dataset.meta_test, args.episodes, seeds, metric)
     per_seed = [{"seed": seed, "accuracy": mean, "ci95": half}
                 for seed, (mean, half) in zip(seeds, results)]
     if len(seeds) > 1:
@@ -294,8 +293,7 @@ def cmd_ablate(args, parser) -> int:
             state = bl.meta_train(ds, train_cfg, "meta-interp")
             mean, half = pn.accuracy(state.best_lam, state.best_theta,
                                      ds.meta_test, train_cfg.eval_episodes,
-                                     seed, train_cfg.metric,
-                                     threads=args.threads)
+                                     seed, train_cfg.metric)
             rows.append((args.axis, setting, seed, mean, half))
             print(f"{args.axis}={setting} seed={seed}: {mean:.4f} +/- {half:.4f}")
     out = Path(args.out)
@@ -342,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=3000)
     p.add_argument("--seeds", default="0")
     p.add_argument("--json", default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored; every task is evaluated in one batched pass")
 
     p = sub.add_parser("theory-check", help="run the numerical theory checks")
     p.add_argument("--check", default="all",
@@ -355,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", default="0")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
 
     return parser

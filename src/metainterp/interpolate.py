@@ -8,10 +8,10 @@ task1's queries are scored against the fused prototypes. Queries are left
 unmixed in the main strategy; the query / query+support / noise variants
 are the ablation axes.
 
-A pair's terms are episodes of a `protonet.Batch` (`add_mix`, `add_mlti`):
-its fused sets join the sets of every other pair of the training step in
-one `set_forward` per set size, and its queries and prototypes one block
-of the step's distances. `loss_mix`, `mlti_baseline_loss` and
+A pair's terms are episodes of a `protonet.Batch` (`add_mix`, `add_mlti`)
+and draw from the batch's generator: its fused sets join the sets of every
+other pair of the training step in one `set_forward` per set size, and its
+queries and prototypes one block of the step's distances. `loss_mix` and
 `interpolated_prototypes` are batches of the one pair.
 """
 
@@ -117,7 +117,7 @@ def _support_pairs(s1, task1: Task, s2, task2: Task, pairing: ClassPairing):
 
 
 def _fused_sets(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
-                cfg: InterpConfig, rng: np.random.Generator) -> tuple:
+                cfg: InterpConfig) -> tuple:
     """Adds every fused support set of the pair to batch; returns their ref
     and new classes. Draws, class by class: the class's extra members (or
     noise rows), then in train mode its sets' dropout masks, set by set."""
@@ -132,12 +132,12 @@ def _fused_sets(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing
             d = batch.theta.interp_width
             index = np.column_stack([a, np.full((len(a), n - 1), -1)])
             fill = np.zeros((len(a), n, d))
-            fill[:, 1:] = rng.normal(cfg.noise_mean, cfg.noise_std, size=(len(a), n - 1, d))
+            fill[:, 1:] = batch.rng.normal(cfg.noise_mean, cfg.noise_std, size=(len(a), n - 1, d))
             fill = fill.reshape(-1, d)
         else:
             b = s2[task2.ys == pairing.sigma2[k - 1]]
-            index = _class_sets(a, b, (n + 1) // 2, n // 2, rng)
-        group, numbers = batch.sets(index, rng, fill)
+            index = _class_sets(a, b, (n + 1) // 2, n // 2, batch.rng)
+        group, numbers = batch.sets(index, fill)
         sets.append(numbers)
         classes.append(np.full(len(index), k))
     return (group, np.concatenate(sets)), np.concatenate(classes)
@@ -152,15 +152,13 @@ def interpolated_prototypes(lam, theta, task1: Task, task2: Task,
     stack lifts the fusions, and the per-class mean is the prototype.
     Returns a (K, D) matrix. Draws as `_fused_sets`.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    batch = pn.Batch(lam, theta, mode)
-    protos, classes = _fused_sets(batch, task1, task2, pairing, cfg, rng)
+    batch = pn.Batch(lam, theta, mode, rng)
+    protos, classes = _fused_sets(batch, task1, task2, pairing, cfg)
     batch.episode(pn.NO_QUERIES, [], protos, classes, task1.way)
     return batch.forward().protos
 
 
-def _query_pairs(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
-                 rng: np.random.Generator):
+def _query_pairs(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing):
     """Each task1 query's input row beside the row of a task2 query drawn
     from the paired class, in task1's query order, as a (Nq, 2) index; and
     each query's new class k."""
@@ -173,29 +171,27 @@ def _query_pairs(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairin
         pool = pools[label]
         if not len(pool):
             raise ValueError(f"task2 has no queries of class {int(label)}")
-        partners[i] = pool[int(rng.integers(len(pool)))]
+        partners[i] = pool[int(batch.rng.integers(len(pool)))]
     return np.column_stack([batch.rows(task1, "q"), batch.rows(task2, "q")[partners]]), ks
 
 
 def add_mix(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
-            cfg: InterpConfig, weight: float = 1.0,
-            rng: Optional[np.random.Generator] = None) -> None:
+            cfg: InterpConfig, weight: float = 1.0) -> None:
     """Adds the mixed-task episode under the configured strategy: task1's
     queries (or, for the query strategies, each fused with a drawn task2
     partner of the paired class) against the fused prototypes (or, for
     the query strategy, task1's own). Draws the prototypes' randomness,
     then the queries' partners and masks."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     if cfg.strategy == "query":  # plain task1 prototypes, by original label
-        protos, classes = batch.singletons(batch.rows(task1, "s"), rng), task1.ys
+        protos, classes = batch.singletons(batch.rows(task1, "s")), task1.ys
     else:
-        protos, classes = _fused_sets(batch, task1, task2, pairing, cfg, rng)
+        protos, classes = _fused_sets(batch, task1, task2, pairing, cfg)
     if cfg.strategy in ("query", "support_and_query"):
-        pairs, ks = _query_pairs(batch, task1, task2, pairing, rng)
-        queries = batch.sets(pairs, rng)
+        pairs, ks = _query_pairs(batch, task1, task2, pairing)
+        queries = batch.sets(pairs)
         targets = pairing.sigma1[ks - 1] if cfg.strategy == "query" else ks
     else:
-        queries = batch.singletons(batch.rows(task1, "q"), rng)
+        queries = batch.singletons(batch.rows(task1, "q"))
         targets = _inverse(pairing.sigma1)[task1.yq]
     batch.episode(queries, targets, protos, classes, task1.way, weight)
 
@@ -205,14 +201,13 @@ def loss_mix(lam, theta, task1: Task, task2: Task, pairing: ClassPairing,
              rng: Optional[np.random.Generator] = None,
              metric: str = "sqeuclidean") -> DiffValue:
     """Mixed-task episode loss under the configured strategy."""
-    batch = pn.Batch(lam, theta, mode)
-    add_mix(batch, task1, task2, pairing, cfg, rng=rng)
+    batch = pn.Batch(lam, theta, mode, rng)
+    add_mix(batch, task1, task2, pairing, cfg)
     return batch.forward(metric).loss()
 
 
 def add_mlti(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
-             beta_params=(2.0, 2.0), weight: float = 1.0,
-             rng: Optional[np.random.Generator] = None) -> None:
+             beta_params=(2.0, 2.0), weight: float = 1.0) -> None:
     """Adds the manifold-mixup episode: convex mixing of split-layer rows
     with a Beta-drawn coefficient, applied to support pairs and query
     pairs; no set function, no bilevel structure. Draws the coefficient,
@@ -221,22 +216,12 @@ def add_mlti(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
     beta_params (a, b) draws the coefficient from Beta(a, b); b <= 0 pins
     it to exactly a (useful for the degenerate checks).
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     beta_a, beta_b = beta_params
-    lam_mix = float(beta_a) if beta_b <= 0 else float(rng.beta(beta_a, beta_b))
-    query_pairs, ks = _query_pairs(batch, task1, task2, pairing, rng)
+    lam_mix = float(beta_a) if beta_b <= 0 else float(batch.rng.beta(beta_a, beta_b))
+    query_pairs, ks = _query_pairs(batch, task1, task2, pairing)
     sup_pairs, classes = _support_pairs(batch.rows(task1, "s"), task1,
                                         batch.rows(task2, "s"), task2, pairing)
     coef = (lam_mix, 1.0 - lam_mix)
     protos = batch.mixes(sup_pairs, coef)
     batch.episode(batch.mixes(query_pairs, coef), ks, protos, classes, task1.way, weight)
 
-
-def mlti_baseline_loss(theta, task1: Task, task2: Task, pairing: ClassPairing,
-                       beta_params=(2.0, 2.0),
-                       rng: Optional[np.random.Generator] = None,
-                       metric: str = "sqeuclidean") -> DiffValue:
-    """Manifold-mixup task interpolation loss of one pair (`add_mlti`)."""
-    batch = pn.Batch(None, theta)
-    add_mlti(batch, task1, task2, pairing, beta_params, rng=rng)
-    return batch.forward(metric).loss()

@@ -125,7 +125,7 @@ def _apply_metric(d2, metric: str) -> DiffValue:
 
 def pairwise_dists(queries, protos, metric: str = "sqeuclidean") -> DiffValue:
     """(N, K) distance matrix between query rows and prototype rows."""
-    return _apply_metric(ad.pairwise_sq_dists(queries, protos), metric)
+    return _apply_metric(ad.block_sq_dists(queries, protos, 1), metric)
 
 
 def _cross_entropy_terms(dists, weights: np.ndarray) -> DiffValue:
@@ -178,40 +178,52 @@ class _Episode(NamedTuple):
 
 
 # the ref of an episode without queries (prototypes only)
-NO_QUERIES = ((1, False), np.zeros(0, dtype=np.int64))
+NO_QUERIES = (1, np.zeros(0, dtype=np.int64))
+
+
+class _NoRng:
+    """The generator of a batch built without one: any draw raises."""
+
+    def __getattr__(self, name):
+        raise ValueError("a term of this batch draws at random, but the batch has no rng")
 
 
 class Batch:
     """The episodes of one loss, laid out before any compute.
 
     Each `add_*` (here and in `interpolate`) makes its term's random draws
-    in a fixed order and records row indices only. `forward` then builds
-    one graph for every episode: one lower-stack pass over the features of
-    every task involved (each task's support and query rows enter once),
-    one `setfunc.set_forward` per group of sets (below), one upper-stack pass over all
-    set outputs, the class means of every episode by one row scatter, each
+    from `rng` in a fixed order and records row indices only. Train mode
+    needs an rng, and so does any term that must draw (extra set members,
+    noise rows, query partners, the MLTI coefficient); without one such a
+    draw raises ValueError. `forward` then builds one graph for every
+    episode: one lower-stack pass over the features of every task involved
+    (each task's support and query rows enter once), one
+    `setfunc.set_forward` per set size, one upper-stack pass over all set
+    outputs, the class means of every episode by one row scatter, each
     episode's queries against its own prototypes as one block of
     `block_sq_dists`, one log-softmax and one weighted sum.
 
-    A ref (group, numbers) names set outputs. A group is a set size and
-    whether its sets carry dropout masks, so sets of one size drawn with
-    and without masks (train mode without an rng, where only the mixed
-    term makes its own generator) run as two passes, each as drawn. The
-    upper-stack input stacks the outputs of every group, smallest first;
-    size 0 holds the mixed rows of the manifold-mixup baseline, which skip
-    the set function.
+    A ref (size, numbers) names set outputs. Every set of one size is
+    drawn alike (in train mode the full set transformer's carry dropout
+    masks), so the sets of one size are one group. The upper-stack input
+    stacks the outputs of every group, smallest first; size 0 holds the
+    mixed rows of the manifold-mixup baseline, which skip the set function.
     Singletons drawn without dropout masks are shared, so two terms that
     embed the same rows (the singleton and the mixed-task term's queries)
     embed them once.
     """
 
-    def __init__(self, lam, theta: EncoderParams, mode: str = "eval"):
+    def __init__(self, lam, theta: EncoderParams, mode: str = "eval",
+                 rng: Optional[np.random.Generator] = None):
+        if mode == "train" and rng is None:
+            raise ValueError("a train-mode batch needs an rng")
         self.lam, self.theta, self.mode = lam, theta, mode
+        self.rng = _NoRng() if rng is None else rng
         self._inputs = []        # feature matrices, stacked into the lower-stack input
         self._first_row = {}     # (id(task), role) -> its first input row
         self._tasks = []         # keeps the tasks whose ids key _first_row alive
         self._shared = np.zeros(0, dtype=np.int64)  # input row -> shared singleton, or -1
-        self._groups = {}        # (set size, masked) -> _Sets
+        self._groups = {}        # set size -> _Sets
         self._episodes = []
 
     def rows(self, task: Task, role: str) -> np.ndarray:
@@ -226,33 +238,32 @@ class Batch:
         return self._first_row[key] + np.arange(len(x))
 
     def _add(self, size: int, index, masks=None, fill=None, coef=None) -> tuple:
-        key = (size, masks is not None)
-        g = self._groups.setdefault(key, _Sets())
+        g = self._groups.setdefault(size, _Sets())
         g.index.append(index)
         g.masks.append(masks)
         g.fill.append(fill)
         g.coef.append(coef)
         g.count += len(index)
-        return key, np.arange(g.count - len(index), g.count)
+        return size, np.arange(g.count - len(index), g.count)
 
-    def singletons(self, rows, rng=None) -> tuple:
-        """Ref of the input rows, each its own set; in train mode with an
-        rng, their dropout masks are drawn."""
-        masks = setfunc.make_masks(self.lam, len(rows), rng, set_size=1) \
+    def singletons(self, rows) -> tuple:
+        """Ref of the input rows, each its own set; in train mode their
+        dropout masks are drawn."""
+        masks = setfunc.make_masks(self.lam, len(rows), self.rng, set_size=1) \
             if self.mode == "train" else None
         if masks is not None:
             return self._add(1, rows[:, None], masks)
         new = rows[self._shared[rows] < 0]
         if len(new):
             self._shared[new] = self._add(1, new[:, None])[1]
-        return (1, False), self._shared[rows]
+        return 1, self._shared[rows]
 
-    def sets(self, index, rng=None, fill=None) -> tuple:
+    def sets(self, index, fill=None) -> tuple:
         """Ref of the sets whose member rows are the rows of the (P, n)
         index (-1 for a zero row); fill, (P n, d), is added to the members.
-        In train mode their dropout masks are drawn from rng, set by set."""
+        In train mode their dropout masks are drawn, set by set."""
         index = np.asarray(index, dtype=np.int64)
-        masks = setfunc.make_masks(self.lam, index.size, rng, set_size=index.shape[1]) \
+        masks = setfunc.make_masks(self.lam, index.size, self.rng, set_size=index.shape[1]) \
             if self.mode == "train" else None
         return self._add(index.shape[1], index, masks, fill)
 
@@ -271,16 +282,15 @@ class Batch:
         self._episodes.append(_Episode(queries, np.asarray(targets, dtype=np.int64), protos,
                                        np.asarray(classes, dtype=np.int64), way, weight))
 
-    def add_singleton(self, task: Task, weight: float = 1.0, rng=None) -> None:
+    def add_singleton(self, task: Task, weight: float = 1.0) -> None:
         """Task's episode with every row a singleton of the set function.
         Train mode draws the supports' masks, then the queries'."""
-        protos = self.singletons(self.rows(task, "s"), rng)
-        queries = self.singletons(self.rows(task, "q"), rng)
+        protos = self.singletons(self.rows(task, "s"))
+        queries = self.singletons(self.rows(task, "q"))
         self.episode(queries, task.yq, protos, task.ys, task.way, weight)
 
-    def _outputs(self, key: tuple, g: _Sets, h: DiffValue) -> DiffValue:
+    def _outputs(self, size: int, g: _Sets, h: DiffValue) -> DiffValue:
         """The set outputs of one group, in the order the sets were added."""
-        size, masked = key
         index = np.concatenate(g.index).reshape(-1)
         if size == 0:
             coef = np.repeat(np.concatenate(g.coef).reshape(-1, 1), h.shape[1], axis=1)
@@ -292,7 +302,7 @@ class Batch:
             x = ad.add(x, DiffValue.const(np.vstack([
                 np.zeros((i.size, h.shape[1])) if f is None else f
                 for i, f in zip(g.index, g.fill)])))
-        masks = tuple(np.vstack(site) for site in zip(*g.masks)) if masked else None
+        masks = None if g.masks[0] is None else tuple(np.vstack(site) for site in zip(*g.masks))
         return setfunc.set_forward(self.lam, x, masks, set_size=size)
 
     def forward(self, metric: str = "sqeuclidean") -> "Scores":
@@ -307,9 +317,9 @@ class Batch:
         x = self._inputs[0] if len(self._inputs) == 1 else np.vstack(self._inputs)
         h = encode_lower(self.theta, x)
         start, z = {}, None
-        for key in sorted(self._groups):
-            start[key] = 0 if z is None else z.shape[0]
-            out = self._outputs(key, self._groups[key], h)
+        for size in sorted(self._groups):
+            start[size] = 0 if z is None else z.shape[0]
+            out = self._outputs(size, self._groups[size], h)
             z = out if z is None else ad.concat_rows(z, out)
         e = encode_upper(self.theta, z)
 
@@ -367,8 +377,8 @@ def loss_singleton(lam, theta: EncoderParams, task: Task, mode: str = "train",
                    metric: str = "sqeuclidean") -> DiffValue:
     """Eq.-(2)-style episode loss with every representation routed through
     the set function as a singleton."""
-    batch = Batch(lam, theta, mode)
-    batch.add_singleton(task, rng=rng)
+    batch = Batch(lam, theta, mode, rng)
+    batch.add_singleton(task)
     return batch.forward(metric).loss()
 
 
@@ -381,13 +391,12 @@ def task_accuracy(lam, theta: EncoderParams, task: Task,
 
 
 def accuracy(lam, theta: EncoderParams, tasks, episodes: int, seed,
-             metric: str = "sqeuclidean", threads: int = 1):
+             metric: str = "sqeuclidean"):
     """Mean episode accuracy and a 95% CI half-width over episodes.
 
     Episodes draw tasks uniformly with replacement; task evaluation is
     deterministic, so per-task accuracies are computed once, in one
-    batched pass over every task, and reused. threads is accepted for the
-    CLI's `--threads` and changes nothing.
+    batched pass over every task, and reused.
     seed may also be a list of seeds: the result is then one (mean, half)
     pair per seed, every task still evaluated once.
     """

@@ -13,18 +13,19 @@ Every forward is batched over sets. It takes an (N, d) matrix, or a list
 of (1, d) rows, cut into P = N / set_size sets of `set_size` consecutive
 rows (by default all N rows form one set), and returns the (P, d) matrix
 of the P set outputs in one pass. Attention runs set by set: the sets are
-the row blocks of the block-batched products (`bmm_nt` for the scores,
-`bmm` for the weighting), so a set's scores are (n, n), or (1, n) for the
-pooling query, and no score ever crosses two sets. At set_size 1 every
-attention weight is exactly 1, so the scores are skipped and a singleton
-costs what its closed form costs. Vectors are carried as rows throughout;
-the classic column-convention output is the transpose of ours.
+the row blocks of the products (`matmul_nt` for the scores, `matmul` for
+the weighting, each with one block per set), so a set's scores are
+(n, n), or (1, n) for the pooling query, and no score ever crosses two
+sets. At set_size 1 every attention weight is exactly 1, so the scores
+are skipped and a singleton costs what its closed form costs. Vectors are
+carried as rows throughout; the classic column-convention output is the
+transpose of ours.
 
 The full form runs all heads of an attention block in one set of nodes:
 the heads' weights sit side by side, so one affine gives every head's
 projection, and the heads are then stacked as row blocks, (m, H k) ->
-(H m, k), so that head j of set p is block j P + p of the block-batched
-products, and one row normalization covers every head.
+(H m, k), so that head j of set p is block j P + p of the products,
+and one row normalization covers every head.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _weights(q, k, blocks: int) -> DiffValue:
     each of the `blocks` row blocks j of q and k: every set (and, for the
     full form, every head of every set) is one block, so attention never
     crosses a set."""
-    scores = ad.scale(ad.bmm_nt(q, k, blocks), 1.0 / math.sqrt(q.shape[1]))
+    scores = ad.scale(ad.matmul_nt(q, k, blocks), 1.0 / math.sqrt(q.shape[1]))
     return ad.softmax_rows(scores)
 
 
@@ -150,13 +151,13 @@ def simple_forward(p: SimpleSetParams, elems, set_size: Optional[int] = None) ->
     q1 = ad.affine(h1, p.w1q, p.b1q)
     k1 = ad.affine(h1, p.w1k, p.b1k)
     v1 = ad.affine(h1, p.w1v, p.b1v)
-    h2 = ad.bmm(_weights(q1, k1, sets), v1, sets)
+    h2 = ad.matmul(_weights(q1, k1, sets), v1, sets)
 
     # one seed query per set: 1-row blocks against the set's n-row blocks
     q2 = ad.affine(ad.tile_rows(p.seed, sets), p.w2q, p.b2q)
     k2 = ad.affine(h2, p.w2k, p.b2k)
     v2 = ad.affine(h2, p.w2v, p.b2v)
-    return ad.bmm(_weights(q2, k2, sets), v2, sets)
+    return ad.matmul(_weights(q2, k2, sets), v2, sets)
 
 
 def alpha_pair(p: SimpleSetParams, h, h_prime):
@@ -295,7 +296,7 @@ def _attend(block: AttnBlock, queries, keys_values, sets: int, one_key: bool) ->
 
     The queries and keys_values rows hold `sets` sets each, as consecutive
     equal row blocks. The heads run as row blocks of one matrix, so head j
-    of set p is block j * sets + p of the block-batched products. With
+    of set p is block j * sets + p of the products. With
     one_key (every query's set is the single matching row of keys_values)
     the weights are 1 and V is used as it is."""
     w, h = block.packed, len(block.heads)
@@ -306,7 +307,7 @@ def _attend(block: AttnBlock, queries, keys_values, sets: int, one_key: bool) ->
     else:
         q = ad.heads_to_rows(q, h)
         k = ad.heads_to_rows(ad.affine(keys_values, w.wk, w.bk), h)
-        v = ad.bmm(_weights(q, k, h * sets), ad.heads_to_rows(v, h), h * sets)
+        v = ad.matmul(_weights(q, k, h * sets), ad.heads_to_rows(v, h), h * sets)
         a = ad.add(q, v)
     return ad.scale_shift(ad.rows_to_heads(ad.normalize_rows(a), h), w.ln_gain, w.ln_bias)
 

@@ -40,7 +40,7 @@ def prototypes_from_matrix(embeddings, labels, way):
 
 
 def pairwise_dists(queries, protos, metric):
-    d2 = ad.pairwise_sq_dists(queries, protos)
+    d2 = ad.block_sq_dists(queries, protos, 1)
     if metric == "sqeuclidean":
         return d2
     return ad.powf(ad.add(d2, DiffValue(np.full(d2.shape, 1e-12))), 0.5)
@@ -170,14 +170,16 @@ def mlti_loss(theta, task1, task2, pairing, beta_params, rng, metric):
     mix[np.arange(len(pairs)), pairs[:, 1]] = 1.0 - lam_mix
     e = encode_upper(theta, ad.matmul(DiffValue.const(mix), h))
     n_sup = len(classes)
-    protos = prototypes_from_matrix(ad.slice_rows(e, 0, n_sup), classes, task1.way)
-    rows = ad.slice_rows(e, n_sup, len(pairs))
+    protos = prototypes_from_matrix(ad.take_rows(e, np.arange(n_sup)), classes, task1.way)
+    rows = ad.take_rows(e, np.arange(n_sup, len(pairs)))
     return cross_entropy(pairwise_dists(rows, protos, metric), ks)
 
 
 def inner_loss(lam, theta, pairs, cfg, mode="train", rng=None, method="meta-interp"):
     """The mean over pairs of the mean of the method's loss terms, one
     graph per pair and term."""
+    if mode == "train" and rng is None:
+        raise ValueError("a train-mode loss needs an rng")
     total = None
     for task1, task2, pairing in pairs:
         parts = []
@@ -211,7 +213,7 @@ def _set_masks(n, sets, heads=1):
 
 
 def _weights(q, k, mask, heads=1):
-    qk = ad.matmul_nt(q, k) if heads == 1 else ad.bmm_nt(q, k, heads)
+    qk = ad.matmul_nt(q, k, heads)
     scores = ad.scale(qk, 1.0 / math.sqrt(q.shape[1]))
     if mask is not None:
         scores = ad.add(scores, mask)
@@ -240,7 +242,7 @@ def _attend(block, queries, keys_values, mask, one_key):
     else:
         q = ad.heads_to_rows(q, h)
         k = ad.heads_to_rows(ad.affine(keys_values, w.wk, w.bk), h)
-        v = ad.bmm(_weights(q, k, mask, h), ad.heads_to_rows(v, h), h)
+        v = ad.matmul(_weights(q, k, mask, h), ad.heads_to_rows(v, h), h)
         a = ad.add(q, v)
     return ad.scale_shift(ad.rows_to_heads(ad.normalize_rows(a), h), w.ln_gain, w.ln_bias)
 

@@ -86,25 +86,31 @@ class TestForwardValues:
         np.testing.assert_array_equal(ad.concat_cols(*parts).data, np.hstack(parts))
 
     def test_block_products_match_per_block(self, rng):
-        # row block j of a with row block j of b, for h = 3 blocks
+        # row block j of a with row block j of b, for h = 3 blocks; one
+        # block is the plain product, self-products included
         a, b = rng.standard_normal((6, 4)), rng.standard_normal((12, 5))
         c, d = rng.standard_normal((9, 4)), rng.standard_normal((6, 5))
         cases = [
-            (ad.bmm(a, b, 3), [a[2 * j:2 * j + 2] @ b[4 * j:4 * j + 4] for j in range(3)]),
-            (ad.bmm_nt(a, c, 3), [a[2 * j:2 * j + 2] @ c[3 * j:3 * j + 3].T for j in range(3)]),
-            (ad.bmm_tn(a, d, 3), [a[2 * j:2 * j + 2].T @ d[2 * j:2 * j + 2] for j in range(3)]),
+            (ad.matmul(a, b, 3), [a[2 * j:2 * j + 2] @ b[4 * j:4 * j + 4] for j in range(3)]),
+            (ad.matmul_nt(a, c, 3), [a[2 * j:2 * j + 2] @ c[3 * j:3 * j + 3].T for j in range(3)]),
+            (ad.matmul_tn(a, d, 3), [a[2 * j:2 * j + 2].T @ d[2 * j:2 * j + 2] for j in range(3)]),
+            (ad.matmul(a, b[:4]), [a @ b[:4]]),
+            (ad.matmul_nt(a, c), [a @ c.T]),
+            (ad.matmul_tn(a, d), [a.T @ d]),
+            (ad.matmul_nt(a, a), [a @ a.T]),
+            (ad.matmul_tn(a, a), [a.T @ a]),
         ]
         for got, blocks in cases:
             np.testing.assert_array_equal(got.data, np.vstack(blocks))
         with pytest.raises(ad.ShapeError):
-            ad.bmm(a, b, 4)  # 6 rows do not split into 4 blocks
+            ad.matmul(a, b, 4)  # 6 rows do not split into 4 blocks
         with pytest.raises(ad.ShapeError):
-            ad.bmm_nt(a, b, 3)  # widths 4 and 5 differ
+            ad.matmul_nt(a, b, 3)  # widths 4 and 5 differ
 
     def test_block_sq_dists_match_per_block(self, rng):
         a, b = rng.standard_normal((6, 4)), rng.standard_normal((9, 4))
         got = ad.block_sq_dists(a, b, 3).data
-        want = np.vstack([ad.pairwise_sq_dists(a[2 * j:2 * j + 2], b[3 * j:3 * j + 3]).data
+        want = np.vstack([ad.block_sq_dists(a[2 * j:2 * j + 2], b[3 * j:3 * j + 3], 1).data
                           for j in range(3)])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         with pytest.raises(ad.ShapeError):
@@ -161,15 +167,16 @@ class TestGradients:
         ("row_sum", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.tile_cols(ad.row_sum(x), 2), x))),
         ("col_sum", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.tile_rows(ad.col_sum(x), 3), x))),
         ("concat", (2, 2), lambda x, c: ad.sum_all(ad.exp(ad.concat_cols(x, ad.mul(x, x))))),
-        ("slice", (3, 3), lambda x, c: ad.sum_all(ad.mul(ad.slice_rows(x, 1, 3), c[:6].reshape(2, 3)))),
+        ("slice", (3, 3), lambda x, c: ad.sum_all(ad.mul(ad.take_rows(x, np.arange(1, 3)), c[:6].reshape(2, 3)))),
+        ("concat_rows", (2, 3), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.concat_rows(x, ad.mul(x, x))), c[:12].reshape(4, 3)))),
         ("softmax", (2, 4), lambda x, c: ad.sum_all(ad.mul(ad.softmax_rows(x), c[:8].reshape(2, 4)))),
         ("layer_norm", (2, 4), lambda x, c: ad.sum_all(ad.mul(ad.layer_norm(x, c[:4].reshape(1, 4), c[4:8].reshape(1, 4)), c[8:16].reshape(2, 4)))),
         ("dropout", (2, 4), lambda x, c: ad.sum_all(ad.dropout(ad.mul(x, x), 0.25, np.array([[1.0, 0, 1, 1], [0, 1, 1, 0]])))),
         ("log_softmax", (2, 4), lambda x, c: ad.sum_all(ad.mul(ad.log_softmax_rows(x), c[:8].reshape(2, 4)))),
         ("normalize_rows", (3, 4), lambda x, c: ad.sum_all(ad.mul(ad.normalize_rows(x), c[:12].reshape(3, 4)))),
-        ("sq_dists_l", (2, 2), lambda x, c: ad.sum_all(ad.mul(ad.pairwise_sq_dists(x, c[:6].reshape(3, 2)), c[6:12].reshape(2, 3)))),
-        ("sq_dists_r", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.pairwise_sq_dists(c[:4].reshape(2, 2), x), c[4:10].reshape(2, 3)))),
-        ("sq_dists_self", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.pairwise_sq_dists(x, x), c[:9].reshape(3, 3)))),
+        ("sq_dists_l", (2, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(x, c[:6].reshape(3, 2), 1), c[6:12].reshape(2, 3)))),
+        ("sq_dists_r", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(c[:4].reshape(2, 2), x, 1), c[4:10].reshape(2, 3)))),
+        ("sq_dists_self", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(x, x, 1), c[:9].reshape(3, 3)))),
         ("tile_rows", (1, 3), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.tile_rows(x, 2)), c[:6].reshape(2, 3)))),
         ("tile_cols", (2, 1), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.tile_cols(x, 3)), c[:6].reshape(2, 3)))),
         ("fill_like", (1, 1), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.fill_like(x, (2, 3))), c[:6].reshape(2, 3)))),
@@ -184,22 +191,23 @@ class TestGradients:
         ("affine_w", (3, 2), lambda x, c: ad.sum_all(ad.exp(ad.affine(c[:6].reshape(2, 3), x, c[6:8].reshape(1, 2))))),
         ("affine_b_row", (1, 2), lambda x, c: ad.sum_all(ad.exp(ad.affine(c[:3].reshape(1, 3), c[3:9].reshape(3, 2), x)))),
         ("affine_b_rows", (1, 2), lambda x, c: ad.sum_all(ad.exp(ad.affine(c[:6].reshape(2, 3), c[6:12].reshape(3, 2), x)))),
-        ("affine_self", (2, 2), lambda x, c: ad.sum_all(ad.exp(ad.affine(x, x, ad.slice_rows(x, 1, 2))))),
+        ("affine_self", (2, 2), lambda x, c: ad.sum_all(ad.exp(ad.affine(x, x, ad.take_rows(x, [1]))))),
         ("scale_shift_y", (2, 3), lambda x, c: ad.sum_all(ad.exp(ad.scale_shift(x, c[:3].reshape(1, 3), c[3:6].reshape(1, 3))))),
         ("scale_shift_gain", (1, 3), lambda x, c: ad.sum_all(ad.exp(ad.scale_shift(c[:6].reshape(2, 3), x, c[6:9].reshape(1, 3))))),
         ("scale_shift_bias", (1, 3), lambda x, c: ad.sum_all(ad.exp(ad.scale_shift(c[:6].reshape(2, 3), c[6:9].reshape(1, 3), x)))),
         ("scale_shift_row", (1, 3), lambda x, c: ad.sum_all(ad.exp(ad.scale_shift(ad.mul(x, x), x, x)))),
-        ("scale_shift_no_bias", (2, 3), lambda x, c: ad.sum_all(ad.exp(ad.scale_shift(x, ad.slice_rows(x, 0, 1))))),
+        ("scale_shift_no_bias", (2, 3), lambda x, c: ad.sum_all(ad.exp(ad.scale_shift(x, ad.take_rows(x, [0]))))),
         ("concat_3", (2, 2), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.concat_cols(x, c[:4].reshape(2, 2), ad.mul(x, x))), c[4:16].reshape(2, 6)))),
-        ("bmm_l", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.bmm(x, c[:12].reshape(6, 2), 2)))),
-        ("bmm_r", (6, 2), lambda x, c: ad.sum_all(ad.exp(ad.bmm(c[:12].reshape(4, 3), x, 2)))),
-        ("bmm_self", (4, 2), lambda x, c: ad.sum_all(ad.mul(ad.bmm(x, x, 2), c[:8].reshape(4, 2)))),
-        ("bmm_nt_l", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.bmm_nt(x, c[:12].reshape(4, 3), 2)))),
-        ("bmm_nt_r", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.bmm_nt(c[:12].reshape(4, 3), x, 2)))),
-        ("bmm_nt_self", (4, 3), lambda x, c: ad.sum_all(ad.mul(ad.bmm_nt(x, x, 2), c[:8].reshape(4, 2)))),
-        ("bmm_tn_l", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.bmm_tn(x, c[:8].reshape(4, 2), 2)))),
-        ("bmm_tn_r", (4, 2), lambda x, c: ad.sum_all(ad.exp(ad.bmm_tn(c[:12].reshape(4, 3), x, 2)))),
-        ("bmm_tn_self", (4, 2), lambda x, c: ad.sum_all(ad.mul(ad.bmm_tn(x, x, 2), c[:8].reshape(4, 2)))),
+        # the bmm cases are the products at two row blocks
+        ("bmm_l", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.matmul(x, c[:12].reshape(6, 2), 2)))),
+        ("bmm_r", (6, 2), lambda x, c: ad.sum_all(ad.exp(ad.matmul(c[:12].reshape(4, 3), x, 2)))),
+        ("bmm_self", (4, 2), lambda x, c: ad.sum_all(ad.mul(ad.matmul(x, x, 2), c[:8].reshape(4, 2)))),
+        ("bmm_nt_l", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.matmul_nt(x, c[:12].reshape(4, 3), 2)))),
+        ("bmm_nt_r", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.matmul_nt(c[:12].reshape(4, 3), x, 2)))),
+        ("bmm_nt_self", (4, 3), lambda x, c: ad.sum_all(ad.mul(ad.matmul_nt(x, x, 2), c[:8].reshape(4, 2)))),
+        ("bmm_tn_l", (4, 3), lambda x, c: ad.sum_all(ad.exp(ad.matmul_tn(x, c[:8].reshape(4, 2), 2)))),
+        ("bmm_tn_r", (4, 2), lambda x, c: ad.sum_all(ad.exp(ad.matmul_tn(c[:12].reshape(4, 3), x, 2)))),
+        ("bmm_tn_self", (4, 2), lambda x, c: ad.sum_all(ad.mul(ad.matmul_tn(x, x, 2), c[:8].reshape(4, 2)))),
         ("heads_to_rows", (2, 6), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.heads_to_rows(x, 3)), c[:12].reshape(6, 2)))),
         ("rows_to_heads", (6, 2), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.rows_to_heads(x, 3)), c[:12].reshape(2, 6)))),
         ("take_rows", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.take_rows(x, [2, -1, 0, 2])), c[:8].reshape(4, 2)))),
@@ -272,21 +280,23 @@ class TestSecondOrder:
         (hvp,) = ad.grad(inner, [x])
         return hvp.data
 
-    # block-batched ops over h = 2 row blocks, on operands that depend on x
-    # (dep) or are constant (fix), each (n, 4)
+    # ops over h = 2 row blocks (the bmm cases are the products), and row
+    # and column concatenations, on operands that depend on x (dep) or are
+    # constant (fix), each (n, 4)
     BLOCK_HVP = {
-        "bmm_l": lambda dep, fix: ad.bmm(dep(4), fix(8), 2),
-        "bmm_r": lambda dep, fix: ad.bmm(fix(4), dep(8), 2),
-        "bmm_both": lambda dep, fix: ad.bmm(dep(4), dep(8), 2),
-        "bmm_nt_l": lambda dep, fix: ad.bmm_nt(dep(4), fix(6), 2),
-        "bmm_nt_r": lambda dep, fix: ad.bmm_nt(fix(4), dep(6), 2),
-        "bmm_nt_both": lambda dep, fix: ad.bmm_nt(dep(4), dep(6), 2),
-        "bmm_tn_l": lambda dep, fix: ad.bmm_tn(dep(4), fix(4), 2),
-        "bmm_tn_r": lambda dep, fix: ad.bmm_tn(fix(4), dep(4), 2),
-        "bmm_tn_both": lambda dep, fix: ad.bmm_tn(dep(4), ad.mul(dep(4), dep(4)), 2),
+        "bmm_l": lambda dep, fix: ad.matmul(dep(4), fix(8), 2),
+        "bmm_r": lambda dep, fix: ad.matmul(fix(4), dep(8), 2),
+        "bmm_both": lambda dep, fix: ad.matmul(dep(4), dep(8), 2),
+        "bmm_nt_l": lambda dep, fix: ad.matmul_nt(dep(4), fix(6), 2),
+        "bmm_nt_r": lambda dep, fix: ad.matmul_nt(fix(4), dep(6), 2),
+        "bmm_nt_both": lambda dep, fix: ad.matmul_nt(dep(4), dep(6), 2),
+        "bmm_tn_l": lambda dep, fix: ad.matmul_tn(dep(4), fix(4), 2),
+        "bmm_tn_r": lambda dep, fix: ad.matmul_tn(fix(4), dep(4), 2),
+        "bmm_tn_both": lambda dep, fix: ad.matmul_tn(dep(4), ad.mul(dep(4), dep(4)), 2),
         "heads_to_rows": lambda dep, fix: ad.heads_to_rows(ad.mul(dep(3), dep(3)), 2),
         "rows_to_heads": lambda dep, fix: ad.rows_to_heads(ad.mul(dep(4), dep(4)), 2),
         "concat_3": lambda dep, fix: ad.concat_cols(dep(2), fix(2), ad.mul(dep(2), dep(2))),
+        "concat_rows": lambda dep, fix: ad.concat_rows(dep(2), ad.mul(dep(3), dep(3))),
         "take_rows": lambda dep, fix: ad.take_rows(ad.mul(dep(3), dep(3)), [2, -1, 0, 2]),
         "scatter_rows": lambda dep, fix: ad.scatter_rows(ad.mul(dep(4), dep(4)), [1, -1, 1, 0], 3),
         "block_sq_dists_l": lambda dep, fix: ad.block_sq_dists(dep(4), fix(6), 2),
@@ -351,7 +361,7 @@ class TestSecondOrder:
         elif case == "sq_dists":
             # the prototype cross-entropy: log softmax of negative distances
             def build(x):
-                d = ad.pairwise_sq_dists(x, DiffValue.const(c[:3, :]))
+                d = ad.block_sq_dists(x, DiffValue.const(c[:3, :]), 1)
                 return ad.sum_all(
                     ad.mul(ad.log_softmax_rows(ad.neg(d)), DiffValue.const(c[3:4, :3]))
                 )
@@ -433,7 +443,7 @@ class TestSecondOrder:
 
     def test_third_order_through_row_gathers_and_block_dists(self, rng):
         # as above, through take_rows, scatter_rows and block_sq_dists,
-        # whose VJPs are each other and the block-batched products
+        # whose VJPs are each other and the products at two row blocks
         c, v, w, u, x0 = (rng.standard_normal((4, 3)) for _ in range(5))
 
         def hvp_dot_w(x0, create_graph=False):
@@ -456,13 +466,13 @@ class TestSecondOrder:
         assert abs(got - want) <= 1e-4 * max(abs(want), 1.0)
 
     def test_third_order_through_bmm_nt(self, rng):
-        # as above, through the block-batched products of each VJP
+        # as above, through the products at two row blocks of each VJP
         c, v, w, u, x0 = (rng.standard_normal((4, 3)) for _ in range(5))
 
         def hvp_dot_w(x0, create_graph=False):
             tape = Tape()
             x = tape.param(x0)
-            f = ad.sum_all(ad.exp(ad.scale(ad.bmm_nt(x, ad.mul(x, DiffValue.const(c)), 2), 0.5)))
+            f = ad.sum_all(ad.exp(ad.scale(ad.matmul_nt(x, ad.mul(x, DiffValue.const(c)), 2), 0.5)))
             (g,) = ad.grad(f, [x], create_graph=True)
             (hv,) = ad.grad(ad.sum_all(ad.mul(g, DiffValue.const(v))), [x],
                             create_graph=create_graph)
@@ -538,14 +548,15 @@ class TestDeterminism:
         ("softmax_rows", (3, 4), ad.softmax_rows),
         ("log_softmax_rows", (3, 4), ad.log_softmax_rows),
         ("normalize_rows", (3, 4), ad.normalize_rows),
-        ("pairwise_sq_dists", (3, 4), lambda x: ad.pairwise_sq_dists(x, x)),
+        ("pairwise_sq_dists", (3, 4), lambda x: ad.block_sq_dists(x, x, 1)),
         ("matmul_nt", (3, 4), lambda x: ad.matmul_nt(x, x)),
         ("matmul_tn", (3, 4), lambda x: ad.matmul_tn(x, x)),
         ("affine", (3, 4), lambda x: ad.affine(x, np.ones((4, 2)), np.zeros((1, 2)))),
         ("scale_shift", (3, 4), lambda x: ad.scale_shift(x, np.ones((1, 4)), np.zeros((1, 4)))),
-        ("bmm", (4, 2), lambda x: ad.bmm(x, x, 2)),
-        ("bmm_nt", (4, 3), lambda x: ad.bmm_nt(x, x, 2)),
-        ("bmm_tn", (4, 3), lambda x: ad.bmm_tn(x, x, 2)),
+        # the products at two row blocks
+        ("bmm", (4, 2), lambda x: ad.matmul(x, x, 2)),
+        ("bmm_nt", (4, 3), lambda x: ad.matmul_nt(x, x, 2)),
+        ("bmm_tn", (4, 3), lambda x: ad.matmul_tn(x, x, 2)),
         ("heads_to_rows", (3, 4), lambda x: ad.heads_to_rows(x, 2)),
         ("rows_to_heads", (4, 3), lambda x: ad.rows_to_heads(x, 2)),
         ("concat_cols_3", (3, 4), lambda x: ad.concat_cols(x, x, np.ones((3, 2)))),

@@ -77,20 +77,20 @@ def test_batched_loss_matches_per_pair(method, kind, strategy, card, mode, metri
 
 @pytest.mark.parametrize("strategy", itp.STRATEGIES)
 def test_train_mode_without_rng_matches_per_pair(strategy):
-    # without an rng the singleton term draws no dropout masks while each
-    # mixed term draws its own from a fresh generator: singletons of both
-    # kinds meet in one batch and each must run as drawn
+    # training draws dropout masks, fused-set members, query partners and
+    # the MLTI coefficient from the step's generator: without one, neither
+    # a train-mode batch nor any method's inner loss is built, batched or
+    # per pair
     ds = uneven_dataset()
     cfg = config("full", strategy, 3)
-    state = bl.init_state(ds, cfg, "meta-interp")
     pairs = bl._sample_batch(ds, cfg, np.random.default_rng(11))
-    got = loss_and_grads(bl.inner_loss, state, pairs, cfg, "train", "meta-interp", None)
-    want = loss_and_grads(reference.inner_loss, state, pairs, cfg, "train", "meta-interp",
-                          None)
-    evaluated = loss_and_grads(bl.inner_loss, state, pairs, cfg, "eval", "meta-interp", None)
-    assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
-    assert largest_gap(got[1], want[1]) <= 1e-12
-    assert abs(got[0] - evaluated[0]) > 1e-6 * abs(evaluated[0])
+    for method in bl.METHODS:
+        state = bl.init_state(ds, cfg, method)
+        with pytest.raises(ValueError, match="needs an rng"):
+            pn.Batch(state.lam, state.theta, "train")
+        for inner_loss in (bl.inner_loss, reference.inner_loss):
+            with pytest.raises(ValueError, match="needs an rng"):
+                inner_loss(state.lam, state.theta, pairs, cfg, "train", method=method)
 
 
 @pytest.mark.parametrize("kind", ["simple", "full", "deepsets"])
@@ -129,7 +129,7 @@ def test_repeated_validation_tasks_embed_once():
     a, b = once.forward().loss().item(), twice.forward().loss().item()
     assert abs(a - b) <= 1e-15 * a
     assert sum(len(x) for x in twice._inputs) == sum(len(x) for x in once._inputs)
-    assert twice._groups[(1, False)].count == once._groups[(1, False)].count
+    assert twice._groups[1].count == once._groups[1].count
 
 
 def test_interpolated_prototypes_match_per_pair():

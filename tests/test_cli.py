@@ -361,6 +361,21 @@ class TestEval:
         want = 1.96 * np.std(means, ddof=1) / np.sqrt(3)
         assert payload["ci95"] == pytest.approx(want, abs=1e-12)
 
+    def test_threads_do_not_change_result(self, workspace):
+        # --threads is parsed and ignored: every task is evaluated in one pass
+        tmp, cfg, tasks = workspace
+        out = tmp / "run"
+        cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
+                  "--out-dir", str(out), "--seed", "1"])
+        written = []
+        for threads in ("1", "4"):
+            path = tmp / f"eval-{threads}.json"
+            assert cli.main(["eval", "--ckpt", str(out / "best.ckpt"), "--tasks", str(tasks),
+                             "--episodes", "50", "--seeds", "0,1", "--json", str(path),
+                             "--threads", threads]) == 0
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("seeds", ["x", "0,x", "-1", "0,0"])
     def test_bad_seed_list_is_usage_error(self, workspace, seeds, capsys):
         tmp, cfg, tasks = workspace
@@ -484,6 +499,15 @@ class TestAblate:
                   "--set", "eval_episodes=20"])
         rows = out.read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["0", "1"]
+
+    def test_threads_flag_is_usage_error(self, workspace, tmp_path):
+        _, cfg, _ = workspace
+        out = tmp_path / "ablate.csv"
+        with pytest.raises(SystemExit) as e:
+            cli.main(["ablate", "--axis", "strategy", "--config", str(cfg),
+                      "--out", str(out), "--threads", "2"])
+        assert e.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["x", "0,x", ",", "", "-1", "0,0"])
     def test_bad_seed_list_is_usage_error_before_training(

@@ -313,6 +313,26 @@ class TestLossMix:
         with pytest.raises(ValueError):
             itp.InterpConfig(strategy="swizzle")
 
+    @pytest.mark.parametrize("strategy,cardinality", [
+        ("query", 2), ("support_and_query", 2), ("support_noise", 2), ("support", 3)])
+    def test_eval_draw_without_rng_raises(self, strategy, cardinality, rng):
+        # query partners, noise rows and extra set members are drawn in eval
+        # mode too; without a generator the loss is not built
+        t1 = make_task(3, 2, 3, 4, seed=24)
+        t2 = make_task(3, 2, 3, 4, seed=25)
+        lam = sf.init_simple(4, rng)
+        theta = pn.init_encoder([4, 4, 3], split=1, rng=rng)
+        cfg = itp.InterpConfig(strategy=strategy, cardinality=cardinality)
+        with pytest.raises(ValueError, match="no rng"):
+            itp.loss_mix(lam, theta, t1, t2, id_pairing(3), cfg, mode="eval")
+
+
+def mlti_loss(theta, task1, task2, pairing, beta_params, rng):
+    """The manifold-mixup loss of one pair: `add_mlti` in a batch of its own."""
+    batch = pn.Batch(sf.IdentitySet(), theta, "eval", rng)
+    itp.add_mlti(batch, task1, task2, pairing, beta_params)
+    return batch.forward().loss()
+
 
 class TestMltiBaseline:
     def test_mix_one_reduces_to_singleton(self, rng):
@@ -320,8 +340,7 @@ class TestMltiBaseline:
         t2 = make_task(2, 2, 3, 4, seed=32)
         theta = pn.init_encoder([4, 5, 4], split=1, rng=rng)
         pairing = itp.pair_classes(2, np.random.default_rng(33))
-        got = itp.mlti_baseline_loss(theta, t1, t2, pairing, (1.0, 0.0),
-                                     np.random.default_rng(34))
+        got = mlti_loss(theta, t1, t2, pairing, (1.0, 0.0), np.random.default_rng(34))
         want = pn.loss_singleton(sf.IdentitySet(), theta, t1, mode="eval")
         assert got.item() == pytest.approx(want.item(), abs=1e-12)
 
@@ -332,11 +351,19 @@ class TestMltiBaseline:
         pairing = itp.pair_classes(2, np.random.default_rng(37))
         lam = sf.DeepSetsParams(pre=[], post=[])
         cfg = itp.InterpConfig(strategy="support_and_query")
-        a = itp.mlti_baseline_loss(theta, t1, t2, pairing, (0.5, 0.0),
-                                   np.random.default_rng(38))
+        a = mlti_loss(theta, t1, t2, pairing, (0.5, 0.0), np.random.default_rng(38))
         b = itp.loss_mix(lam, theta, t1, t2, pairing, cfg, mode="eval",
                          rng=np.random.default_rng(38))
         assert a.item() == pytest.approx(b.item(), abs=1e-12)
+
+    @pytest.mark.parametrize("beta_params", [(2.0, 2.0), (0.5, 0.0)])
+    def test_draw_without_rng_raises(self, beta_params, rng):
+        # the coefficient (unless pinned) and the query partners are draws
+        t1 = make_task(2, 2, 3, 4, seed=31)
+        t2 = make_task(2, 2, 3, 4, seed=32)
+        theta = pn.init_encoder([4, 5, 4], split=1, rng=rng)
+        with pytest.raises(ValueError, match="no rng"):
+            mlti_loss(theta, t1, t2, id_pairing(2), beta_params, None)
 
     def test_beta_draws_in_unit_interval(self):
         rng = np.random.default_rng(39)

@@ -290,16 +290,6 @@ class TestAccuracy:
         b = pn.accuracy(sf.IdentitySet(), theta, ds.meta_test, episodes=200, seed=7)
         assert a == b
 
-    def test_threads_do_not_change_result(self, rng):
-        ds = ep.gen_gaussian_tasks(ep.GenConfig(way=3, shots=1, queries=3, dim=4,
-                                                train_tasks=2, val_tasks=1,
-                                                test_tasks=5, spread=0.8, seed=2))
-        theta = pn.init_encoder([4, 4], split=0, rng=rng)
-        a = pn.accuracy(sf.IdentitySet(), theta, ds.meta_test, episodes=50, seed=3)
-        b = pn.accuracy(sf.IdentitySet(), theta, ds.meta_test, episodes=50, seed=3,
-                        threads=4)
-        assert a == b
-
     def test_seed_list_matches_one_call_per_seed(self, rng):
         ds = ep.gen_gaussian_tasks(ep.GenConfig(way=3, shots=1, queries=3, dim=4,
                                                 train_tasks=2, val_tasks=1,

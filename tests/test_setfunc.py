@@ -260,7 +260,7 @@ class TestBatchedSets:
                 for p in range(sets):
                     m = None if masks is None else (
                         masks[0][p * n:(p + 1) * n], masks[1][p:p + 1])
-                    z = sf.set_forward(lam, ad.slice_rows(x, p * n, (p + 1) * n), m)
+                    z = sf.set_forward(lam, ad.take_rows(x, np.arange(p * n, (p + 1) * n)), m)
                     out = z if out is None else ad.concat_rows(out, z)
             leaves = _params.leaves(lam) + [x]
             grads = ad.grad(ad.sum_all(ad.mul(out, weights)), leaves)
@@ -313,7 +313,7 @@ def _attend_per_head(block, queries, keys_values, sets, one_key, packed_projecti
             v = ad.affine(keys_values, head.wv, head.bv)
         if k is not None:
             # one head's attention, set by set
-            v = ad.bmm(sf._weights(q, k, sets), v, sets)
+            v = ad.matmul(sf._weights(q, k, sets), v, sets)
         outs.append(ad.layer_norm(ad.add(q, v), head.ln_gain, head.ln_bias))
     return ad.concat_cols(*outs)
 
