@@ -1,10 +1,14 @@
 """Episodic task data model, synthetic few-task generators, and task-file I/O.
 
-A Task is a K-way classification episode: a labeled support set for
-adaptation and a labeled query set for evaluation. The generator builds a
-small number of distinct tasks by composing per-task transforms
-(rotation / scale / offset) of a Gaussian cluster layout, which gives a
-controllable "few distinct tasks" axis without any real dataset.
+A Task is a K-way classification episode held as four read-only arrays:
+labeled support rows for adaptation (`xs`, `ys`) and labeled query rows
+for evaluation (`xq`, `yq`), checked in bulk when the task is built. The
+generator builds a small number of distinct tasks by composing per-task
+transforms (rotation / scale / offset) of a Gaussian cluster layout, which
+gives a controllable "few distinct tasks" axis without any real dataset.
+The reader parses a task file in one pass: every line's key fields one by
+one, all feature text in one float conversion, then each task's rows by
+index.
 """
 
 from __future__ import annotations
@@ -30,77 +34,53 @@ class ParseError(ValueError):
 
 @dataclass
 class Example:
+    """One row of a task, as `Task.support` and `Task.query` list them."""
+
     features: np.ndarray  # (D_in,)
     label: int            # 1..K
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(self.features)):
-            raise TaskError("non-finite feature")
 
-
-def _features(examples, width: int) -> np.ndarray:
-    """The examples' features as one read-only (N, width) matrix."""
-    x = np.stack([ex.features for ex in examples]) if examples else np.empty((0, width))
-    x.flags.writeable = False
-    return x
-
-
-def _labels(examples) -> np.ndarray:
-    """The examples' labels as one read-only int array."""
-    y = np.array([ex.label for ex in examples], dtype=np.int64)
-    y.flags.writeable = False
-    return y
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Task:
-    """An episode's examples, fixed at construction (stored as tuples; to
-    change a task, build a new one), and their arrays, each built on first
-    use and kept."""
+    """An episode's support and query rows and labels, copied into
+    read-only arrays and checked at construction (to change a task, build
+    a new one)."""
 
-    support: tuple
-    query: tuple
+    xs: np.ndarray  # support features, (N_s, D_in)
+    ys: np.ndarray  # support labels, 1..way
+    xq: np.ndarray  # query features, (N_q, D_in)
+    yq: np.ndarray  # query labels, 1..way
     way: int
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "query", tuple(self.query))
-        for ex in self.support + self.query:
-            if not 1 <= ex.label <= self.way:
-                raise TaskError(f"label {ex.label} outside 1..{self.way}")
-        for k in range(1, self.way + 1):
-            if not any(ex.label == k for ex in self.support):
-                raise TaskError(f"class {k} has no support examples")
+        for name, dtype in (("xs", np.float64), ("ys", np.int64),
+                            ("xq", np.float64), ("yq", np.int64)):
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        xs, ys, xq, yq = self.xs, self.ys, self.xq, self.yq
+        if xs.ndim != 2 or xq.shape[1:] != xs.shape[1:] or ys.shape != xs.shape[:1] \
+                or yq.shape != xq.shape[:1]:
+            raise TaskError("feature rows and labels do not line up")
+        if not (np.isfinite(xs).all() and np.isfinite(xq).all()):
+            raise TaskError("non-finite feature")
+        y = np.concatenate([ys, yq])
+        bad = (y < 1) | (y > self.way)
+        if bad.any():
+            raise TaskError(f"label {y[bad.argmax()]} outside 1..{self.way}")
+        missing = np.flatnonzero(np.bincount(ys, minlength=self.way + 1)[1:] == 0)
+        if missing.size:
+            raise TaskError(f"class {missing[0] + 1} has no support examples")
 
     @cached_property
-    def xs(self) -> np.ndarray:
-        """Support features, (N_s, D_in)."""
-        return _features(self.support, 0)
+    def support(self) -> tuple:
+        """The support rows as Examples, built on first use."""
+        return tuple(map(Example, self.xs, self.ys.tolist()))
 
     @cached_property
-    def ys(self) -> np.ndarray:
-        """Support labels, 1..way."""
-        return _labels(self.support)
-
-    @cached_property
-    def xq(self) -> np.ndarray:
-        """Query features, (N_q, D_in)."""
-        return _features(self.query, self.xs.shape[1])
-
-    @cached_property
-    def yq(self) -> np.ndarray:
-        """Query labels, 1..way."""
-        return _labels(self.query)
-
-    def support_of_class(self, k: int) -> list:
-        out = [ex for ex in self.support if ex.label == k]
-        if not out:
-            raise TaskError(f"class {k} has no support examples")
-        return out
-
-    def queries_of_class(self, k: int) -> list:
-        return [ex for ex in self.query if ex.label == k]
+    def query(self) -> tuple:
+        """The query rows as Examples, built on first use."""
+        return tuple(map(Example, self.xq, self.yq.tolist()))
 
 
 @dataclass
@@ -111,13 +91,9 @@ class TaskDataset:
     dim: int
 
     def __post_init__(self):
-        for split in (self.meta_train, self.meta_val, self.meta_test):
-            for t in split:
-                for ex in t.support + t.query:
-                    if ex.features.shape != (self.dim,):
-                        raise TaskError(
-                            f"feature width {ex.features.shape[0]} != dims {self.dim}"
-                        )
+        for t in (*self.meta_train, *self.meta_val, *self.meta_test):
+            if t.xs.shape[1] != self.dim:
+                raise TaskError(f"feature width {t.xs.shape[1]} != dims {self.dim}")
 
     @property
     def way(self) -> int:
@@ -187,16 +163,13 @@ def _gen_task(cfg: GenConfig, base: np.ndarray, rng: np.random.Generator) -> Tas
     centers = scale * (base @ R.T) + offset
     centers = centers + 0.5 * noise_scale * rng.standard_normal(centers.shape)
 
-    support, query = [], []
-    for k in range(cfg.way):
-        pts = centers[k] + noise_scale * rng.standard_normal(
-            (cfg.shots + cfg.queries, cfg.dim)
-        )
-        for i in range(cfg.shots):
-            support.append(Example(pts[i], k + 1))
-        for i in range(cfg.shots, cfg.shots + cfg.queries):
-            query.append(Example(pts[i], k + 1))
-    return Task(support=support, query=query, way=cfg.way)
+    # each class's rows in one draw: its shots, then its queries
+    n = cfg.shots + cfg.queries
+    pts = centers[:, None] + noise_scale * rng.standard_normal((cfg.way, n, cfg.dim))
+    labels = np.arange(1, cfg.way + 1)
+    return Task(pts[:, :cfg.shots].reshape(-1, cfg.dim), np.repeat(labels, cfg.shots),
+                pts[:, cfg.shots:].reshape(-1, cfg.dim), np.repeat(labels, cfg.queries),
+                cfg.way)
 
 
 def gen_gaussian_tasks(cfg: GenConfig) -> TaskDataset:
@@ -238,14 +211,44 @@ _ROLES = ("support", "query")
 
 def save_tasks(dataset: TaskDataset, path) -> None:
     lines = [_HEADER, f"dims={dataset.dim} way={dataset.way}"]
+    row = ",".join(["%.17g"] * dataset.dim)
     for split_name, tasks in zip(_SPLITS, (dataset.meta_train, dataset.meta_val, dataset.meta_test)):
         for tid, task in enumerate(tasks):
-            for role, examples in (("support", task.support), ("query", task.query)):
-                for ex in examples:
-                    feats = ",".join("%.17g" % v for v in ex.features)
-                    lines.append(f"{tid},{split_name},{ex.label},{role},{feats}")
+            for role, x, y in (("support", task.xs, task.ys), ("query", task.xq, task.yq)):
+                for feats, label in zip(x.tolist(), y.tolist()):
+                    lines.append(f"{tid},{split_name},{label},{role}," + row % tuple(feats))
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def _row(text: str, line: int) -> list:
+    """One row's feature values, parsed as the bulk conversion parses them."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as e:
+        raise ParseError(str(e), line) from None
+
+
+_NUMBERS_PER_CONVERSION = 1024  # bounds the number strings alive at once
+
+
+def _features(rows: list, dim: int) -> np.ndarray:
+    """A block of (feature text, line number) rows as a (rows, dim) matrix,
+    in one numpy float conversion. Only when the conversion or the
+    finiteness check fails are the rows parsed one by one, to report the
+    first bad or non-finite number."""
+    try:
+        x = np.array(",".join(t for t, _ in rows).split(",") if rows else [], dtype=np.float64)
+        if np.isfinite(x).all():
+            return x.reshape(-1, dim)
+    except ValueError:
+        pass
+    values = []
+    for text, line in rows:
+        values.append(_row(text, line))
+        if not np.isfinite(values[-1]).all():
+            raise TaskError("non-finite feature")
+    return np.array(values).reshape(-1, dim)
 
 
 def load_tasks(path) -> TaskDataset:
@@ -259,40 +262,46 @@ def load_tasks(path) -> TaskDataset:
         fields = dict(part.split("=", 1) for part in lines[1].split())
         dim = int(fields["dims"])
         way = int(fields["way"])
+        if dim < 1 or way < 1:
+            raise ValueError("dims and way must be positive")
     except (ValueError, KeyError) as e:
         raise ParseError(f"bad dims/way header: {e}", 2) from None
 
-    rows: dict = {s: {} for s in _SPLITS}
+    # key fields line by line, feature text a block of rows at a time; a
+    # bad line is reported after the rows before it are converted, so the
+    # first fault in file order is the one reported
+    blocks, pending, labels, rows = [], [], [], {}
+    step = max(1, _NUMBERS_PER_CONVERSION // dim)
     for ln, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 4 + dim:
-            raise ParseError(
-                f"expected {4 + dim} fields for dims={dim}, got {len(parts)}", ln
-            )
+        got = line.count(",") + 1
+        if got != 4 + dim:
+            _features(pending, dim)
+            raise ParseError(f"expected {4 + dim} fields for dims={dim}, got {got}", ln)
+        tid, split, label, role, feats = line.split(",", 4)
         try:
-            tid = int(parts[0])
-            split = parts[1]
-            label = int(parts[2])
-            role = parts[3]
-            feats = np.array([float(v) for v in parts[4:]], dtype=np.float64)
+            tid, label = int(tid), int(label)
         except ValueError as e:
+            _features(pending, dim)
             raise ParseError(str(e), ln) from None
-        if split not in _SPLITS:
-            raise ParseError(f"unknown split {split!r}", ln)
-        if role not in _ROLES:
-            raise ParseError(f"unknown role {role!r}", ln)
-        bucket = rows[split].setdefault(tid, {"support": [], "query": []})
-        bucket[role].append(Example(feats, label))
+        if split not in _SPLITS or role not in _ROLES:
+            _features(pending, dim)
+            _row(feats, ln)  # on its own line, a bad number comes first
+            bad = ("split", split) if split not in _SPLITS else ("role", role)
+            raise ParseError("unknown %s %r" % bad, ln)
+        rows.setdefault((split, tid), ([], []))[role == "query"].append(len(labels))
+        labels.append(label)
+        pending.append((feats, ln))
+        if len(pending) == step:
+            blocks.append(_features(pending, dim))
+            pending = []
+    blocks.append(_features(pending, dim))
 
-    splits = []
-    for split in _SPLITS:
-        tasks = []
-        for tid in sorted(rows[split]):
-            bucket = rows[split][tid]
-            tasks.append(Task(support=bucket["support"], query=bucket["query"], way=way))
-        splits.append(tasks)
+    x, y = np.concatenate(blocks), np.array(labels, dtype=np.int64)
+    splits = [[Task(x[s], y[s], x[q], y[q], way)
+               for s, q in (rows[key] for key in sorted(k for k in rows if k[0] == split))]
+              for split in _SPLITS]
     if not splits[0]:
         raise ParseError("no tasks", len(lines))
     return TaskDataset(*splits, dim=dim)

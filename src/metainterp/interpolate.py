@@ -145,7 +145,7 @@ def _fused_sets(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing
 
 def interpolated_prototypes(lam, theta, task1: Task, task2: Task,
                             pairing: ClassPairing, cfg: InterpConfig,
-                            mode: str = "train",
+                            mode: str = "eval",
                             rng: Optional[np.random.Generator] = None) -> DiffValue:
     """Fused class prototypes: the split-layer rows of every fused set of
     every class go through the set function in one batched pass, the upper
@@ -197,7 +197,7 @@ def add_mix(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
 
 
 def loss_mix(lam, theta, task1: Task, task2: Task, pairing: ClassPairing,
-             cfg: InterpConfig, mode: str = "train",
+             cfg: InterpConfig, mode: str = "eval",
              rng: Optional[np.random.Generator] = None,
              metric: str = "sqeuclidean") -> DiffValue:
     """Mixed-task episode loss under the configured strategy."""

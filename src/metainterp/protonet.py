@@ -372,7 +372,7 @@ class Scores:
                 for j, t in enumerate(self.targets)]
 
 
-def loss_singleton(lam, theta: EncoderParams, task: Task, mode: str = "train",
+def loss_singleton(lam, theta: EncoderParams, task: Task, mode: str = "eval",
                    rng: Optional[np.random.Generator] = None,
                    metric: str = "sqeuclidean") -> DiffValue:
     """Eq.-(2)-style episode loss with every representation routed through

@@ -459,10 +459,10 @@ def singleton_batch(params, rows, masks=None) -> DiffValue:
     return set_forward(params, rows, masks, set_size=1)
 
 
-def make_masks(params, n_rows: int, rng: Optional[np.random.Generator],
+def make_masks(params, n_rows: int, rng: np.random.Generator,
                set_size: Optional[int] = None):
     """Dropout masks for one set_forward call over n_rows rows in sets of
-    set_size, or None for mask-free kinds or without an rng."""
-    if isinstance(params, FullSetTransformerParams) and rng is not None:
+    set_size, or None for mask-free kinds."""
+    if isinstance(params, FullSetTransformerParams):
         return make_full_masks(params, n_rows, rng, set_size)
     return None

@@ -71,15 +71,19 @@ class TheoryProblem:
         return self.encoder.layers[-1]
 
 
-def _phi_rows(problem: TheoryProblem, examples) -> np.ndarray:
-    x = np.stack([ex.features for ex in examples])
+def _phi_rows(problem: TheoryProblem, x: np.ndarray) -> np.ndarray:
     return pn.encode_lower(problem.encoder, x).data
+
+
+def _class_rows(task: ep.Task, k) -> np.ndarray:
+    """Task's support features of class k."""
+    return task.xs[task.ys == k]
 
 
 def _pair_alphas(problem: TheoryProblem, k: int):
     """(alphas, h_rows, hp_rows) for class k of t and sigma(k) of t'."""
-    h = _phi_rows(problem, problem.task_t.support_of_class(k))
-    hp = _phi_rows(problem, problem.task_tp.support_of_class(int(problem.sigma[k - 1])))
+    h = _phi_rows(problem, _class_rows(problem.task_t, k))
+    hp = _phi_rows(problem, _class_rows(problem.task_tp, problem.sigma[k - 1]))
     alphas = np.empty((h.shape[0], hp.shape[0]))
     for i in range(h.shape[0]):
         for j in range(hp.shape[0]):
@@ -115,7 +119,7 @@ def singleton_prototypes(problem: TheoryProblem) -> np.ndarray:
     M, b = setfunc.effective_affine(problem.set_params)
     out = []
     for k in range(1, problem.task_t.way + 1):
-        h = _phi_rows(problem, problem.task_t.support_of_class(k))
+        h = _phi_rows(problem, _class_rows(problem.task_t, k))
         z = h @ M + b
         e = z @ problem.upper.w + problem.upper.b
         out.append(e.mean(axis=0))
@@ -124,10 +128,9 @@ def singleton_prototypes(problem: TheoryProblem) -> np.ndarray:
 
 def _query_embeddings(problem: TheoryProblem) -> tuple:
     M, b = setfunc.effective_affine(problem.set_params)
-    hq = _phi_rows(problem, problem.task_t.query)
+    hq = _phi_rows(problem, problem.task_t.xq)
     eq = (hq @ M + b) @ problem.upper.w + problem.upper.b
-    labels = [ex.label for ex in problem.task_t.query]
-    return eq, labels
+    return eq, problem.task_t.yq
 
 
 def prototype_loss(problem: TheoryProblem, protos: np.ndarray) -> float:
@@ -233,16 +236,11 @@ class LogisticSpecialCase:
             raise TheoryError("special case requires identity value path")
 
     def class_means(self) -> np.ndarray:
-        return np.stack([
-            np.mean([ex.features for ex in self.task_t.support_of_class(k)], axis=0)
-            for k in (1, 2)
-        ])
+        return np.stack([_class_rows(self.task_t, k).mean(axis=0) for k in (1, 2)])
 
     def z_values(self) -> np.ndarray:
         mid = self.class_means().mean(axis=0)
-        return np.array([
-            (ex.features - mid) @ self.theta for ex in self.task_t.query
-        ])
+        return np.array([(x - mid) @ self.theta for x in self.task_t.xq])
 
     def singleton_loss(self) -> float:
         z = self.z_values()
@@ -261,10 +259,7 @@ def delta_sum(case: LogisticSpecialCase, task_tp: ep.Task, sigma) -> np.ndarray:
     input differences (the regularizer's direction vector)."""
     acc = np.zeros_like(case.theta)
     for k in (1, 2):
-        xs = np.stack([ex.features for ex in case.task_t.support_of_class(k)])
-        xps = np.stack(
-            [ex.features for ex in task_tp.support_of_class(int(sigma[k - 1]))]
-        )
+        xs, xps = _class_rows(case.task_t, k), _class_rows(task_tp, sigma[k - 1])
         part = np.zeros_like(case.theta)
         for i in range(xs.shape[0]):
             for j in range(xps.shape[0]):
@@ -488,26 +483,16 @@ def build_mirrored(seed):
         b1q=row, b1k=row, b1v=row, b2q=row, b2k=row, b2v=row, seed=row,
     )
     s1 = rng.standard_normal((2, d))
-    sup = [ep.Example(s1[i], 1) for i in range(2)] + [
-        ep.Example(-s1[i], 2) for i in range(2)
-    ]
     theta = rng.standard_normal(d)
     queries = []
     for i in range(6):
         r = rng.standard_normal(d)
-        if r @ theta < 0:
-            r = -r
-        queries.append(ep.Example(r, 1 + i % 2))
-    task_t = ep.Task(sup, queries, way=2)
+        queries.append(-r if r @ theta < 0 else r)
+    task_t = ep.Task(np.vstack([s1, -s1]), [1, 1, 2, 2], queries, [1, 2] * 3, way=2)
     a1, a2 = rng.standard_normal((2, d)), rng.standard_normal((2, d))
 
     def partner(sign):
-        return ep.Task(
-            [ep.Example(sign * a1[i], 1) for i in range(2)]
-            + [ep.Example(sign * a2[i], 2) for i in range(2)],
-            [ep.Example(np.zeros(d), 1)],
-            way=2,
-        )
+        return ep.Task(sign * np.vstack([a1, a2]), [1, 1, 2, 2], np.zeros((1, d)), [1], way=2)
 
     case = LogisticSpecialCase(theta=theta, task_t=task_t, set_params=params)
     pairings = [

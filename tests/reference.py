@@ -123,7 +123,6 @@ def query_partners(task1, task2, pairing, rng):
 
 
 def loss_mix(lam, theta, task1, task2, pairing, cfg, mode, rng, metric):
-    rng = rng if rng is not None else np.random.default_rng(0)
     way = task1.way
     if cfg.strategy in ("support", "support_noise", "support_and_query"):
         protos = interpolated_prototypes(lam, theta, task1, task2, pairing, cfg, mode, rng)
@@ -148,7 +147,6 @@ def loss_mix(lam, theta, task1, task2, pairing, cfg, mode, rng, metric):
 
 
 def mlti_loss(theta, task1, task2, pairing, beta_params, rng, metric):
-    rng = rng if rng is not None else np.random.default_rng(0)
     beta_a, beta_b = beta_params
     lam_mix = float(beta_a) if beta_b <= 0 else float(rng.beta(beta_a, beta_b))
     partners, ks = query_partners(task1, task2, pairing, rng)

@@ -23,7 +23,8 @@ def uneven_dataset(seed=7):
                        test_tasks=1, spread=1.0, seed=seed)
     ds = ep.gen_gaussian_tasks(cfg)
     for split in (ds.meta_train, ds.meta_val):
-        split[1] = ep.Task(split[1].support, split[1].query[:-1], split[1].way)
+        t = split[1]
+        split[1] = ep.Task(t.xs, t.ys, t.xq[:-1], t.yq[:-1], t.way)
     return ds
 
 

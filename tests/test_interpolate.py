@@ -131,8 +131,8 @@ class TestInterpolatedPrototypes:
             lam, theta, t1, t2, id_pairing(2), cfg, mode="eval"
         ).data
         for k in (1, 2):
-            x1 = t1.support_of_class(k)[0].features
-            x2 = t2.support_of_class(k)[0].features
+            x1 = t1.xs[t1.ys == k][0]
+            x2 = t2.xs[t2.ys == k][0]
             np.testing.assert_allclose(protos[k - 1], (x1 + x2) / 2, atol=1e-12)
 
     def test_simple_setfunc_linear_upper_closed_form(self, rng):
@@ -171,8 +171,7 @@ class TestInterpolatedPrototypes:
         ).data
         # direct computation: mean over all (i, j) pairs of upper(phi({h_i, h_j}))
         for k in (1, 2):
-            hs = [pn.encode_lower(theta, e.features.reshape(1, -1)).data
-                  for e in t1.support_of_class(k)]
+            hs = [pn.encode_lower(theta, x.reshape(1, -1)).data for x in t1.xs[t1.ys == k]]
             acc = []
             for hi in hs:
                 for hj in hs:
@@ -211,10 +210,10 @@ def per_set_prototypes(lam, theta, task1, task2, pairing, n, rng):
     n1, n2 = (n + 1) // 2, n // 2
     protos = []
     for k in range(1, task1.way + 1):
-        sup1 = task1.support_of_class(int(pairing.sigma1[k - 1]))
-        sup2 = task2.support_of_class(int(pairing.sigma2[k - 1]))
-        h1 = pn.encode_lower(theta, np.stack([e.features for e in sup1]))
-        h2 = pn.encode_lower(theta, np.stack([e.features for e in sup2]))
+        sup1 = task1.xs[task1.ys == pairing.sigma1[k - 1]]
+        sup2 = task2.xs[task2.ys == pairing.sigma2[k - 1]]
+        h1 = pn.encode_lower(theta, sup1)
+        h2 = pn.encode_lower(theta, sup2)
         sets = []
         for i in range(len(sup1)):
             for j in range(len(sup2)):
@@ -272,10 +271,8 @@ class TestLossMix:
         x11, x12 = np.array([0.0, 0.0]), np.array([4.0, 0.0])
         x21, x22 = np.array([0.0, 2.0]), np.array([4.0, 2.0])
         q = np.array([1.0, 0.0])
-        t1 = ep.Task([ep.Example(x11, 1), ep.Example(x12, 2)],
-                     [ep.Example(q, 1)], way=2)
-        t2 = ep.Task([ep.Example(x21, 1), ep.Example(x22, 2)],
-                     [ep.Example(q * 0, 1)], way=2)
+        t1 = ep.Task([x11, x12], [1, 2], [q], [1], way=2)
+        t2 = ep.Task([x21, x22], [1, 2], [q * 0], [1], way=2)
         theta = identity_encoder(2)
         lam = sf.DeepSetsParams(pre=[], post=[])
         c1 = (x11 + x21) / 2

@@ -133,23 +133,19 @@ class TestDistances:
 class TestLossSingleton:
     def test_equidistant_query_ln2(self):
         # two prototypes at +/-1, query at origin: uniform softmax
-        task = ep.Task(
-            support=[ep.Example(np.array([1.0, 0.0]), 1),
-                     ep.Example(np.array([-1.0, 0.0]), 2)],
-            query=[ep.Example(np.array([0.0, 0.0]), 1)],
-            way=2,
-        )
+        task = ep.Task([[1.0, 0.0], [-1.0, 0.0]], [1, 2], [[0.0, 0.0]], [1], way=2)
         theta = identity_encoder(2)
         loss = pn.loss_singleton(sf.IdentitySet(), theta, task, mode="eval")
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
+    def test_default_mode_is_eval(self):
+        task = toy_task(way=3, shots=2, dim=4)
+        theta = pn.init_encoder([4, 5, 3], split=1, rng=np.random.default_rng(0))
+        want = pn.loss_singleton(sf.IdentitySet(), theta, task, "eval", None, "sqeuclidean")
+        assert pn.loss_singleton(sf.IdentitySet(), theta, task).item() == want.item()
+
     def test_query_on_prototype_far_other(self):
-        task = ep.Task(
-            support=[ep.Example(np.array([0.0, 0.0]), 1),
-                     ep.Example(np.array([60.0, 0.0]), 2)],
-            query=[ep.Example(np.array([0.0, 0.0]), 1)],
-            way=2,
-        )
+        task = ep.Task([[0.0, 0.0], [60.0, 0.0]], [1, 2], [[0.0, 0.0]], [1], way=2)
         theta = identity_encoder(2)
         loss = pn.loss_singleton(sf.IdentitySet(), theta, task, mode="eval")
         assert loss.item() <= 1e-12
@@ -157,11 +153,7 @@ class TestLossSingleton:
     def test_hand_computed_two_way_one_shot(self):
         s1, s2 = np.array([0.0, 0.0]), np.array([2.0, 1.0])
         q = np.array([0.5, 0.25])
-        task = ep.Task(
-            support=[ep.Example(s1, 1), ep.Example(s2, 2)],
-            query=[ep.Example(q, 1)],
-            way=2,
-        )
+        task = ep.Task([s1, s2], [1, 2], [q], [1], way=2)
         d1 = np.sum((q - s1) ** 2)
         d2 = np.sum((q - s2) ** 2)
         want = -np.log(np.exp(-d1) / (np.exp(-d1) + np.exp(-d2)))
@@ -271,12 +263,8 @@ class TestAccuracy:
         label_rng = np.random.default_rng(33)
         for t in range(8):
             feats = label_rng.standard_normal((40, 4))
-            support = [ep.Example(feats[i], 1 + i % 2) for i in range(4)]
-            query = [
-                ep.Example(feats[4 + i], int(label_rng.integers(1, 3)))
-                for i in range(36)
-            ]
-            tasks.append(ep.Task(support=support, query=query, way=2))
+            labels = [int(label_rng.integers(1, 3)) for _ in range(36)]
+            tasks.append(ep.Task(feats[:4], [1, 2, 1, 2], feats[4:], labels, way=2))
         theta = identity_encoder(4)
         mean, _ = pn.accuracy(sf.IdentitySet(), theta, tasks, episodes=3000, seed=1)
         assert abs(mean - 0.5) <= 0.05

@@ -34,26 +34,17 @@ def mirrored_case(rng, d=3, n_queries=6):
     """Task with exactly opposite class supports, partner pair {A, -A},
     and queries kept on the better-than-chance side of theta."""
     s1 = rng.standard_normal((2, d))
-    sup = [ep.Example(s1[i], 1) for i in range(2)] + [
-        ep.Example(-s1[i], 2) for i in range(2)
-    ]
     theta = rng.standard_normal(d)
     qs = []
     for i in range(n_queries):
         r = rng.standard_normal(d)
-        if r @ theta < 0:
-            r = -r
-        qs.append(ep.Example(r, 1 + i % 2))
-    task_t = ep.Task(sup, qs, way=2)
+        qs.append(-r if r @ theta < 0 else r)
+    task_t = ep.Task(np.vstack([s1, -s1]), [1, 1, 2, 2], qs,
+                     [1 + i % 2 for i in range(n_queries)], way=2)
     a1, a2 = rng.standard_normal((2, d)), rng.standard_normal((2, d))
 
     def tp(sign):
-        return ep.Task(
-            [ep.Example(sign * a1[i], 1) for i in range(2)]
-            + [ep.Example(sign * a2[i], 2) for i in range(2)],
-            [ep.Example(np.zeros(d), 1)],
-            way=2,
-        )
+        return ep.Task(sign * np.vstack([a1, a2]), [1, 1, 2, 2], np.zeros((1, d)), [1], way=2)
 
     case = th.LogisticSpecialCase(theta=theta, task_t=task_t,
                                   set_params=identity_simple(d))
@@ -70,9 +61,7 @@ class TestDelta:
         d = 3
         point = rng.standard_normal(d)
         other = rng.standard_normal(d)
-        sup = [ep.Example(point, 1), ep.Example(point, 1),
-               ep.Example(other, 2)]
-        task = ep.Task(sup, [ep.Example(point, 1)], way=2)
+        task = ep.Task([point, point, other], [1, 1, 2], [point], [1], way=2)
         enc = pn.EncoderParams(
             layers=[pn.LayerParams(rng.standard_normal((d, 2)), np.zeros((1, 2)))],
             split=0,
@@ -86,18 +75,16 @@ class TestDelta:
         # restrict both tasks to one support per class
 
         def first_per_class(task):
-            seen = set()
-            support = [e for e in task.support
-                       if e.label not in seen and not seen.add(e.label)]
-            return ep.Task(support, task.query, task.way)
+            _, first = np.unique(task.ys, return_index=True)
+            return ep.Task(task.xs[first], task.ys[first], task.xq, task.yq, task.way)
 
         prob.task_t = first_per_class(prob.task_t)
         prob.task_tp = first_per_class(prob.task_tp)
         M, _ = sf.effective_affine(prob.set_params)
         G = prob.upper.w
         for k in (1, 2):
-            x = prob.task_t.support_of_class(k)[0].features
-            xp = prob.task_tp.support_of_class(int(prob.sigma[k - 1]))[0].features
+            x = prob.task_t.xs[prob.task_t.ys == k][0]
+            xp = prob.task_tp.xs[prob.task_tp.ys == prob.sigma[k - 1]][0]
             a, *_ = sf.alpha_pair(prob.set_params, x, xp)
             want = a * ((xp - x) @ M @ G)
             np.testing.assert_allclose(th.delta_k(prob, k), want, atol=1e-14)
@@ -108,10 +95,10 @@ class TestDelta:
         G = prob.upper.w
         for k in (1, 2):
             acc, cnt = 0.0, 0
-            for ea in prob.task_t.support_of_class(k):
-                for eb in prob.task_tp.support_of_class(int(prob.sigma[k - 1])):
-                    a, *_ = sf.alpha_pair(prob.set_params, ea.features, eb.features)
-                    acc = acc + a * ((eb.features - ea.features) @ M @ G)
+            for xa in prob.task_t.xs[prob.task_t.ys == k]:
+                for xb in prob.task_tp.xs[prob.task_tp.ys == prob.sigma[k - 1]]:
+                    a, *_ = sf.alpha_pair(prob.set_params, xa, xb)
+                    acc = acc + a * ((xb - xa) @ M @ G)
                     cnt += 1
             want = acc / cnt
             assert np.max(np.abs(th.delta_k(prob, k) - want)) <= 1e-12
@@ -144,18 +131,8 @@ class TestTaylor:
     def test_j1_matches_hand_derivative_two_prototypes(self, rng):
         # K=2, one query, 1-D embeddings: the chain rule fits on paper
         d = 2
-        task_t = ep.Task(
-            [ep.Example(np.array([1.0, 0.3]), 1),
-             ep.Example(np.array([-0.7, 0.9]), 2)],
-            [ep.Example(np.array([0.4, -0.2]), 1)],
-            way=2,
-        )
-        task_tp = ep.Task(
-            [ep.Example(np.array([0.2, -1.0]), 1),
-             ep.Example(np.array([1.1, 0.5]), 2)],
-            [ep.Example(np.zeros(2), 1)],
-            way=2,
-        )
+        task_t = ep.Task([[1.0, 0.3], [-0.7, 0.9]], [1, 2], [[0.4, -0.2]], [1], way=2)
+        task_tp = ep.Task([[0.2, -1.0], [1.1, 0.5]], [1, 2], np.zeros((1, 2)), [1], way=2)
         enc = pn.EncoderParams(
             layers=[pn.LayerParams(rng.standard_normal((d, 1)),
                                    rng.standard_normal((1, 1)))],
