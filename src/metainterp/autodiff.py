@@ -7,23 +7,26 @@ rules are written in terms of the same primitives, so gradients taken with
 ``create_graph=True`` are themselves differentiable — that is what enables
 Hessian-vector products and grad-of-grad.
 
-Broadcasting is deliberately restricted to a (1, n) row applied to every
-row (`add`, `sub`, `affine`, `scale_shift`); every other shape change is
-an explicit op. The broadcasts `tile_rows`, `tile_cols` and `fill_like`
-are primitives (`np.repeat` forward, a row, column or full sum backward),
-not matmuls with a ones matrix.
+Elementwise ops (`add`, `sub`, `mul`, `div`) take operands of one shape.
+The only broadcast inside an op is the (1, n) row that the fused `affine`
+and `scale_shift` apply to every row; every other shape change is an
+explicit op. The broadcasts `tile_rows`, `tile_cols` and `fill_like` are
+primitives (`np.repeat` forward, a row, column or full sum backward), not
+matmuls with a ones matrix.
 
 Rows are picked and pooled by index, never by a product with a
 selection matrix: `take_rows` gathers rows (an index of -1 gives a zero
-row) and `scatter_rows` sums rows into place; each is the other's VJP,
-and `concat_rows`'s VJP gathers each part's rows.
+row) and `scatter_rows` sums rows into place; each is the other's VJP.
+`concat_rows`'s VJP gathers each part's rows, and so does `concat_cols`'s,
+after `heads_to_rows` has stacked its equal parts' column blocks.
 
 The hot composites are fused: `softmax_rows`, `log_softmax_rows`,
-`normalize_rows` (the row normalization inside `layer_norm`),
-`block_sq_dists` (squared distances within each row block), `affine`
-(x W + b) and `scale_shift` (the gain and bias of `layer_norm`) each
-record one tape node, computing the forward in numpy and writing the VJP
-in primitives, so their gradients stay differentiable.
+`normalize_rows` (a row to zero mean and unit variance), `block_sq_dists`
+(squared distances within each row block), `affine` (x W + b) and
+`scale_shift` (a row gain and bias; layer norm is
+`scale_shift(normalize_rows(x), gain, bias)`) each record one tape node,
+computing the forward in numpy and writing the VJP in primitives, so their
+gradients stay differentiable.
 
 The product trio `matmul` (a_j b_j), `matmul_nt` (a_j b_j^T) and
 `matmul_tn` (a_j^T b_j) multiplies row block j of a by row block j of b
@@ -245,73 +248,51 @@ def rows_to_heads(x, h: int) -> DiffValue:
     return _make(out.reshape(m, h * k), (x,), vjp)
 
 
-def _binary_shapes(a, b, op):
-    """Same-shape elementwise, or (m,n) op (1,n) row-vector broadcast."""
-    if a.shape == b.shape:
-        return "same"
-    if b.shape == (1, a.shape[1]) and a.shape[0] > 1:
-        return "rowvec"
-    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+def _same_shape(a, b, op: str) -> tuple:
+    """The two operands of an elementwise op, lifted; their shapes must be
+    equal."""
+    a, b = _lift(a), _lift(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes differ {a.shape} vs {b.shape}")
+    return a, b
 
 
 def add(a, b) -> DiffValue:
-    a, b = _lift(a), _lift(b)
-    mode = _binary_shapes(a, b, "add")
-    out = a.data + b.data
-    if mode == "same":
+    a, b = _same_shape(a, b, "add")
 
-        def vjp(g, need, node):
-            return g, g
+    def vjp(g, need, node):
+        return g, g
 
-    else:
-
-        def vjp(g, need, node):
-            return g, col_sum(g) if need[1] else None
-
-    return _make(out, (a, b), vjp)
+    return _make(a.data + b.data, (a, b), vjp)
 
 
 def sub(a, b) -> DiffValue:
-    a, b = _lift(a), _lift(b)
-    mode = _binary_shapes(a, b, "sub")
-    out = a.data - b.data
-    if mode == "same":
+    a, b = _same_shape(a, b, "sub")
 
-        def vjp(g, need, node):
-            return g, neg(g) if need[1] else None
+    def vjp(g, need, node):
+        return g, scale(g, -1.0) if need[1] else None
 
-    else:
-
-        def vjp(g, need, node):
-            return g, neg(col_sum(g)) if need[1] else None
-
-    return _make(out, (a, b), vjp)
+    return _make(a.data - b.data, (a, b), vjp)
 
 
 def mul(a, b) -> DiffValue:
-    a, b = _lift(a), _lift(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes differ {a.shape} vs {b.shape}")
-    out = a.data * b.data
+    a, b = _same_shape(a, b, "mul")
 
     def vjp(g, need, node):
         return (mul(g, b) if need[0] else None,
                 mul(g, a) if need[1] else None)
 
-    return _make(out, (a, b), vjp)
+    return _make(a.data * b.data, (a, b), vjp)
 
 
 def div(a, b) -> DiffValue:
-    a, b = _lift(a), _lift(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"div: shapes differ {a.shape} vs {b.shape}")
-    out = a.data / b.data
+    a, b = _same_shape(a, b, "div")
 
     def vjp(g, need, res):
         return (div(g, b) if need[0] else None,
-                neg(mul(g, div(res, b))) if need[1] else None)
+                scale(mul(g, div(res, b)), -1.0) if need[1] else None)
 
-    return _make(out, (a, b), vjp)
+    return _make(a.data / b.data, (a, b), vjp)
 
 
 def scale(a, c: float) -> DiffValue:
@@ -321,16 +302,6 @@ def scale(a, c: float) -> DiffValue:
 
     def vjp(g, need, node):
         return (scale(g, c),)
-
-    return _make(out, (a,), vjp)
-
-
-def neg(a) -> DiffValue:
-    a = _lift(a)
-    out = -a.data
-
-    def vjp(g, need, node):
-        return (neg(g),)
 
     return _make(out, (a,), vjp)
 
@@ -354,17 +325,6 @@ def powf(a, p: float) -> DiffValue:
 
     def vjp(g, need, node):
         return (mul(g, scale(powf(a, p - 1.0), p)),)
-
-    return _make(out, (a,), vjp)
-
-
-def relu(a) -> DiffValue:
-    a = _lift(a)
-    out = np.maximum(a.data, 0.0)
-    mask = DiffValue((a.data > 0.0).astype(np.float64))
-
-    def vjp(g, need, node):
-        return (mul(g, mask),)
 
     return _make(out, (a,), vjp)
 
@@ -468,47 +428,22 @@ def concat_rows(a, b) -> DiffValue:
 
 
 def concat_cols(*parts) -> DiffValue:
-    """The parts side by side, in one node."""
+    """The parts, all of one shape, side by side in one node. The VJP moves
+    column block j of g to row block j and gathers each part's rows."""
     parts = tuple(_lift(p) for p in parts)
     if not parts:
         raise ShapeError("concat_cols needs at least one part")
-    if len({p.shape[0] for p in parts}) > 1:
-        raise ShapeError(f"concat_cols: heights differ {[p.shape for p in parts]}")
+    if len({p.shape for p in parts}) > 1:
+        raise ShapeError(f"concat_cols: shapes differ {[p.shape for p in parts]}")
     out = np.ascontiguousarray(np.concatenate([p.data for p in parts], axis=1))
-    edges = np.cumsum([0] + [p.shape[1] for p in parts]).tolist()
+    h, m = len(parts), parts[0].shape[0]
 
     def vjp(g, need, node):
-        return tuple(slice_cols(g, j0, j1) if n else None
-                     for n, j0, j1 in zip(need, edges, edges[1:]))
+        rows = heads_to_rows(g, h)
+        return tuple(take_rows(rows, np.arange(j * m, (j + 1) * m)) if n else None
+                     for j, n in enumerate(need))
 
     return _make(out, parts, vjp)
-
-
-def slice_cols(a, j0: int, j1: int) -> DiffValue:
-    a = _lift(a)
-    n = a.shape[1]
-    if not (0 <= j0 <= j1 <= n):
-        raise ShapeError(f"slice_cols: [{j0}:{j1}] out of range for {a.shape}")
-    out = np.ascontiguousarray(a.data[:, j0:j1])
-
-    def vjp(g, need, node):
-        return (pad_cols(g, j0, n),)
-
-    return _make(out, (a,), vjp)
-
-
-def pad_cols(a, j0: int, n_total: int) -> DiffValue:
-    a = _lift(a)
-    m, n = a.shape
-    if j0 < 0 or j0 + n > n_total:
-        raise ShapeError("pad_cols: block out of range")
-    out = np.zeros((m, n_total), dtype=np.float64)
-    out[:, j0 : j0 + n] = a.data
-
-    def vjp(g, need, node):
-        return (slice_cols(g, j0, j0 + n),)
-
-    return _make(out, (a,), vjp)
 
 
 def _row_index(index, m: int) -> np.ndarray:
@@ -692,24 +627,7 @@ def _row_total(g) -> DiffValue:
 
 
 # ---------------------------------------------------------------------------
-# composites (differentiable through the primitives above)
-
-
-def mean_all(a) -> DiffValue:
-    a = _lift(a)
-    return scale(sum_all(a), 1.0 / a.data.size)
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-12) -> DiffValue:
-    """Normalize each row to zero mean / unit variance, then gain and bias.
-
-    gain and bias are (1,n) rows applied across every row of x.
-    """
-    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
-    n = x.shape[1]
-    if gain.shape != (1, n) or bias.shape != (1, n):
-        raise ShapeError("layer_norm: gain/bias must be (1, n) rows")
-    return scale_shift(normalize_rows(x, eps), gain, bias)
+# composite (differentiable through the primitives above)
 
 
 def dropout(x, rate: float, mask) -> DiffValue:

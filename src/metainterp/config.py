@@ -80,10 +80,6 @@ class RunConfig:
     gen: GenConfig = field(default_factory=GenConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
-    @property
-    def interp(self) -> InterpConfig:
-        return self.train.interp
-
 
 def _apply(settings: dict) -> RunConfig:
     sections = {"gen": {}, "train": {}, "interp": {}}

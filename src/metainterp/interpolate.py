@@ -41,10 +41,6 @@ class ClassPairing:
             if sorted(s) != list(range(1, len(s) + 1)):
                 raise ValueError(f"not a permutation of 1..{len(s)}: {s}")
 
-    @property
-    def way(self) -> int:
-        return len(self.sigma1)
-
 
 @dataclass
 class InterpConfig:
@@ -98,22 +94,6 @@ def _inverse(sigma) -> np.ndarray:
     out = np.zeros(len(sigma) + 1, dtype=np.int64)
     out[sigma] = np.arange(1, len(sigma) + 1)
     return out
-
-
-def _support_pairs(s1, task1: Task, s2, task2: Task, pairing: ClassPairing):
-    """Every pair of a task1 and a task2 support row of one new class,
-    class by class and task1-major within a class, as the fused sets of
-    cardinality 2 are; s1 and s2 are the tasks' support rows. Returns the
-    (P, 2) rows and the pairs' classes."""
-    k1, k2 = _inverse(pairing.sigma1)[task1.ys], _inverse(pairing.sigma2)[task2.ys]
-    a, b = s1[np.argsort(k1, kind="stable")], s2[np.argsort(k2, kind="stable")]
-    c1 = np.bincount(k1, minlength=pairing.way + 1)[1:]  # class sizes
-    c2 = np.bincount(k2, minlength=pairing.way + 1)[1:]
-    cls = np.repeat(np.arange(pairing.way), c1 * c2)  # each pair's class - 1
-    p = np.arange(len(cls)) - (np.cumsum(c1 * c2) - c1 * c2)[cls]  # pair number in its class
-    rows1 = a[(np.cumsum(c1) - c1)[cls] + p // c2[cls]]
-    rows2 = b[(np.cumsum(c2) - c2)[cls] + p % c2[cls]]
-    return np.column_stack([rows1, rows2]), cls + 1
 
 
 def _fused_sets(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
@@ -219,9 +199,12 @@ def add_mlti(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
     beta_a, beta_b = beta_params
     lam_mix = float(beta_a) if beta_b <= 0 else float(batch.rng.beta(beta_a, beta_b))
     query_pairs, ks = _query_pairs(batch, task1, task2, pairing)
-    sup_pairs, classes = _support_pairs(batch.rows(task1, "s"), task1,
-                                        batch.rows(task2, "s"), task2, pairing)
+    s1, s2 = batch.rows(task1, "s"), batch.rows(task2, "s")
+    sup_pairs = [_class_sets(s1[task1.ys == pairing.sigma1[k - 1]],
+                             s2[task2.ys == pairing.sigma2[k - 1]], 1, 1, batch.rng)
+                 for k in range(1, task1.way + 1)]
+    classes = np.repeat(np.arange(1, task1.way + 1), [len(p) for p in sup_pairs])
     coef = (lam_mix, 1.0 - lam_mix)
-    protos = batch.mixes(sup_pairs, coef)
+    protos = batch.mixes(np.concatenate(sup_pairs), coef)
     batch.episode(batch.mixes(query_pairs, coef), ks, protos, classes, task1.way, weight)
 

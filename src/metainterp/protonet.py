@@ -131,7 +131,7 @@ def pairwise_dists(queries, protos, metric: str = "sqeuclidean") -> DiffValue:
 def _cross_entropy_terms(dists, weights: np.ndarray) -> DiffValue:
     """weights * (-log softmax(-dists)), row by row: summed, the cross-
     entropy of every row at the columns its nonnegative weights mark."""
-    logp = ad.log_softmax_rows(ad.neg(dists))
+    logp = ad.log_softmax_rows(ad.scale(dists, -1.0))
     return ad.mul(logp, DiffValue.const(-weights))
 
 

@@ -313,11 +313,11 @@ def _attend(block: AttnBlock, queries, keys_values, sets: int, one_key: bool) ->
 
 
 def _block_mix(block: AttnBlock, o, first_block: bool) -> DiffValue:
-    ff = ad.relu(ad.affine(o, block.w, block.b))
+    ff = ad.leaky_relu(ad.affine(o, block.w, block.b), 0.0)
     if first_block:
         # encoder block 1: norm the attention output, then add the ff branch
-        return ad.add(ad.layer_norm(o, block.ln_gain, block.ln_bias), ff)
-    return ad.layer_norm(ad.add(o, ff), block.ln_gain, block.ln_bias)
+        return ad.add(ad.scale_shift(ad.normalize_rows(o), block.ln_gain, block.ln_bias), ff)
+    return ad.scale_shift(ad.normalize_rows(ad.add(o, ff)), block.ln_gain, block.ln_bias)
 
 
 def make_full_masks(p: FullSetTransformerParams, n_rows: int, rng: np.random.Generator,

@@ -91,27 +91,21 @@ def _pair_alphas(problem: TheoryProblem, k: int):
     return alphas, h, hp
 
 
-def delta_k(problem: TheoryProblem, k: int, diff_scale: float = 1.0) -> np.ndarray:
+def delta_k(problem: TheoryProblem, k: int) -> np.ndarray:
     """Expected attention-weighted, upper-mapped difference vector for
-    class k: the exact double sum over the finite support index sets.
-
-    diff_scale multiplies the representation differences while the
-    attention coefficients stay at their unscaled values."""
+    class k: the exact double sum over the finite support index sets."""
     alphas, h, hp = _pair_alphas(problem, k)
     M, _b = setfunc.effective_affine(problem.set_params)
     G = problem.upper.w
     acc = np.zeros(G.shape[1])
     for i in range(h.shape[0]):
         for j in range(hp.shape[0]):
-            diff = diff_scale * (hp[j] - h[i])
-            acc += alphas[i, j] * (diff @ M @ G)
+            acc += alphas[i, j] * ((hp[j] - h[i]) @ M @ G)
     return acc / (h.shape[0] * hp.shape[0])
 
 
-def delta_matrix(problem: TheoryProblem, diff_scale: float = 1.0) -> np.ndarray:
-    return np.stack(
-        [delta_k(problem, k, diff_scale) for k in range(1, problem.task_t.way + 1)]
-    )
+def delta_matrix(problem: TheoryProblem) -> np.ndarray:
+    return np.stack([delta_k(problem, k) for k in range(1, problem.task_t.way + 1)])
 
 
 def singleton_prototypes(problem: TheoryProblem) -> np.ndarray:
@@ -284,7 +278,7 @@ def second_order_mix(case: LogisticSpecialCase, task_tp: ep.Task, sigma) -> floa
     move = ad.scale(ad.fill_like(gamma, z_dv.shape), -shift / 2.0)
     zp = ad.add(z_dv, move)
     ones = DiffValue.const(np.ones_like(z).reshape(1, -1))
-    loss = ad.mean_all(ad.div(ones, ad.add(ones, ad.exp(zp))))
+    loss = ad.scale(ad.sum_all(ad.div(ones, ad.add(ones, ad.exp(zp)))), 1.0 / z.size)
     (g1,) = ad.grad(loss, [gamma], create_graph=True)
     (g2,) = ad.grad(g1, [gamma], create_graph=True)
     return loss.item() + g1.item() + 0.5 * g2.item()

@@ -48,12 +48,12 @@ def pairwise_dists(queries, protos, metric):
 
 def cross_entropy(dists, labels):
     n, way = dists.shape
-    logp = ad.log_softmax_rows(ad.neg(dists))
+    logp = ad.log_softmax_rows(ad.scale(dists, -1.0))
     onehot = np.zeros((n, way))
     for i, y in enumerate(labels):
         onehot[i, y - 1] = 1.0
     picked = ad.sum_all(ad.mul(logp, DiffValue.const(onehot)))
-    return ad.neg(ad.scale(picked, 1.0 / n))
+    return ad.scale(ad.scale(picked, 1.0 / n), -1.0)
 
 
 def embed_batch(lam, theta, x, mode, rng):

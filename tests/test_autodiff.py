@@ -60,10 +60,12 @@ class TestForwardValues:
         )
 
     def test_relu(self):
-        np.testing.assert_array_equal(ad.relu([[-1.0, 2.0]]).data, [[0.0, 2.0]])
+        # ReLU is the leaky ReLU of slope 0
+        np.testing.assert_array_equal(ad.leaky_relu([[-1.0, 2.0]], 0.0).data, [[0.0, 2.0]])
 
     def test_layer_norm_two_points(self):
-        out = ad.layer_norm([[2.0, 4.0]], [[1.0, 1.0]], [[0.0, 0.0]])
+        # layer norm is a row normalization, then a scale-shift by gain and bias
+        out = ad.scale_shift(ad.normalize_rows([[2.0, 4.0]]), [[1.0, 1.0]], [[0.0, 0.0]])
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-12)
 
     def test_dropout_inverted_scaling(self):
@@ -75,15 +77,30 @@ class TestForwardValues:
             ad.dropout([[1.0, 2.0]], 0.5, [[1.0]])
 
     def test_concat_slice_roundtrip(self, rng):
+        # the parts come back as the row blocks of heads_to_rows
         a = rng.standard_normal((3, 2))
-        b = rng.standard_normal((3, 4))
-        cat = ad.concat_cols(DiffValue.const(a), DiffValue.const(b))
-        np.testing.assert_array_equal(ad.slice_cols(cat, 0, 2).data, a)
-        np.testing.assert_array_equal(ad.slice_cols(cat, 2, 6).data, b)
+        b = rng.standard_normal((3, 2))
+        rows = ad.heads_to_rows(ad.concat_cols(DiffValue.const(a), DiffValue.const(b)), 2)
+        np.testing.assert_array_equal(ad.take_rows(rows, np.arange(3)).data, a)
+        np.testing.assert_array_equal(ad.take_rows(rows, np.arange(3, 6)).data, b)
 
     def test_concat_cols_many_parts(self, rng):
-        parts = [rng.standard_normal((3, w)) for w in (2, 1, 4)]
+        parts = [rng.standard_normal((3, 2)) for _ in range(3)]
         np.testing.assert_array_equal(ad.concat_cols(*parts).data, np.hstack(parts))
+
+    def test_concat_cols_parts_must_share_a_shape(self):
+        with pytest.raises(ad.ShapeError):
+            ad.concat_cols(np.ones((3, 2)), np.ones((3, 4)))
+        with pytest.raises(ad.ShapeError):
+            ad.concat_cols(np.ones((3, 2)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_elementwise_ops_do_not_broadcast(self, op):
+        # a (1, n) row is added to every row only inside affine and scale_shift
+        with pytest.raises(ad.ShapeError):
+            getattr(ad, op)(np.ones((2, 3)), np.ones((1, 3)))
+        with pytest.raises(ad.ShapeError):
+            getattr(ad, op)(np.ones((1, 3)), np.ones((2, 3)))
 
     def test_block_products_match_per_block(self, rng):
         # row block j of a with row block j of b, for h = 3 blocks; one
@@ -140,7 +157,7 @@ class TestForwardValues:
             ad.heads_to_rows(x, 3)
 
     def test_scalar_helpers(self):
-        assert ad.mean_all([[1.0, 2.0], [3.0, 4.0]]).item() == 2.5
+        assert ad.scale(ad.sum_all([[1.0, 2.0], [3.0, 4.0]]), 0.25).item() == 2.5
         assert ad.sum_all([[1.0, 2.0]]).item() == 3.0
 
 
@@ -155,12 +172,11 @@ class TestGradients:
         ("matmul_l", (2, 3), lambda x, c: ad.sum_all(ad.matmul(x, c[:6].reshape(3, 2)))),
         ("matmul_r", (3, 2), lambda x, c: ad.sum_all(ad.matmul(c[:6].reshape(2, 3), x))),
         ("add", (2, 3), lambda x, c: ad.sum_all(ad.mul(ad.add(x, c[:6].reshape(2, 3)), x))),
-        ("add_rowvec", (1, 3), lambda x, c: ad.sum_all(ad.exp(ad.add(c[:6].reshape(2, 3), x)))),
         ("sub", (2, 3), lambda x, c: ad.sum_all(ad.mul(ad.sub(c[:6].reshape(2, 3), x), x))),
         ("mul", (2, 2), lambda x, c: ad.sum_all(ad.mul(x, ad.mul(x, c[:4].reshape(2, 2)))),),
         ("div", (2, 2), lambda x, c: ad.sum_all(ad.div(c[:4].reshape(2, 2), ad.add(ad.mul(x, x), ad.DiffValue.const(np.full((2, 2), 2.0)))))),
         ("scale", (2, 2), lambda x, c: ad.sum_all(ad.scale(ad.mul(x, x), -1.7))),
-        ("neg", (2, 2), lambda x, c: ad.sum_all(ad.neg(ad.mul(x, x)))),
+        ("neg", (2, 2), lambda x, c: ad.sum_all(ad.scale(ad.mul(x, x), -1.0))),
         ("exp", (2, 3), lambda x, c: ad.sum_all(ad.exp(x))),
         ("powf", (2, 2), lambda x, c: ad.sum_all(ad.powf(ad.add(ad.mul(x, x), ad.DiffValue.const(np.full((2, 2), 1.0))), 1.5))),
         ("leaky", (2, 3), lambda x, c: ad.sum_all(ad.leaky_relu(x, 0.1))),
@@ -170,7 +186,7 @@ class TestGradients:
         ("slice", (3, 3), lambda x, c: ad.sum_all(ad.mul(ad.take_rows(x, np.arange(1, 3)), c[:6].reshape(2, 3)))),
         ("concat_rows", (2, 3), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.concat_rows(x, ad.mul(x, x))), c[:12].reshape(4, 3)))),
         ("softmax", (2, 4), lambda x, c: ad.sum_all(ad.mul(ad.softmax_rows(x), c[:8].reshape(2, 4)))),
-        ("layer_norm", (2, 4), lambda x, c: ad.sum_all(ad.mul(ad.layer_norm(x, c[:4].reshape(1, 4), c[4:8].reshape(1, 4)), c[8:16].reshape(2, 4)))),
+        ("layer_norm", (2, 4), lambda x, c: ad.sum_all(ad.mul(ad.scale_shift(ad.normalize_rows(x), c[:4].reshape(1, 4), c[4:8].reshape(1, 4)), c[8:16].reshape(2, 4)))),
         ("dropout", (2, 4), lambda x, c: ad.sum_all(ad.dropout(ad.mul(x, x), 0.25, np.array([[1.0, 0, 1, 1], [0, 1, 1, 0]])))),
         ("log_softmax", (2, 4), lambda x, c: ad.sum_all(ad.mul(ad.log_softmax_rows(x), c[:8].reshape(2, 4)))),
         ("normalize_rows", (3, 4), lambda x, c: ad.sum_all(ad.mul(ad.normalize_rows(x), c[:12].reshape(3, 4)))),
@@ -363,13 +379,13 @@ class TestSecondOrder:
             def build(x):
                 d = ad.block_sq_dists(x, DiffValue.const(c[:3, :]), 1)
                 return ad.sum_all(
-                    ad.mul(ad.log_softmax_rows(ad.neg(d)), DiffValue.const(c[3:4, :3]))
+                    ad.mul(ad.log_softmax_rows(ad.scale(d, -1.0)), DiffValue.const(c[3:4, :3]))
                 )
         else:
             def build(x):
                 return ad.sum_all(
                     ad.mul(
-                        ad.layer_norm(x, np.ones((1, 4)), np.zeros((1, 4))),
+                        ad.scale_shift(ad.normalize_rows(x), np.ones((1, 4)), np.zeros((1, 4))),
                         DiffValue.const(c[1:2, :]),
                     )
                 )
@@ -493,9 +509,10 @@ class TestPrunedSweep:
         w = tape.param(rng.standard_normal((4, 4)))
         b = tape.param(rng.standard_normal((1, 4)))
         gain = tape.param(rng.standard_normal((1, 4)))
-        h = ad.layer_norm(ad.affine(x, w, b), gain, DiffValue.const(np.zeros((1, 4))))
+        h = ad.scale_shift(ad.normalize_rows(ad.affine(x, w, b)), gain,
+                           DiffValue.const(np.zeros((1, 4))))
         weights = DiffValue.const(rng.standard_normal((3, 3)))
-        loss = ad.sum_all(ad.mul(ad.softmax_rows(ad.matmul_nt(h, ad.relu(h))), weights))
+        loss = ad.sum_all(ad.mul(ad.softmax_rows(ad.matmul_nt(h, ad.leaky_relu(h, 0.0))), weights))
         return loss, [x, w, b, gain]
 
     def test_subset_matches_slice_of_all(self, rng):
@@ -528,7 +545,7 @@ class TestDeterminism:
             x = tape.param(x0)
             w = tape.param(w0)
             y = ad.softmax_rows(ad.matmul(ad.leaky_relu(ad.matmul(x, w)), w))
-            loss = ad.mean_all(ad.mul(y, y))
+            loss = ad.scale(ad.sum_all(ad.mul(y, y)), 1.0 / 16)
             gs = ad.grad(loss, [x, w])
             return loss.data.tobytes(), gs[0].data.tobytes(), gs[1].data.tobytes()
 
@@ -559,7 +576,7 @@ class TestDeterminism:
         ("bmm_tn", (4, 3), lambda x: ad.matmul_tn(x, x, 2)),
         ("heads_to_rows", (3, 4), lambda x: ad.heads_to_rows(x, 2)),
         ("rows_to_heads", (4, 3), lambda x: ad.rows_to_heads(x, 2)),
-        ("concat_cols_3", (3, 4), lambda x: ad.concat_cols(x, x, np.ones((3, 2)))),
+        ("concat_cols_3", (3, 4), lambda x: ad.concat_cols(x, x, np.ones((3, 4)))),
         ("take_rows", (3, 4), lambda x: ad.take_rows(x, [2, 0, -1, 2])),
         ("scatter_rows", (3, 4), lambda x: ad.scatter_rows(x, [1, 1, -1], 2)),
         ("block_sq_dists", (4, 3), lambda x: ad.block_sq_dists(x, x, 2)),
@@ -581,7 +598,7 @@ class TestDeterminism:
         gain = tape.param(np.ones((1, 4)))
         bias = tape.param(np.zeros((1, 4)))
         before = tape.op_count
-        ad.layer_norm(x, gain, bias)
+        ad.scale_shift(ad.normalize_rows(x), gain, bias)
         assert tape.op_count == before + 2
 
 

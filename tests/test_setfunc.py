@@ -296,13 +296,15 @@ def _attend_per_head(block, queries, keys_values, sets, one_key, packed_projecti
     primitives: each head's projections, attention weights and layer norm,
     the heads' outputs joined side by side. With packed_projections each
     head's Q, K and V are its columns of the packed affines."""
-    outs = []
+    outs, h = [], len(block.heads)
     for j, head in enumerate(block.heads):
         if packed_projections:
-            w, width = block.packed, head.wq.shape[1]
+            w = block.packed
 
             def project(x, weight, bias):
-                return ad.slice_cols(ad.affine(x, weight, bias), j * width, (j + 1) * width)
+                m = x.shape[0]
+                return ad.take_rows(ad.heads_to_rows(ad.affine(x, weight, bias), h),
+                                    np.arange(j * m, (j + 1) * m))
 
             q = project(queries, w.wq, w.bq)
             k = None if one_key else project(keys_values, w.wk, w.bk)
@@ -314,7 +316,7 @@ def _attend_per_head(block, queries, keys_values, sets, one_key, packed_projecti
         if k is not None:
             # one head's attention, set by set
             v = ad.matmul(sf._weights(q, k, sets), v, sets)
-        outs.append(ad.layer_norm(ad.add(q, v), head.ln_gain, head.ln_bias))
+        outs.append(ad.scale_shift(ad.normalize_rows(ad.add(q, v)), head.ln_gain, head.ln_bias))
     return ad.concat_cols(*outs)
 
 

@@ -104,10 +104,15 @@ class TestDelta:
             assert np.max(np.abs(th.delta_k(prob, k) - want)) <= 1e-12
 
     def test_linear_in_difference_scale(self, rng):
+        # scaling the upper map by s scales every mapped difference
+        # (hp - h) M G by s and leaves the attention coefficients alone
         prob = linear_problem(rng, seed=6)
-        base = th.delta_matrix(prob, 1.0)
+        base = th.delta_matrix(prob)
         for s in (0.5, 2.0, -3.0):
-            np.testing.assert_allclose(th.delta_matrix(prob, s), s * base,
+            upper = pn.LayerParams(s * prob.upper.w, prob.upper.b)
+            scaled = th.TheoryProblem(prob.task_t, prob.task_tp, prob.set_params,
+                                      pn.EncoderParams(layers=[upper], split=0), prob.sigma)
+            np.testing.assert_allclose(th.delta_matrix(scaled), s * base,
                                        atol=1e-12)
 
     def test_upper_stack_must_be_linear(self, rng):
