@@ -640,7 +640,7 @@ def dropout(x, rate: float, mask) -> DiffValue:
         raise ShapeError(f"dropout mask {mask.shape} != input {x.shape}")
     if mask.tape is not None:
         raise GraphError("dropout mask must be a constant")
-    return scale(mul(x, mask), 1.0 / (1.0 - rate))
+    return mul(x, DiffValue.const(mask.data * (1.0 / (1.0 - rate))))
 
 
 # ---------------------------------------------------------------------------

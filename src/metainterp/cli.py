@@ -63,33 +63,25 @@ def _metric_row(row) -> str:
 
 def _write_prototypes(path, theta, lam, dataset, method, seed) -> None:
     """Raw prototype dump per (task, class, source); the embedding-space
-    record that replaces plots."""
-    lines = []
+    record that replaces plots. One batch scores every meta-train task
+    and, for a method with a set function, each task fused with the next."""
     rng = np.random.default_rng([seed, 0x9907])
+    tasks = dataset.meta_train
     batch = pn.Batch(lam, theta)
-    for task in dataset.meta_train:
+    for task in tasks:
         batch.add_singleton(task)
+    sources = ["original"]
+    if bl.METHODS[method][1] is not None and len(tasks) >= 2:
+        sources.append("interpolated")
+        for tid, task in enumerate(tasks):
+            itp.add_mix(batch, task, tasks[(tid + 1) % len(tasks)],
+                        itp.pair_classes(task.way, rng), itp.InterpConfig(strategy="support"))
     protos = batch.forward().protos.data
-    dim_out = protos.shape[1]
-    for tid, task in enumerate(dataset.meta_train):
-        for k in range(task.way):
-            feats = ",".join(_fmt(v) for v in protos[tid * task.way + k])
-            lines.append(f"{tid},{k + 1},original,{feats}")
-    if bl.METHODS[method][1] is not None and len(dataset.meta_train) >= 2:
-        tasks = dataset.meta_train
-        for tid in range(len(tasks)):
-            other = (tid + 1) % len(tasks)
-            pairing = itp.pair_classes(tasks[tid].way, rng)
-            protos = itp.interpolated_prototypes(
-                lam, theta, tasks[tid], tasks[other], pairing,
-                itp.InterpConfig(strategy="support"), mode="eval", rng=rng,
-            ).data
-            for k in range(tasks[tid].way):
-                feats = ",".join(_fmt(v) for v in protos[k])
-                lines.append(f"{tid},{k + 1},interpolated,{feats}")
-    header = "task_id,class,source," + ",".join(
-        f"f{i + 1}" for i in range(dim_out)
-    )
+    way, n = tasks[0].way, len(tasks)
+    # row r is class r % way + 1 of episode r // way: the originals, then the fusions
+    lines = [f"{r // way % n},{r % way + 1},{sources[r // way // n]},"
+             + ",".join(_fmt(v) for v in row) for r, row in enumerate(protos)]
+    header = "task_id,class,source," + ",".join(f"f{i + 1}" for i in range(protos.shape[1]))
     Path(path).write_text(header + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -71,6 +71,8 @@ class Task:
         missing = np.flatnonzero(np.bincount(ys, minlength=self.way + 1)[1:] == 0)
         if missing.size:
             raise TaskError(f"class {missing[0] + 1} has no support examples")
+        if not len(yq):
+            raise TaskError("task has no query rows")
 
     @cached_property
     def support(self) -> tuple:

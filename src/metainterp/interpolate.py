@@ -1,5 +1,5 @@
-"""Task interpolation: class pairing, interpolated prototypes, and the
-mixed-task loss with its ablation strategies.
+"""Task interpolation: class pairing, fused prototypes, and the mixed-task
+loss with its ablation strategies.
 
 Two tasks are fused class-by-class: permutations assign new class k to the
 pair (sigma1(k), sigma2(k)), paired support representations at the split
@@ -11,8 +11,9 @@ are the ablation axes.
 A pair's terms are episodes of a `protonet.Batch` (`add_mix`, `add_mlti`)
 and draw from the batch's generator: its fused sets join the sets of every
 other pair of the training step in one `set_forward` per set size, and its
-queries and prototypes one block of the step's distances. `loss_mix` and
-`interpolated_prototypes` are batches of the one pair.
+queries and prototypes one block of the step's distances. `loss_mix` is a
+batch of the one pair; the fused prototypes a training run writes out are
+the `protos` of `add_mix` episodes.
 """
 
 from __future__ import annotations
@@ -121,21 +122,6 @@ def _fused_sets(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing
         sets.append(numbers)
         classes.append(np.full(len(index), k))
     return (group, np.concatenate(sets)), np.concatenate(classes)
-
-
-def interpolated_prototypes(lam, theta, task1: Task, task2: Task,
-                            pairing: ClassPairing, cfg: InterpConfig,
-                            mode: str = "eval",
-                            rng: Optional[np.random.Generator] = None) -> DiffValue:
-    """Fused class prototypes: the split-layer rows of every fused set of
-    every class go through the set function in one batched pass, the upper
-    stack lifts the fusions, and the per-class mean is the prototype.
-    Returns a (K, D) matrix. Draws as `_fused_sets`.
-    """
-    batch = pn.Batch(lam, theta, mode, rng)
-    protos, classes = _fused_sets(batch, task1, task2, pairing, cfg)
-    batch.episode(pn.NO_QUERIES, [], protos, classes, task1.way)
-    return batch.forward().protos
 
 
 def _query_pairs(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing):

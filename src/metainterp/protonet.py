@@ -6,13 +6,15 @@ support and query representation passes through the set function as a
 singleton set at the split layer, in training and at meta-test alike.
 With the identity set function this is a vanilla prototypical network.
 
-Every loss is one `Batch`: the episodes of all task pairs and all loss
-terms are laid out first, drawing their randomness in a fixed order, and
-then one graph computes them together. The singleton episode loss, the
-mixed-task loss of `interpolate` and the validation loss are batches of
-one or many episodes; rows of every set size share one lower-stack and
-one upper-stack pass, and each episode's queries meet only its own
-prototypes, as one block of `block_sq_dists`.
+Every loss and score is one `Batch`: the episodes of all task pairs and
+all loss terms are laid out first, drawing their randomness in a fixed
+order, and then one graph computes them together. The singleton episode
+loss, the mixed-task loss of `interpolate`, the validation loss, the
+meta-test accuracies and the prototypes a training run writes out are
+batches of one or many episodes; rows of every set size share one
+lower-stack and one upper-stack pass, and each episode's queries (every
+episode has at least one) meet only its own prototypes, as one block of
+`block_sq_dists`.
 """
 
 from __future__ import annotations
@@ -177,10 +179,6 @@ class _Episode(NamedTuple):
     weight: float
 
 
-# the ref of an episode without queries (prototypes only)
-NO_QUERIES = (1, np.zeros(0, dtype=np.int64))
-
-
 class _NoRng:
     """The generator of a batch built without one: any draw raises."""
 
@@ -220,8 +218,7 @@ class Batch:
         self.lam, self.theta, self.mode = lam, theta, mode
         self.rng = _NoRng() if rng is None else rng
         self._inputs = []        # feature matrices, stacked into the lower-stack input
-        self._first_row = {}     # (id(task), role) -> its first input row
-        self._tasks = []         # keeps the tasks whose ids key _first_row alive
+        self._first_row = {}     # (task, role) -> its first input row
         self._shared = np.zeros(0, dtype=np.int64)  # input row -> shared singleton, or -1
         self._groups = {}        # set size -> _Sets
         self._episodes = []
@@ -229,11 +226,10 @@ class Batch:
     def rows(self, task: Task, role: str) -> np.ndarray:
         """The input rows of task's support ("s") or query ("q") features."""
         x = task.xs if role == "s" else task.xq
-        key = (id(task), role)
+        key = (task, role)
         if key not in self._first_row:
             self._first_row[key] = len(self._shared)
             self._inputs.append(x)
-            self._tasks.append(task)
             self._shared = np.concatenate([self._shared, np.full(len(x), -1)])
         return self._first_row[key] + np.arange(len(x))
 
@@ -278,7 +274,10 @@ class Batch:
                 weight: float = 1.0) -> None:
         """Scores the queries ref against the class means of the protos ref
         (classes 1..way, one per set), with cross-entropy at targets; the
-        loss adds weight times the mean over the queries."""
+        loss adds weight times the mean over the queries, of which there
+        must be at least one."""
+        if not len(queries[1]):
+            raise ValueError("an episode needs at least one query")
         self._episodes.append(_Episode(queries, np.asarray(targets, dtype=np.int64), protos,
                                        np.asarray(classes, dtype=np.int64), way, weight))
 
@@ -330,29 +329,27 @@ class Batch:
         p_rows, p_labels = [], []
         for j, ep in enumerate(self._episodes):
             nq = len(ep.targets)
-            if nq:
-                q_index[j, :nq] = start[ep.queries[0]] + ep.queries[1]
-                weights[j, np.arange(nq), ep.targets - 1] = ep.weight / nq
+            q_index[j, :nq] = start[ep.queries[0]] + ep.queries[1]
+            weights[j, np.arange(nq), ep.targets - 1] = ep.weight / nq
             p_rows.append(start[ep.protos[0]] + ep.protos[1])
             p_labels.append(j * way + ep.classes)
         protos = prototypes_from_matrix(ad.take_rows(e, np.concatenate(p_rows)),
                                         np.concatenate(p_labels), n_eps * way)
-        dists = None
-        if m:
-            queries = ad.take_rows(e, q_index.reshape(-1))
-            dists = _apply_metric(ad.block_sq_dists(queries, protos, n_eps), metric)
+        queries = ad.take_rows(e, q_index.reshape(-1))
+        dists = _apply_metric(ad.block_sq_dists(queries, protos, n_eps), metric)
         return Scores(protos, dists, weights.reshape(n_eps * m, way),
                       [ep.targets for ep in self._episodes])
 
 
 @dataclass
 class Scores:
-    """A batch's graph: every episode's K prototype rows, and each
-    episode's (m, K) block of query distances, whose rows past its own
+    """A batch's graph: every episode's K prototype rows (episode j's class
+    k is row j K + k - 1), and each episode's (m, K) block of query
+    distances, m the most queries of any episode, whose rows past its own
     queries are padding of weight 0."""
 
     protos: DiffValue
-    dists: Optional[DiffValue]
+    dists: DiffValue
     weights: np.ndarray      # (episodes m, K): weight / queries at the targets
     targets: list            # each episode's query targets
 

@@ -102,15 +102,11 @@ class SimpleSetParams:
     b2v: np.ndarray
     seed: np.ndarray  # (1, d) pooling query
 
-    @property
-    def dim(self) -> int:
-        return _leaf_array(self.w1q).shape[0]
 
-
-def init_simple(d: int, rng: np.random.Generator, qk_scale: float = 0.5) -> SimpleSetParams:
+def init_simple(d: int, rng: np.random.Generator) -> SimpleSetParams:
     """Random init; value path starts near the identity so the singleton
     pass begins close to an identity feature map."""
-    s = qk_scale / math.sqrt(d)
+    s = 0.5 / math.sqrt(d)
 
     def mat():
         return rng.standard_normal((d, d)) * s
@@ -239,10 +235,6 @@ class FullSetTransformerParams:
     dropout_rate: float = 0.1
 
     @property
-    def dim(self) -> int:
-        return _leaf_array(self.w4).shape[1]
-
-    @property
     def hidden(self) -> int:
         return _leaf_array(self.w4).shape[0]
 
@@ -272,9 +264,8 @@ def _init_block(d_in: int, d_h: int, rng) -> AttnBlock:
     )
 
 
-def init_full(d: int, d_h: Optional[int] = None, rng: Optional[np.random.Generator] = None,
+def init_full(d: int, d_h: Optional[int], rng: np.random.Generator,
               dropout_rate: float = 0.1) -> FullSetTransformerParams:
-    rng = rng if rng is not None else np.random.default_rng(0)
     if d_h is None:
         d_h = N_HEADS * max(2, (d + 1) // 2)
     if d_h % N_HEADS != 0:
@@ -376,8 +367,7 @@ class DeepSetsParams:
     slope: float = 0.01
 
 
-def init_deepsets(d: int, widths=(32,), rng: Optional[np.random.Generator] = None) -> DeepSetsParams:
-    rng = rng if rng is not None else np.random.default_rng(0)
+def init_deepsets(d: int, widths, rng: np.random.Generator) -> DeepSetsParams:
     dims = [d, *widths]
 
     def affine(din, dout):

@@ -29,7 +29,6 @@ finite differences, and the direction-vector balance residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -75,33 +74,36 @@ def _phi_rows(problem: TheoryProblem, x: np.ndarray) -> np.ndarray:
     return pn.encode_lower(problem.encoder, x).data
 
 
+def _embed(problem: TheoryProblem, x: np.ndarray) -> np.ndarray:
+    """g(W phi(x) + b) row by row: each row a singleton of the set function."""
+    M, b = setfunc.effective_affine(problem.set_params)
+    return (_phi_rows(problem, x) @ M + b) @ problem.upper.w + problem.upper.b
+
+
 def _class_rows(task: ep.Task, k) -> np.ndarray:
     """Task's support features of class k."""
     return task.xs[task.ys == k]
 
 
-def _pair_alphas(problem: TheoryProblem, k: int):
-    """(alphas, h_rows, hp_rows) for class k of t and sigma(k) of t'."""
-    h = _phi_rows(problem, _class_rows(problem.task_t, k))
-    hp = _phi_rows(problem, _class_rows(problem.task_tp, problem.sigma[k - 1]))
-    alphas = np.empty((h.shape[0], hp.shape[0]))
+def _pair_mean(set_params, h: np.ndarray, hp: np.ndarray, mapped=lambda v: v) -> np.ndarray:
+    """The mean over every pair (h_i, h'_j) of alpha(h_i, h'_j) times the
+    mapped difference h'_j - h_i: the exact double sum over the finite
+    support index sets."""
+    acc = 0.0
     for i in range(h.shape[0]):
         for j in range(hp.shape[0]):
-            alphas[i, j], *_ = setfunc.alpha_pair(problem.set_params, h[i], hp[j])
-    return alphas, h, hp
+            alpha, *_ = setfunc.alpha_pair(set_params, h[i], hp[j])
+            acc = acc + alpha * mapped(hp[j] - h[i])
+    return acc / (h.shape[0] * hp.shape[0])
 
 
 def delta_k(problem: TheoryProblem, k: int) -> np.ndarray:
     """Expected attention-weighted, upper-mapped difference vector for
-    class k: the exact double sum over the finite support index sets."""
-    alphas, h, hp = _pair_alphas(problem, k)
+    class k."""
+    h = _phi_rows(problem, _class_rows(problem.task_t, k))
+    hp = _phi_rows(problem, _class_rows(problem.task_tp, problem.sigma[k - 1]))
     M, _b = setfunc.effective_affine(problem.set_params)
-    G = problem.upper.w
-    acc = np.zeros(G.shape[1])
-    for i in range(h.shape[0]):
-        for j in range(hp.shape[0]):
-            acc += alphas[i, j] * ((hp[j] - h[i]) @ M @ G)
-    return acc / (h.shape[0] * hp.shape[0])
+    return _pair_mean(problem.set_params, h, hp, lambda v: v @ M @ problem.upper.w)
 
 
 def delta_matrix(problem: TheoryProblem) -> np.ndarray:
@@ -110,29 +112,15 @@ def delta_matrix(problem: TheoryProblem) -> np.ndarray:
 
 def singleton_prototypes(problem: TheoryProblem) -> np.ndarray:
     """Per-class mean of g(W phi(x) + b) over task-t supports."""
-    M, b = setfunc.effective_affine(problem.set_params)
-    out = []
-    for k in range(1, problem.task_t.way + 1):
-        h = _phi_rows(problem, _class_rows(problem.task_t, k))
-        z = h @ M + b
-        e = z @ problem.upper.w + problem.upper.b
-        out.append(e.mean(axis=0))
-    return np.stack(out)
-
-
-def _query_embeddings(problem: TheoryProblem) -> tuple:
-    M, b = setfunc.effective_affine(problem.set_params)
-    hq = _phi_rows(problem, problem.task_t.xq)
-    eq = (hq @ M + b) @ problem.upper.w + problem.upper.b
-    return eq, problem.task_t.yq
+    return np.stack([_embed(problem, _class_rows(problem.task_t, k)).mean(axis=0)
+                     for k in range(1, problem.task_t.way + 1)])
 
 
 def prototype_loss(problem: TheoryProblem, protos: np.ndarray) -> float:
     """Episode loss of task t's queries against an arbitrary prototype
     matrix (the function whose derivatives the expansion uses)."""
-    eq, labels = _query_embeddings(problem)
-    dists = pn.pairwise_dists(eq, protos)
-    return pn.cross_entropy_to_prototypes(dists, labels).item()
+    dists = pn.pairwise_dists(_embed(problem, problem.task_t.xq), protos)
+    return pn.cross_entropy_to_prototypes(dists, problem.task_t.yq).item()
 
 
 def mix_loss_frozen(problem: TheoryProblem, eps: float = 1.0) -> float:
@@ -150,14 +138,13 @@ def taylor_mix(problem: TheoryProblem, J: int, eps: float = 1.0) -> float:
         raise TheoryError(f"expansion order {J} unsupported (J in {{1, 2}})")
     protos = singleton_prototypes(problem)
     direction = eps * delta_matrix(problem)
-    eq, labels = _query_embeddings(problem)
 
     tape = Tape()
     gamma = tape.param([[0.0]])
     offset = ad.mul(ad.fill_like(gamma, direction.shape), DiffValue.const(direction))
     protos_dv = ad.add(DiffValue.const(protos), offset)
-    dists = pn.pairwise_dists(DiffValue.const(eq), protos_dv)
-    loss = pn.cross_entropy_to_prototypes(dists, labels)
+    dists = pn.pairwise_dists(DiffValue.const(_embed(problem, problem.task_t.xq)), protos_dv)
+    loss = pn.cross_entropy_to_prototypes(dists, problem.task_t.yq)
 
     (g1,) = ad.grad(loss, [gamma], create_graph=True)
     total = loss.item() + g1.item()
@@ -253,13 +240,8 @@ def delta_sum(case: LogisticSpecialCase, task_tp: ep.Task, sigma) -> np.ndarray:
     input differences (the regularizer's direction vector)."""
     acc = np.zeros_like(case.theta)
     for k in (1, 2):
-        xs, xps = _class_rows(case.task_t, k), _class_rows(task_tp, sigma[k - 1])
-        part = np.zeros_like(case.theta)
-        for i in range(xs.shape[0]):
-            for j in range(xps.shape[0]):
-                a, *_ = setfunc.alpha_pair(case.set_params, xs[i], xps[j])
-                part += a * (xps[j] - xs[i])
-        acc += part / (xs.shape[0] * xps.shape[0])
+        acc += _pair_mean(case.set_params, _class_rows(case.task_t, k),
+                          _class_rows(task_tp, sigma[k - 1]))
     return acc
 
 
@@ -289,14 +271,11 @@ def prop1_check(case: LogisticSpecialCase, pairings) -> dict:
     pairings and compare with singleton + c * theta' E[dd'] theta."""
     lhs_terms = []
     outer = np.zeros((case.theta.size, case.theta.size))
-    residual = np.zeros_like(case.theta)
     for task_tp, sigma in pairings:
         lhs_terms.append(second_order_mix(case, task_tp, sigma))
         d = delta_sum(case, task_tp, sigma)
         outer += np.outer(d, d)
-        residual += d
     outer /= len(pairings)
-    residual /= len(pairings)
     lhs = float(np.mean(lhs_terms))
     c = case.curvature_coefficient()
     rhs = case.singleton_loss() + c * float(case.theta @ outer @ case.theta)
@@ -305,7 +284,7 @@ def prop1_check(case: LogisticSpecialCase, pairings) -> dict:
         "rhs": rhs,
         "gap": abs(lhs - rhs),
         "c": c,
-        "balance_residual": float(np.linalg.norm(residual)),
+        "balance_residual": balance_check(case, pairings),
     }
 
 
@@ -329,13 +308,11 @@ class RademacherConfig:
     rank: int = 2
     radius: float = 1.0       # R
     trials: int = 200         # data redraws
-    sign_samples: int = 4000  # Monte Carlo size when n > exhaustive_limit
-    exhaustive_limit: int = 12
-    eig_low: float = 0.5
-    eig_high: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
+        if not 1 <= self.n <= 12:
+            raise TheoryError("n must be in 1..12 (every sign vector is enumerated)")
         if not 1 <= self.rank <= self.dim:
             raise TheoryError("rank must be in 1..dim")
         if self.radius <= 0:
@@ -346,7 +323,7 @@ def make_covariance(cfg: RademacherConfig, rng: np.random.Generator):
     """Random PSD covariance of the requested rank; returns (Sigma, basis
     Q_r, eigenvalues)."""
     Q, _ = np.linalg.qr(rng.standard_normal((cfg.dim, cfg.dim)))
-    eigs = rng.uniform(cfg.eig_low, cfg.eig_high, size=cfg.rank)
+    eigs = rng.uniform(0.5, 2.0, size=cfg.rank)
     Qr = Q[:, : cfg.rank]
     sigma = Qr @ np.diag(eigs) @ Qr.T
     return sigma, Qr, eigs
@@ -365,26 +342,19 @@ def _all_signs(n: int) -> np.ndarray:
 
 
 def empirical_rademacher(cfg: RademacherConfig, data: np.ndarray,
-                         sigma: np.ndarray,
-                         rng: Optional[np.random.Generator] = None) -> float:
+                         sigma: np.ndarray) -> float:
     """E_xi sup_{|theta|_Sigma^2 <= R} (1/n) sum_i xi_i theta' x_i.
 
     The supremum has the closed form sqrt(R)/n * |Sigma^{+/2} sum xi x|_2
-    for data in the row space of Sigma; exhaustive over all 2^n sign
-    vectors up to the configured limit, Monte Carlo beyond it."""
+    for data in the row space of Sigma; the mean runs over all 2^n sign
+    vectors."""
     n = data.shape[0]
     root = pinv_sqrt(sigma)
     proj = sigma @ np.linalg.pinv(sigma)
     if np.max(np.abs(proj @ data.T - data.T)) > 1e-8:
         raise TheoryError("data outside the row space of the covariance")
     mapped = data @ root  # (n, d): row i is Sigma^{+/2} x_i
-    if n <= cfg.exhaustive_limit:
-        signs = _all_signs(n)
-    else:
-        if rng is None:
-            raise TheoryError("Monte Carlo sign sampling needs an rng")
-        signs = np.where(rng.random((cfg.sign_samples, n)) < 0.5, -1.0, 1.0)
-    sums = signs @ mapped  # (S, d)
+    sums = _all_signs(n) @ mapped  # (2^n, d)
     sups = np.sqrt(cfg.radius) * np.linalg.norm(sums, axis=1) / n
     return float(np.mean(sups))
 
@@ -398,7 +368,7 @@ def rademacher_bound_check(cfg: RademacherConfig) -> dict:
     for _ in range(cfg.trials):
         z = rng.standard_normal((cfg.n, cfg.rank))
         data = z @ np.diag(np.sqrt(eigs)) @ Qr.T
-        values.append(empirical_rademacher(cfg, data, sigma, rng))
+        values.append(empirical_rademacher(cfg, data, sigma))
     values = np.asarray(values)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
@@ -540,7 +510,7 @@ def check_prop2(seed):
     }
 
 
-def check_neumann(seed, verbose=True):
+def check_neumann(seed):
     tape = Tape()
     theta = tape.param([[1.0]])
     lam = tape.param([[1.0]])
@@ -573,10 +543,9 @@ def check_neumann(seed, verbose=True):
         return float(np.max(np.abs(g[0] - exact)))
 
     table = [(q, hg(q)) for q in (0, 1, 2, 5, 10, 20, 50)]
-    if verbose:
-        print("q  | max abs error vs exact implicit gradient")
-        for q, err in table:
-            print(f"{q:<3}| {err:.3e}")
+    print("q  | max abs error vs exact implicit gradient")
+    for q, err in table:
+        print(f"{q:<3}| {err:.3e}")
     monotone = all(b <= a + 1e-15 for (_, a), (_, b) in zip(table, table[1:]))
     denom = max(float(np.max(np.abs(exact))), 1e-8)
     ok = scalar_err <= 1e-12 and monotone and table[-1][1] / denom <= 1e-6

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from metainterp import autodiff as ad
+from metainterp import interpolate as itp
+from metainterp import protonet as pn
 
 
 def fd_grad(f, x, h=1e-5):
@@ -34,6 +36,15 @@ def analytic_grad(build, x0):
     out = build(x)
     (g,) = ad.grad(out, [x])
     return g.data
+
+
+def fused_prototypes(lam, theta, task1, task2, pairing, cfg, mode="eval", rng=None):
+    """The (K, D) fused prototypes of the pair as the program builds them:
+    the prototypes of one `add_mix` episode. In train mode the episode
+    draws the prototypes' randomness, then its queries' dropout masks."""
+    batch = pn.Batch(lam, theta, mode, rng)
+    itp.add_mix(batch, task1, task2, pairing, cfg)
+    return batch.forward().protos.data
 
 
 @pytest.fixture

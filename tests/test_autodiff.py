@@ -580,6 +580,9 @@ class TestDeterminism:
         ("take_rows", (3, 4), lambda x: ad.take_rows(x, [2, 0, -1, 2])),
         ("scatter_rows", (3, 4), lambda x: ad.scatter_rows(x, [1, 1, -1], 2)),
         ("block_sq_dists", (4, 3), lambda x: ad.block_sq_dists(x, x, 2)),
+        # one product by the mask times 1 / (1 - rate)
+        ("dropout", (2, 4), lambda x: ad.dropout(x, 0.25, np.array([[1.0, 0, 1, 1],
+                                                                    [0, 1, 1, 0]]))),
     ]
 
     @pytest.mark.parametrize("name,shape,op", FUSED, ids=[f[0] for f in FUSED])

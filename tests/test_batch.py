@@ -15,6 +15,8 @@ from metainterp import protonet as pn
 from metainterp import setfunc as sf
 from metainterp.autodiff import Tape
 
+from conftest import fused_prototypes
+
 
 def uneven_dataset(seed=7):
     """Three-way tasks with two shots; some tasks lose their last query, so
@@ -140,12 +142,22 @@ def test_interpolated_prototypes_match_per_pair():
     t1, t2 = ds.meta_train[0], ds.meta_train[1]
     pairing = itp.pair_classes(3, np.random.default_rng(1))
     got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
-    got = itp.interpolated_prototypes(state.lam, state.theta, t1, t2, pairing, cfg.interp,
-                                      "train", got_rng).data
+    got = fused_prototypes(state.lam, state.theta, t1, t2, pairing, cfg.interp, "train",
+                           got_rng)
     want = reference.interpolated_prototypes(state.lam, state.theta, t1, t2, pairing,
                                              cfg.interp, "train", want_rng).data
+    sf.make_masks(state.lam, len(t1.yq), want_rng, set_size=1)  # the episode's queries
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_episode_without_queries_rejected():
+    ds = uneven_dataset()
+    state = bl.init_state(ds, config("simple", "support", 2), "meta-interp")
+    batch, task = pn.Batch(state.lam, state.theta), ds.meta_train[0]
+    protos = batch.singletons(batch.rows(task, "s"))
+    with pytest.raises(ValueError, match="at least one query"):
+        batch.episode((1, np.zeros(0, dtype=np.int64)), [], protos, task.ys, task.way)
 
 
 def test_step_records_one_set_forward_per_set_size(monkeypatch):

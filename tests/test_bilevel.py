@@ -417,9 +417,9 @@ class TestMetaTrain:
         ds = small_dataset()
 
         def boom(*a, **k):
-            raise AssertionError("interpolated_prototypes called")
+            raise AssertionError("add_mix called")
 
-        monkeypatch.setattr(itp, "interpolated_prototypes", boom)
+        monkeypatch.setattr(itp, "add_mix", boom)
         cfg = short_cfg(max_iters=12, update_period=6)
         bl.meta_train(ds, cfg, "protonet-st")
 

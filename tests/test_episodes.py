@@ -243,6 +243,16 @@ MALFORMED = [
      ep.ParseError, "line 13: unknown split 'warmup'"),
     ("bad_label_before_later_nan", {3: put(2, "0"), 40: put(7, "nan")}, ep.TaskError,
      "non-finite feature"),
+    # without their query rows (6-14 of a task's 15): validation task 0 at 62,
+    # test task 1 at 107, every test task (at 92, 107, 122); eval used to
+    # print a NaN accuracy or a traceback, train a NaN validation accuracy
+    ("val_task_without_queries", dict.fromkeys(range(68, 77)), ep.TaskError,
+     "task has no query rows"),
+    ("test_task_without_queries", dict.fromkeys(range(113, 122)), ep.TaskError,
+     "task has no query rows"),
+    ("no_test_task_with_queries", dict.fromkeys(i for s in (92, 107, 122)
+                                                for i in range(s + 6, s + 15)),
+     ep.TaskError, "task has no query rows"),
 ]
 
 
@@ -300,6 +310,10 @@ class TestTaskInvariants:
             ep.Task(np.array([[np.nan, 0.0]]), [1], np.empty((0, 2)), [], way=1)
         with pytest.raises(ep.TaskError, match="non-finite"):
             ep.Task(np.zeros((1, 2)), [1], np.array([[0.0, -np.inf]]), [1], way=1)
+
+    def test_task_without_queries_rejected(self):
+        with pytest.raises(ep.TaskError, match="task has no query rows"):
+            ep.Task(np.zeros((2, 2)), [1, 2], np.empty((0, 2)), [], way=2)
 
     def test_rows_and_labels_must_line_up(self):
         for xs, ys, xq, yq in [(np.zeros(2), [1], np.empty((0, 2)), []),

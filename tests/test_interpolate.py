@@ -9,6 +9,8 @@ from metainterp import interpolate as itp
 from metainterp import protonet as pn
 from metainterp import setfunc as sf
 
+from conftest import fused_prototypes
+
 
 @dataclass
 class FirstElement:
@@ -127,9 +129,7 @@ class TestInterpolatedPrototypes:
         theta = identity_encoder(4)
         lam = sf.DeepSetsParams(pre=[], post=[])
         cfg = itp.InterpConfig(strategy="support")
-        protos = itp.interpolated_prototypes(
-            lam, theta, t1, t2, id_pairing(2), cfg, mode="eval"
-        ).data
+        protos = fused_prototypes(lam, theta, t1, t2, id_pairing(2), cfg)
         for k in (1, 2):
             x1 = t1.xs[t1.ys == k][0]
             x2 = t2.xs[t2.ys == k][0]
@@ -145,9 +145,7 @@ class TestInterpolatedPrototypes:
         theta = pn.EncoderParams(layers=[upper], split=0)
         pairing = itp.pair_classes(2, np.random.default_rng(14))
         cfg = itp.InterpConfig(strategy="support")
-        got = itp.interpolated_prototypes(
-            lam, theta, t1, t2, pairing, cfg, mode="eval"
-        ).data
+        got = fused_prototypes(lam, theta, t1, t2, pairing, cfg)
 
         M, b = sf.effective_affine(lam)
         for k in (1, 2):
@@ -166,9 +164,7 @@ class TestInterpolatedPrototypes:
         lam = sf.init_simple(4, rng)
         theta = identity_encoder(4, layers=2, split=1)
         cfg = itp.InterpConfig(strategy="support")
-        got = itp.interpolated_prototypes(
-            lam, theta, t1, t1, id_pairing(2), cfg, mode="eval"
-        ).data
+        got = fused_prototypes(lam, theta, t1, t1, id_pairing(2), cfg)
         # direct computation: mean over all (i, j) pairs of upper(phi({h_i, h_j}))
         for k in (1, 2):
             hs = [pn.encode_lower(theta, x.reshape(1, -1)).data for x in t1.xs[t1.ys == k]]
@@ -188,8 +184,8 @@ class TestInterpolatedPrototypes:
         cfg = itp.InterpConfig(strategy="support")
         pairing = itp.pair_classes(2, np.random.default_rng(18))
         swapped = itp.ClassPairing(pairing.sigma2.copy(), pairing.sigma1.copy())
-        a = itp.interpolated_prototypes(lam, theta, t1, t2, pairing, cfg, "eval").data
-        b = itp.interpolated_prototypes(lam, theta, t2, t1, swapped, cfg, "eval").data
+        a = fused_prototypes(lam, theta, t1, t2, pairing, cfg)
+        b = fused_prototypes(lam, theta, t2, t1, swapped, cfg)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -239,9 +235,9 @@ def test_batched_prototypes_match_per_set_algorithm():
     pairing = itp.pair_classes(3, np.random.default_rng(44))
     cfg = itp.InterpConfig(strategy="support", cardinality=3)
     got_rng, want_rng = np.random.default_rng(45), np.random.default_rng(45)
-    got = itp.interpolated_prototypes(lam, theta, t1, t2, pairing, cfg,
-                                      mode="train", rng=got_rng).data
+    got = fused_prototypes(lam, theta, t1, t2, pairing, cfg, "train", got_rng)
     want = per_set_prototypes(lam, theta, t1, t2, pairing, 3, want_rng)
+    sf.make_masks(lam, len(t1.yq), want_rng, set_size=1)  # the episode's queries
     assert np.max(np.abs(got - want)) <= 1e-12
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 

@@ -147,7 +147,7 @@ class TestTaylor:
                                 enc, np.array([1, 2]))
         protos = th.singleton_prototypes(prob)  # (2, 1)
         delta = th.delta_matrix(prob)
-        eq, labels = th._query_embeddings(prob)
+        eq = th._embed(prob, task_t.xq)
         e = eq[0, 0]
         c1, c2 = protos[0, 0], protos[1, 0]
         u = (e - c2) ** 2 - (e - c1) ** 2  # d2 - d1, label is class 1
@@ -301,8 +301,8 @@ class TestRademacher:
         with pytest.raises(th.TheoryError):
             th.empirical_rademacher(cfg, bad, sigma)
 
-    def test_monte_carlo_path(self):
-        cfg = th.RademacherConfig(n=16, dim=3, rank=2, radius=1.0, trials=20,
-                                  sign_samples=500, seed=7)
-        out = th.rademacher_bound_check(cfg)
-        assert out["passed"]
+    @pytest.mark.parametrize("n", [0, 13])
+    def test_n_outside_enumerable_range_rejected(self, n):
+        # every one of the 2^n sign vectors is enumerated, so n stops at 12
+        with pytest.raises(th.TheoryError, match="n must be in 1..12"):
+            th.RademacherConfig(n=n)
