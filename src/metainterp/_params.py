@@ -73,11 +73,15 @@ def leaves(obj) -> list:
     return [x for _, x in named_leaves(obj)]
 
 
-def from_named_arrays(template, pairs: dict):
-    """Rebuild a container shaped like template from {name: array}."""
-    names = [n for n, _ in named_arrays(template)]
-    missing = [n for n in names if n not in pairs]
+def from_named_arrays(template, named: dict, prefix: str = ""):
+    """A copy of template whose leaf called n by `named_arrays(template,
+    prefix)` is named[n], which must have that leaf's shape."""
+    pairs = named_arrays(template, prefix)
+    missing = [n for n, _ in pairs if n not in named]
     if missing:
         raise ValueError(f"missing tensors: {missing[:3]}{'...' if len(missing) > 3 else ''}")
-    it = iter(names)
-    return _map_leaves(template, lambda _x: np.array(pairs[next(it)], dtype=np.float64))
+    for n, a in pairs:
+        if np.shape(named[n]) != a.shape:
+            raise ValueError(f"checkpoint tensor {n} has shape {np.shape(named[n])}, expected {a.shape}")
+    it = iter(pairs)
+    return _map_leaves(template, lambda _x: np.array(named[next(it)[0]], dtype=np.float64))

@@ -70,7 +70,7 @@ class TrainConfig:
     interp: InterpConfig = field(default_factory=InterpConfig)
     eval_episodes: int = 3000
     encoder_widths: tuple = (32, 16)
-    set_kind: str = "simple"      # simple | full | deepsets
+    set_kind: str = "simple"      # a setfunc.KINDS name but identity
     set_hidden: Optional[int] = None
     dropout_rate: float = 0.1
     metric: str = "sqeuclidean"
@@ -93,17 +93,15 @@ class TrainConfig:
         for name in ("theta_opt", "lam_opt"):
             if getattr(self, name) not in ("adam", "sgd"):
                 raise ValueError(f"unknown optimizer {getattr(self, name)!r} for {name}")
-        if self.set_kind not in ("simple", "full", "deepsets"):
+        if self.set_kind not in setfunc.KINDS or self.set_kind == "identity":
             raise ValueError(f"unknown set kind {self.set_kind!r}")
-        if self.set_kind == "full" and self.set_hidden is not None and not (
-                self.set_hidden > 0 and self.set_hidden % setfunc.N_HEADS == 0):
-            raise ValueError(f"set_hidden {self.set_hidden} is not a positive "
-                             f"multiple of {setfunc.N_HEADS}")
+        if self.set_kind == "full" and self.set_hidden is not None:
+            setfunc.check_hidden(self.set_hidden)
         if not 0 <= self.interp.layer < len(self.encoder_widths):
             raise ValueError("interpolation layer outside encoder depth")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
-        if self.metric not in ("sqeuclidean", "euclidean"):
+        if self.metric not in pn.METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
@@ -282,14 +280,6 @@ _COUNTERS = (("iteration", int), ("work", int), ("best_val_acc", float),
              ("best_iter", int), ("evals_since_best", int))
 
 
-def build_lambda(cfg: TrainConfig, d: int, rng: np.random.Generator):
-    if cfg.set_kind == "simple":
-        return setfunc.init_simple(d, rng)
-    if cfg.set_kind == "full":
-        return setfunc.init_full(d, cfg.set_hidden, rng, cfg.dropout_rate)
-    return setfunc.init_deepsets(d, (max(8, d),), rng)
-
-
 def init_state(dataset: ep.TaskDataset, cfg: TrainConfig,
                method: str = "meta-interp") -> TrainState:
     if method not in METHODS:
@@ -298,15 +288,13 @@ def init_state(dataset: ep.TaskDataset, cfg: TrainConfig,
     rng = np.random.default_rng([cfg.seed, _INIT_TAG])
     widths = [dataset.dim, *cfg.encoder_widths]
     theta = pn.init_encoder(widths, cfg.interp.layer, rng)
+    lam = setfunc.build("identity" if rule is None else cfg.set_kind, theta.interp_width,
+                        rng, cfg.set_hidden, cfg.dropout_rate)
     opt_lam = None
-    if rule is None:
-        lam = setfunc.IdentitySet()
-    else:
-        lam = build_lambda(cfg, theta.interp_width, rng)
+    if rule is not None:
         lr = cfg.inner_lr if rule == "joint" else cfg.hyper_lr
-        opt_lam = opt_init(cfg.lam_opt, lr, [a for _, a in _params.named_arrays(lam)])
-    opt_theta = opt_init(cfg.theta_opt, cfg.inner_lr,
-                         [a for _, a in _params.named_arrays(theta)])
+        opt_lam = opt_init(cfg.lam_opt, lr, _params.leaves(lam))
+    opt_theta = opt_init(cfg.theta_opt, cfg.inner_lr, _params.leaves(theta))
     return TrainState(theta=theta, lam=lam, opt_theta=opt_theta, opt_lam=opt_lam)
 
 
@@ -451,11 +439,6 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
 
 CKPT_HEADER = "# meta-interp-ckpt v1"
 
-_SET_KIND_CODES = {"identity": 0, "simple": 1, "full": 2, "deepsets": 3}
-_SET_KIND_NAMES = {v: k for k, v in _SET_KIND_CODES.items()}
-_METRIC_CODES = {"sqeuclidean": 0, "euclidean": 1}
-_METRIC_NAMES = {v: k for k, v in _METRIC_CODES.items()}
-
 
 def save_checkpoint(path, named: dict) -> None:
     """Named-tensor container: one `tensor name rows cols` line per entry,
@@ -511,28 +494,15 @@ def load_checkpoint(path) -> dict:
 
 
 def model_to_named(theta: pn.EncoderParams, lam, cfg: TrainConfig) -> dict:
-    named = {}
-    for name, arr in _params.named_arrays(theta):
-        named[f"theta.{name}"] = arr
-    for name, arr in _params.named_arrays(lam):
-        named[f"lam.{name}"] = arr
+    named = dict(_params.named_arrays(theta, "theta"))
+    named.update(_params.named_arrays(lam, "lam"))
     named["meta.split"] = np.array([[float(theta.split)]])
     named["meta.slope"] = np.array([[theta.slope]])
-    named["meta.set_kind"] = np.array(
-        [[float(_SET_KIND_CODES[_kind_of(lam)])]]
-    )
-    named["meta.dropout_rate"] = np.array([[cfg.dropout_rate]])
-    named["meta.metric"] = np.array([[float(_METRIC_CODES[cfg.metric])]])
+    named["meta.set_kind"] = np.array([[float(list(setfunc.KINDS).index(setfunc.kind_of(lam)))]])
+    # the rate a full form holds, which a resume keeps; else the configured one
+    named["meta.dropout_rate"] = np.array([[getattr(lam, "dropout_rate", cfg.dropout_rate)]])
+    named["meta.metric"] = np.array([[float(pn.METRICS.index(cfg.metric))]])
     return named
-
-
-def _kind_of(lam) -> str:
-    return {
-        setfunc.IdentitySet: "identity",
-        setfunc.SimpleSetParams: "simple",
-        setfunc.FullSetTransformerParams: "full",
-        setfunc.DeepSetsParams: "deepsets",
-    }[type(lam)]
 
 
 def _tensor(named: dict, name: str) -> np.ndarray:
@@ -541,11 +511,11 @@ def _tensor(named: dict, name: str) -> np.ndarray:
     return named[name]
 
 
-def _code(named: dict, name: str, table: dict) -> str:
+def _code(named: dict, name: str, names) -> str:
     code = int(_tensor(named, name)[0, 0])
-    if code not in table:
+    if not 0 <= code < len(names):
         raise ValueError(f"checkpoint tensor {name!r} holds unknown code {code}")
-    return table[code]
+    return names[code]
 
 
 def _indexed(named: dict, fmt: str) -> list:
@@ -556,37 +526,21 @@ def _indexed(named: dict, fmt: str) -> list:
     return out
 
 
-def _lam_template(kind: str, named: dict, rate: float, rng):
-    """A set function of the given kind with the stored tensors' shapes."""
-    if kind == "identity":
-        return setfunc.IdentitySet()
-    if kind == "simple":
-        return setfunc.init_simple(_tensor(named, "lam.w1q").shape[0], rng)
-    if kind == "full":
-        w4 = _tensor(named, "lam.w4")
-        return setfunc.init_full(w4.shape[1], w4.shape[0], rng, rate)
-    d = _tensor(named, "lam.pre[0][0]").shape[0]
-    widths = tuple(w.shape[1] for w in _indexed(named, "lam.pre[{}][0]"))
-    return setfunc.init_deepsets(d, widths, rng)
-
-
 def model_from_named(named: dict):
     """Rebuild (theta, lam, metric) from a checkpoint's tensors: templates
-    with the stored shapes, filled by tensor name."""
+    built from the stored widths and codes, filled by tensor name."""
     rng = np.random.default_rng(0)
     widths = [_tensor(named, "theta.layers[0].w").shape[0],
               *(w.shape[1] for w in _indexed(named, "theta.layers[{}].w"))]
     theta = pn.init_encoder(widths, int(_tensor(named, "meta.split")[0, 0]), rng,
                             float(_tensor(named, "meta.slope")[0, 0]))
-    lam = _lam_template(_code(named, "meta.set_kind", _SET_KIND_NAMES), named,
-                        float(_tensor(named, "meta.dropout_rate")[0, 0]), rng)
-    theta = _params.from_named_arrays(theta, _strip(named, "theta."))
-    lam = _params.from_named_arrays(lam, _strip(named, "lam."))
-    return theta, lam, _code(named, "meta.metric", _METRIC_NAMES)
-
-
-def _strip(named: dict, prefix: str) -> dict:
-    return {n[len(prefix):]: a for n, a in named.items() if n.startswith(prefix)}
+    kind = _code(named, "meta.set_kind", list(setfunc.KINDS))
+    hidden = _tensor(named, "lam.w4").shape[0] if kind == "full" else None
+    lam = setfunc.build(kind, theta.interp_width, rng, hidden,
+                        float(_tensor(named, "meta.dropout_rate")[0, 0]))
+    return (_params.from_named_arrays(theta, named, "theta"),
+            _params.from_named_arrays(lam, named, "lam"),
+            _code(named, "meta.metric", pn.METRICS))
 
 
 def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
@@ -594,10 +548,8 @@ def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
     the current one (a state saved at a new best leaves it out)."""
     named = model_to_named(state.theta, state.lam, cfg)
     if state.best_iter != state.iteration:
-        for name, arr in _params.named_arrays(state.best_theta):
-            named[f"best_theta.{name}"] = arr
-        for name, arr in _params.named_arrays(state.best_lam):
-            named[f"best_lam.{name}"] = arr
+        named.update(_params.named_arrays(state.best_theta, "best_theta"))
+        named.update(_params.named_arrays(state.best_lam, "best_lam"))
     for slot, opt in (("opt_theta", state.opt_theta), ("opt_lam", state.opt_lam)):
         if opt is None:
             continue
@@ -615,39 +567,38 @@ def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
     return named
 
 
-def state_from_named(named: dict, cfg: TrainConfig):
+def state_from_named(named: dict):
     theta, lam, _metric = model_from_named(named)
-    # a missing best model is a copy of the current one
+    counters = {name: kind(_tensor(named, f"meta.{name}")[0, 0]) for name, kind in _COUNTERS}
+    # the best model is stored only when it is not the current one
     best_theta, best_lam = (
-        _params.from_named_arrays(model, best) if best else _params.values(model)
-        for model, best in ((theta, _strip(named, "best_theta.")),
-                            (lam, _strip(named, "best_lam."))))
+        _params.from_named_arrays(model, named, prefix)
+        if counters["best_iter"] != counters["iteration"] else _params.values(model)
+        for model, prefix in ((theta, "best_theta"), (lam, "best_lam")))
 
-    def opt_from(slot, template_arrays):
+    def opt_from(slot, model):
         key = f"{slot}.meta"
         if key not in named:
             return None
         step, lr, is_adam = named[key][0]
         opt = OptState(kind="adam" if is_adam else "sgd", lr=float(lr), step=int(step))
-        if opt.kind == "adam":
-            opt.m = [_tensor(named, f"{slot}.m[{i}]") for i in range(len(template_arrays))]
-            opt.v = [_tensor(named, f"{slot}.v[{i}]") for i in range(len(template_arrays))]
+        if opt.kind == "adam":  # slots m[i] and v[i] are shaped like leaf i
+            opt.m = _params.from_named_arrays(_params.leaves(model), named, f"{slot}.m")
+            opt.v = _params.from_named_arrays(_params.leaves(model), named, f"{slot}.v")
         return opt
 
-    theta_arrays = [a for _, a in _params.named_arrays(theta)]
-    lam_arrays = [a for _, a in _params.named_arrays(lam)]
     window = named.get("meta.loss_window")  # present after a stop between evaluations
     state = TrainState(
         theta=theta,
         lam=lam,
-        opt_theta=opt_from("opt_theta", theta_arrays),
-        opt_lam=opt_from("opt_lam", lam_arrays),
+        opt_theta=opt_from("opt_theta", theta),
+        opt_lam=opt_from("opt_lam", lam),
         best_theta=best_theta,
         best_lam=best_lam,
         loss_window=[] if window is None else window[0].tolist(),
-        **{name: kind(_tensor(named, f"meta.{name}")[0, 0]) for name, kind in _COUNTERS},
+        **counters,
     )
-    method = _code(named, "meta.method", dict(enumerate(METHODS)))
+    method = _code(named, "meta.method", list(METHODS))
     if (METHODS[method][1] is None) != isinstance(lam, setfunc.IdentitySet):
         raise ValueError(f"checkpoint's set function does not fit its method {method!r}")
     return state, method

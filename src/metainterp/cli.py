@@ -23,6 +23,7 @@ from . import bilevel as bl
 from . import episodes as ep
 from . import interpolate as itp
 from . import protonet as pn
+from . import setfunc as sf
 from . import theory as th
 from .config import ConfigError, load_run_config
 
@@ -95,6 +96,13 @@ def _truncate_metrics(path, iteration: int) -> None:
         Path(path).write_text("".join(keep), encoding="utf-8")
 
 
+def _check_width(theta, dataset) -> None:
+    width = theta.layers[0].w.shape[0]
+    if width != dataset.dim:
+        raise ValueError(f"checkpoint encoder takes {width} features, "
+                         f"task file has dims={dataset.dim}")
+
+
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set)
     train_cfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
@@ -108,7 +116,8 @@ def cmd_train(args) -> int:
     mode = "w"
     if args.resume:
         named = bl.load_checkpoint(args.resume)
-        state, method = bl.state_from_named(named, train_cfg)
+        state, method = bl.state_from_named(named)
+        _check_width(state.theta, dataset)
         if args.method is not None and args.method != method:
             print(f"error: resume checkpoint was trained with method {method!r}",
                   file=sys.stderr)
@@ -208,6 +217,7 @@ def cmd_eval(args, parser) -> int:
     named = bl.load_checkpoint(args.ckpt)
     theta, lam, metric = bl.model_from_named(named)
     dataset = ep.load_tasks(args.tasks)
+    _check_width(theta, dataset)
 
     results = pn.accuracy(lam, theta, dataset.meta_test, args.episodes, seeds, metric)
     per_seed = [{"seed": seed, "accuracy": mean, "ci95": half}
@@ -264,7 +274,7 @@ _ABLATE_AXES = {
     "strategy": ("strategy", itp.STRATEGIES),
     "layer": ("interp_layer", None),
     "cardinality": ("cardinality", (2, 3, 4, 5)),
-    "setfunc": ("set_kind", ("simple", "full", "deepsets")),
+    "setfunc": ("set_kind", tuple(k for k in sf.KINDS if k != "identity")),
     "num-train-tasks": ("train_tasks", (2, 3, 5, 8)),
     "num-val-tasks": ("val_tasks", (1, 2, 4)),
 }

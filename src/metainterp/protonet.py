@@ -117,6 +117,9 @@ def prototypes_from_matrix(embeddings, labels, way: int) -> DiffValue:
     return ad.mul(ad.scatter_rows(embeddings, labels, way), DiffValue.const(inverse))
 
 
+METRICS = ("sqeuclidean", "euclidean")  # in checkpoint-code order
+
+
 def _apply_metric(d2, metric: str) -> DiffValue:
     if metric == "sqeuclidean":
         return d2

@@ -1,6 +1,8 @@
 """Permutation-invariant set functions used to fuse hidden representations.
 
-Three families:
+Three families, plus the identity map of the methods that learn no set
+function. `KINDS` names the four in checkpoint-code order, and `build` is
+the one builder of each:
 
 * `SimpleSetParams` — the two-layer single-head attention form whose pair
   output has the closed form W(h + a(h' - h)) + b; this is the variant the
@@ -264,12 +266,17 @@ def _init_block(d_in: int, d_h: int, rng) -> AttnBlock:
     )
 
 
+def check_hidden(d_h: int) -> None:
+    """The full form's hidden width splits into N_HEADS heads of width >= 1."""
+    if not (d_h > 0 and d_h % N_HEADS == 0):
+        raise ValueError(f"hidden width {d_h} is not a positive multiple of {N_HEADS}")
+
+
 def init_full(d: int, d_h: Optional[int], rng: np.random.Generator,
               dropout_rate: float = 0.1) -> FullSetTransformerParams:
     if d_h is None:
         d_h = N_HEADS * max(2, (d + 1) // 2)
-    if d_h % N_HEADS != 0:
-        raise ValueError(f"hidden width {d_h} must be a multiple of {N_HEADS}")
+    check_hidden(d_h)
     return FullSetTransformerParams(
         block1=_init_block(d, d_h, rng),
         block2=_init_block(d_h, d_h, rng),
@@ -404,6 +411,30 @@ def deepsets_forward(p: DeepSetsParams, elems, set_size: Optional[int] = None) -
 @dataclass
 class IdentitySet:
     """Placeholder for the identity feature map of the vanilla baseline."""
+
+
+# kind name -> parameter class; the order is the checkpoint's set-kind code
+KINDS = {"identity": IdentitySet, "simple": SimpleSetParams,
+         "full": FullSetTransformerParams, "deepsets": DeepSetsParams}
+
+
+def kind_of(params) -> str:
+    return list(KINDS)[list(KINDS.values()).index(type(params))]
+
+
+def build(kind: str, d: int, rng: np.random.Generator, hidden: Optional[int] = None,
+          dropout_rate: float = 0.1):
+    """A new set function of `kind` on width d; hidden and dropout_rate are
+    the full form's. The identity draws nothing from rng."""
+    if kind == "simple":
+        return init_simple(d, rng)
+    if kind == "full":
+        return init_full(d, hidden, rng, dropout_rate)
+    if kind == "deepsets":
+        return init_deepsets(d, (max(8, d),), rng)
+    if kind == "identity":
+        return IdentitySet()
+    raise ValueError(f"unknown set kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

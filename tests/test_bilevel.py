@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from metainterp import _params
 from metainterp import autodiff as ad
 from metainterp import bilevel as bl
 from metainterp import episodes as ep
@@ -522,19 +523,43 @@ class TestCheckpoints:
 
     def test_model_rebuild_all_kinds(self, tmp_path, rng):
         ds = small_dataset()
-        for kind, method in (("simple", "meta-interp"), ("full", "meta-interp"),
-                             ("deepsets", "meta-interp"), ("simple", "protonet")):
-            cfg = short_cfg(set_kind=kind, set_hidden=8 if kind == "full" else None)
+        # set_hidden None is the full form's default width, N_HEADS * max(2, (d + 1) // 2)
+        for kind, hidden, method in (("simple", None, "meta-interp"), ("full", 8, "meta-interp"),
+                                     ("full", None, "meta-interp"),
+                                     ("deepsets", None, "meta-interp"),
+                                     ("simple", None, "protonet")):
+            cfg = short_cfg(set_kind=kind, set_hidden=hidden)
             state = bl.init_state(ds, cfg, method)
             named = bl.model_to_named(state.theta, state.lam, cfg)
-            path = tmp_path / f"{kind}-{method}.ckpt"
+            path = tmp_path / f"{kind}-{hidden}-{method}.ckpt"
             bl.save_checkpoint(path, named)
             theta, lam, metric = bl.model_from_named(bl.load_checkpoint(path))
             assert metric == cfg.metric
+            for (n, a), (m, b) in zip(_params.named_arrays(state.lam),
+                                      _params.named_arrays(lam), strict=True):
+                assert n == m
+                np.testing.assert_array_equal(a, b)
             task = ds.meta_test[0]
             a = pn.task_accuracy(state.lam, state.theta, task)
             b = pn.task_accuracy(lam, theta, task)
             assert a == b
+
+    def test_checkpoint_records_the_rate_the_set_function_holds(self):
+        # a resume keeps the full form's stored rate whatever the config
+        # says, so its next checkpoint must record that rate too
+        ds = small_dataset()
+        cfg = short_cfg(set_kind="full", set_hidden=8, max_iters=20, dropout_rate=0.1)
+        state = bl.meta_train(ds, cfg, "meta-interp", stop_iteration=10)
+        changed = short_cfg(set_kind="full", set_hidden=8, max_iters=20, dropout_rate=0.3)
+        restored, method = bl.state_from_named(bl.state_to_named(state, cfg, "meta-interp"))
+        bl.meta_train(ds, changed, method, state=restored)
+        assert restored.lam.dropout_rate == 0.1
+        named = bl.state_to_named(restored, changed, method)
+        assert named["meta.dropout_rate"][0, 0] == 0.1
+        # the kinds without dropout record the configured rate
+        simple = short_cfg(dropout_rate=0.3)
+        state = bl.init_state(ds, simple, "meta-interp")
+        assert bl.model_to_named(state.theta, state.lam, simple)["meta.dropout_rate"][0, 0] == 0.3
 
     def test_method_and_set_function_must_fit(self):
         # a method that learns λ needs a set function, and one that does
@@ -546,7 +571,7 @@ class TestCheckpoints:
             state.best_theta, state.best_lam = state.theta, state.lam
             named = bl.state_to_named(state, cfg, claimed)
             with pytest.raises(ValueError, match="does not fit"):
-                bl.state_from_named(named, cfg)
+                bl.state_from_named(named)
 
     def test_resume_matches_uninterrupted_tail(self, tmp_path):
         ds = small_dataset()
@@ -560,7 +585,7 @@ class TestCheckpoints:
         path = tmp_path / "mid.ckpt"
         bl.save_checkpoint(path, named)
 
-        restored, method = bl.state_from_named(bl.load_checkpoint(path), cfg)
+        restored, method = bl.state_from_named(bl.load_checkpoint(path))
         assert method == "meta-interp"
         res_tail = bl.meta_train(ds, cfg, method, state=restored)
         tail_rows = [r for r in res_tail.history if r["iter"] > 15]

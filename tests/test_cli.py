@@ -31,6 +31,22 @@ eval_episodes = 100
 """
 
 
+def _cut_last_column(lines, name):
+    """Checkpoint lines with the last column of tensor `name` dropped."""
+    i = next(i for i, l in enumerate(lines) if l.startswith(f"tensor {name} "))
+    rows, cols = (int(x) for x in lines[i].split()[2:])
+    body = [" ".join(l.split()[:-1]) for l in lines[i + 1:i + 1 + rows]]
+    return lines[:i] + [f"tensor {name} {rows} {cols - 1}"] + body + lines[i + 1 + rows:]
+
+
+def _narrow_tasks(tmp, cfg):
+    """A task file like the workspace's with 4 features (dim 5 there)."""
+    narrow = tmp / "narrow.txt"
+    assert cli.main(["gen-tasks", "--config", str(cfg), "--out", str(narrow),
+                     "--seed", "7", "--set", "dim=4"]) == 0
+    return narrow
+
+
 @pytest.fixture
 def workspace(tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -312,6 +328,32 @@ class TestTrain:
             "metainterp: error:")
         assert not out.exists()
 
+    def test_resume_adam_slot_of_wrong_shape_one_line_error(self, workspace, capsys):
+        tmp, cfg, tasks = workspace
+        out = tmp / "run"
+        run = ["train", "--config", str(cfg), "--tasks", str(tasks), "--out-dir", str(out)]
+        assert cli.main([*run, "--stop-after", "20"]) == 0
+        ckpt = out / "final.ckpt"
+        lines = ckpt.read_text().splitlines()
+        ckpt.write_text("\n".join(_cut_last_column(lines, "opt_theta.m[1]")) + "\n")
+        capsys.readouterr()
+        assert cli.main([*run, "--resume", str(ckpt)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: checkpoint tensor opt_theta.m[1] has shape (1, 7), "
+                       "expected (1, 8)"]
+
+    def test_resume_on_task_file_of_other_width_one_line_error(self, workspace, capsys):
+        tmp, cfg, tasks = workspace
+        out = tmp / "run"
+        run = ["train", "--config", str(cfg), "--out-dir", str(out)]
+        assert cli.main([*run, "--tasks", str(tasks), "--stop-after", "20"]) == 0
+        narrow = _narrow_tasks(tmp, cfg)
+        capsys.readouterr()
+        rc = cli.main([*run, "--tasks", str(narrow), "--resume", str(out / "final.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: checkpoint encoder takes 5 features, task file has dims=4"]
+
     def test_prototypes_csv_has_both_sources(self, workspace):
         tmp, cfg, tasks = workspace
         out = tmp / "protos"
@@ -360,6 +402,32 @@ class TestEval:
         means = [r["accuracy"] for r in payload["per_seed"]]
         want = 1.96 * np.std(means, ddof=1) / np.sqrt(3)
         assert payload["ci95"] == pytest.approx(want, abs=1e-12)
+
+    def test_single_seed_reports_its_own_ci(self, workspace, capsys):
+        tmp, cfg, tasks = workspace
+        out = tmp / "run"
+        cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
+                  "--out-dir", str(out), "--seed", "1"])
+        assert cli.main(["eval", "--ckpt", str(out / "best.ckpt"),
+                         "--tasks", str(tasks), "--episodes", "50"]) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        (only,) = payload["per_seed"]
+        assert payload["seeds"] == [0] and only["seed"] == 0
+        assert payload["accuracy"] == only["accuracy"]
+        assert payload["ci95"] == only["ci95"] > 0
+
+    def test_task_file_of_other_width_one_line_error(self, workspace, capsys):
+        tmp, cfg, tasks = workspace
+        out = tmp / "run"
+        cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
+                  "--out-dir", str(out), "--seed", "1"])
+        narrow = _narrow_tasks(tmp, cfg)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--ckpt", str(out / "best.ckpt"), "--tasks", str(narrow),
+                       "--episodes", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: checkpoint encoder takes 5 features, task file has dims=4"]
 
     def test_threads_do_not_change_result(self, workspace):
         # --threads is parsed and ignored: every task is evaluated in one pass
@@ -416,6 +484,14 @@ class TestEval:
         rc, err = self._eval_broken_ckpt(workspace, capsys, drop_slope)
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error:") and "meta.slope" in err[0]
+
+    # lam.b1q is a tensor that singleton passes never read
+    @pytest.mark.parametrize("name", ["lam.b1v", "lam.b1q", "theta.layers[0].b"])
+    def test_checkpoint_tensor_of_wrong_shape_one_line_error(self, workspace, capsys, name):
+        rc, err = self._eval_broken_ckpt(workspace, capsys,
+                                         lambda ls: _cut_last_column(ls, name))
+        assert rc == 1
+        assert err == [f"error: checkpoint tensor {name} has shape (1, 7), expected (1, 8)"]
 
 
 class TestPathErrors:
@@ -499,6 +575,16 @@ class TestAblate:
                   "--set", "eval_episodes=20"])
         rows = out.read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["0", "1"]
+
+    def test_setfunc_axis_lists_the_learned_kinds(self, workspace, tmp_path):
+        _, cfg, _ = workspace
+        out = tmp_path / "kinds.csv"
+        assert cli.main(["ablate", "--axis", "setfunc", "--config", str(cfg),
+                         "--out", str(out), "--seeds", "0",
+                         "--set", "max_iters=4", "--set", "update_period=2",
+                         "--set", "eval_episodes=10"]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["simple", "full", "deepsets"]
 
     def test_threads_flag_is_usage_error(self, workspace, tmp_path):
         _, cfg, _ = workspace

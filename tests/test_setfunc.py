@@ -166,6 +166,8 @@ class TestFullSetTransformer:
     def test_hidden_width_must_split_into_heads(self, rng):
         with pytest.raises(ValueError):
             sf.init_full(6, 10, rng)
+        with pytest.raises(ValueError, match="positive multiple"):
+            sf.init_full(6, 0, rng)
 
 
 class TestDeepSets:
@@ -192,6 +194,37 @@ class TestDeepSets:
     def test_empty_set_rejected(self):
         with pytest.raises(sf.CardinalityError):
             sf.deepsets_forward(sf.DeepSetsParams([], []), [])
+
+
+class TestKinds:
+    def test_codes_in_checkpoint_order(self):
+        assert list(sf.KINDS) == ["identity", "simple", "full", "deepsets"]
+
+    @pytest.mark.parametrize("kind", list(sf.KINDS))
+    def test_build_gives_its_kind(self, kind):
+        rng = np.random.default_rng(0)
+        p = sf.build(kind, 6, rng, hidden=8, dropout_rate=0.2)
+        assert isinstance(p, sf.KINDS[kind]) and sf.kind_of(p) == kind
+        if kind == "identity":  # draws nothing, so the init stream is unchanged
+            assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_build_matches_the_kind_initializers(self):
+        def arrays(p):
+            return [a for _, a in _params.named_arrays(p)]
+
+        def rng():
+            return np.random.default_rng(5)
+
+        for built, want in (
+                (sf.build("simple", 6, rng()), sf.init_simple(6, rng())),
+                (sf.build("full", 6, rng()), sf.init_full(6, None, rng())),
+                (sf.build("deepsets", 6, rng()), sf.init_deepsets(6, (8,), rng()))):
+            for a, b in zip(arrays(built), arrays(want), strict=True):
+                np.testing.assert_array_equal(a, b)
+
+    def test_unknown_kind_raises(self, rng):
+        with pytest.raises(ValueError, match="unknown set kind"):
+            sf.build("transformer", 6, rng)
 
 
 class TestDispatch:
