@@ -17,6 +17,10 @@ matmuls with a ones matrix.
 Rows are picked and pooled by index, never by a product with a
 selection matrix: `take_rows` gathers rows (an index of -1 gives a zero
 row) and `scatter_rows` sums rows into place; each is the other's VJP.
+`scatter_rows` sums element by element on the flat element index
+(row index times width plus column, dropped rows left out) in one
+`np.bincount`, which adds each target's entries in row order into zeros,
+bit for bit as a row-wise `np.add.at` does, without its per-row cost.
 `concat_rows`'s VJP gathers each part's rows, and so does `concat_cols`'s,
 after `heads_to_rows` has stacked its equal parts' column blocks.
 
@@ -45,7 +49,10 @@ and a tape is freed by reference counting as soon as its last value goes.
 outputs. need holds one flag per parent, and a VJP returns None for a
 parent that is constant or unmarked, so gradients nobody asked for (the
 set-function weights' in a backward for the encoder only, a dropout
-mask's, a one-hot target's) are never built.
+mask's, a one-hot target's) are never built. The plan of such a sweep
+(which nodes, with which marks) depends only on the outputs and inputs,
+so the tape keeps it: the Neumann series' q sweeps over one gradient
+graph, each with new cotangents, plan once.
 """
 
 from __future__ import annotations
@@ -89,12 +96,15 @@ class Tape:
     Node order (the creation index) is a topological order of the graph,
     which backward replays in reverse. `op_count` is a deterministic work
     meter: it counts recorded primitives. While `recording` is False, ops
-    on the tape's values produce constants.
+    on the tape's values produce constants. `grad` keeps each sweep plan
+    it makes here, as node numbers and marks only, so the plans hold no
+    value alive.
     """
 
     def __init__(self):
         self.op_count = 0
         self.recording = True
+        self._plans = {}  # (output nodes, input nodes) -> grad's sweep plan
 
     def _index(self) -> int:
         self.op_count += 1
@@ -477,9 +487,13 @@ def scatter_rows(x, index, m: int) -> DiffValue:
     index = _row_index(index, m)
     if len(index) != x.shape[0]:
         raise ShapeError(f"scatter_rows: {len(index)} indices for {x.shape[0]} rows")
-    kept = index >= 0
-    out = np.zeros((m, x.shape[1]))
-    np.add.at(out, index[kept], x.data[kept])
+    d = x.shape[1]
+    rows, data = index, x.data
+    if index.size and index.min() < 0:
+        kept = index >= 0
+        rows, data = index[kept], data[kept]
+    flat = (rows[:, None] * d + np.arange(d)).reshape(-1)
+    out = np.bincount(flat, data.reshape(-1), minlength=m * d).reshape(m, d)
 
     def vjp(g, need, node):
         return (take_rows(g, index),)
@@ -647,6 +661,35 @@ def dropout(x, rate: float, mask) -> DiffValue:
 # reverse pass
 
 
+def _sweep_plan(outs, ins) -> tuple:
+    """The (node number, parent marks) pairs of a sweep from outs down to
+    ins, in reverse creation (topological) order: of the nodes reachable
+    from outs, those through which an input reaches them, each with one
+    flag per parent saying whether the parent is such a node or an input.
+    The sweep visits only these and asks each VJP only for its marked
+    parents."""
+    tape = outs[0].tape
+    reachable: dict[int, DiffValue] = {}
+    stack = list(outs)
+    while stack:
+        node = stack.pop()
+        if node._idx in reachable:
+            continue
+        reachable[node._idx] = node
+        for p in node._parents:
+            if p.tape is tape and p._idx not in reachable:
+                stack.append(p)
+
+    marked = {i._idx for i in ins}
+    plan = []
+    for idx in sorted(reachable):
+        need = tuple([p._idx in marked for p in reachable[idx]._parents])
+        if True in need:
+            marked.add(idx)
+            plan.append((idx, need))
+    return tuple(reversed(plan))
+
+
 def grad(
     outputs,
     inputs: Sequence[DiffValue],
@@ -660,7 +703,9 @@ def grad(
     Hessian-vector products. Inputs that do not influence the outputs get
     zero gradients. Only the nodes between the inputs and the outputs are
     swept, so the result does not depend on which other inputs are asked
-    for, and asking for fewer builds less.
+    for, and asking for fewer builds less. The tape keeps the sweep plan,
+    so a later call with the same outputs and inputs (the Neumann series'
+    HVPs, each with new grad_outputs) reuses it.
     """
     single = isinstance(outputs, DiffValue)
     outs = [outputs] if single else list(outputs)
@@ -693,31 +738,14 @@ def grad(
         if i.tape is not tape:
             raise GraphError("input not on the tape of the differentiated output")
 
-    # the nodes reachable from the outputs
-    reachable: dict[int, DiffValue] = {}
-    stack = [o for o in outs if o.tape is tape]
-    while stack:
-        node = stack.pop()
-        if node._idx in reachable:
-            continue
-        reachable[node._idx] = node
-        for p in node._parents:
-            if p.tape is tape and p._idx not in reachable:
-                stack.append(p)
-
-    # of those, in creation (topological) order, the nodes through which a
-    # requested input reaches the outputs, each with the marks of its
-    # parents; the sweep visits only these and asks each VJP only for its
-    # marked parents
-    marked = {i._idx for i in ins}
-    needs: dict[int, tuple] = {}
-    for idx in sorted(reachable):
-        need = tuple([p._idx in marked for p in reachable[idx]._parents])
-        if True in need:
-            marked.add(idx)
-            needs[idx] = need
+    on_tape = [o for o in outs if o.tape is tape]
+    key = (tuple([o._idx for o in on_tape]), tuple([i._idx for i in ins]))
+    plan = tape._plans.get(key)
+    if plan is None:
+        plan = tape._plans[key] = _sweep_plan(on_tape, ins)
 
     adjoint: dict[int, DiffValue] = {}
+    nodes = {o._idx: o for o in on_tape}  # the swept nodes, met on the way down
     for o, s in zip(outs, seeds):
         if o.tape is not tape:
             continue
@@ -728,17 +756,18 @@ def grad(
 
     was_recording, tape.recording = tape.recording, create_graph
     try:
-        for idx, need in reversed(needs.items()):
+        for idx, need in plan:
             g = adjoint.get(idx)
             if g is None:
                 continue
-            node = reachable[idx]
+            node = nodes[idx]
             parent_grads = node._vjp(g, need, node)
             for p, n, pg in zip(node._parents, need, parent_grads):
                 if not n:
                     continue
                 prev = adjoint.get(p._idx)
                 adjoint[p._idx] = pg if prev is None else add(prev, pg)
+                nodes[p._idx] = p
     finally:
         tape.recording = was_recording
 

@@ -206,6 +206,8 @@ def neumann_hypergrad(dltr_dtheta, theta_leaves, lam_leaves,
     same tape as theta_leaves / lam_leaves. dlv_dtheta and dlv_dlam are
     plain arrays. Returns arrays aligned with lam_leaves:
     dL_V/dlam - d2L_tr/(dlam dtheta) . alpha * sum_{j<=q} (I - alpha H)^j . dL_V/dtheta
+    The q θ sweeps ask `ad.grad` for the same outputs and inputs, so they
+    share one sweep plan, which the tape keeps; the λ sweep has its own.
     """
     v1 = [np.array(v, dtype=np.float64) for v in dlv_dtheta]
     p = [v.copy() for v in v1]

@@ -2,7 +2,8 @@
 
 A Task is a K-way classification episode held as four read-only arrays:
 labeled support rows for adaptation (`xs`, `ys`) and labeled query rows
-for evaluation (`xq`, `yq`), checked in bulk when the task is built. The
+for evaluation (`xq`, `yq`), checked in bulk when the task is built, and
+a table of its support rows by class, built once on first use. The
 generator builds a small number of distinct tasks by composing per-task
 transforms (rotation / scale / offset) of a Gaussian cluster layout, which
 gives a controllable "few distinct tasks" axis without any real dataset.
@@ -73,6 +74,19 @@ class Task:
             raise TaskError(f"class {missing[0] + 1} has no support examples")
         if not len(yq):
             raise TaskError("task has no query rows")
+
+    @cached_property
+    def support_by_class(self) -> tuple:
+        """(rows, first, count): the support row numbers grouped by class
+        by one stable sort of the labels, so each class's rows keep their
+        order; class c's are rows[first[c-1]:first[c-1] + count[c-1]].
+        Built on first use; the task is read-only, so it stays valid."""
+        rows = np.argsort(self.ys, kind="stable")
+        count = np.bincount(self.ys, minlength=self.way + 1)[1:]
+        first = np.cumsum(count) - count
+        for a in (rows, first, count):
+            a.flags.writeable = False
+        return rows, first, count
 
     @cached_property
     def support(self) -> tuple:

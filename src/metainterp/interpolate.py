@@ -11,7 +11,9 @@ are the ablation axes.
 A pair's terms are episodes of a `protonet.Batch` (`add_mix`, `add_mlti`)
 and draw from the batch's generator: its fused sets join the sets of every
 other pair of the training step in one `set_forward` per set size, and its
-queries and prototypes one block of the step's distances. `loss_mix` is a
+queries and prototypes one block of the step's distances. A pair's
+support pairs are read from the two tasks' class tables
+(`Task.support_by_class`) as one index, not class by class. `loss_mix` is a
 batch of the one pair; the fused prototypes a training run writes out are
 the `protos` of `add_mix` episodes.
 """
@@ -39,8 +41,8 @@ class ClassPairing:
         self.sigma1 = np.asarray(self.sigma1, dtype=np.int64)
         self.sigma2 = np.asarray(self.sigma2, dtype=np.int64)
         for s in (self.sigma1, self.sigma2):
-            if sorted(s) != list(range(1, len(s) + 1)):
-                raise ValueError(f"not a permutation of 1..{len(s)}: {s}")
+            if s.ndim != 1 or sorted(s.tolist()) != list(range(1, len(s) + 1)):
+                raise ValueError(f"not a permutation of 1..{s.size}: {s}")
 
 
 @dataclass
@@ -90,6 +92,28 @@ def _class_sets(a, b, n1: int, n2: int, rng: np.random.Generator) -> np.ndarray:
                     dtype=np.int64).reshape(-1, n1 + n2)
 
 
+def _support_pairs(task1: Task, task2: Task, pairing: ClassPairing) -> tuple:
+    """Every support pair (a_i, b_j) of every new class k, a_i a task1 row
+    of class sigma1(k) and b_j a task2 row of class sigma2(k): the pairs'
+    task1 rows, task2 rows and classes, class by class and i-major within
+    a class, read from the tasks' class tables with no draw."""
+    rows1, first1, count1 = task1.support_by_class
+    rows2, first2, count2 = task2.support_by_class
+    first1, n1 = first1[pairing.sigma1 - 1], count1[pairing.sigma1 - 1]
+    first2, n2 = first2[pairing.sigma2 - 1], count2[pairing.sigma2 - 1]
+    sizes = n1 * n2
+    k = np.repeat(np.arange(len(sizes)), sizes)
+    pos = np.arange(len(k)) - (np.cumsum(sizes) - sizes)[k]  # place within its class
+    i, j = np.divmod(pos, n2[k])
+    return rows1[first1[k] + i], rows2[first2[k] + j], k + 1
+
+
+def _class_rows(task: Task, label: int) -> np.ndarray:
+    """Task's support rows of class label, in row order."""
+    rows, first, count = task.support_by_class
+    return rows[first[label - 1]:first[label - 1] + count[label - 1]]
+
+
 def _inverse(sigma) -> np.ndarray:
     """Lookup from an original label to its new class k (entry 0 unused)."""
     out = np.zeros(len(sigma) + 1, dtype=np.int64)
@@ -100,14 +124,23 @@ def _inverse(sigma) -> np.ndarray:
 def _fused_sets(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
                 cfg: InterpConfig) -> tuple:
     """Adds every fused support set of the pair to batch; returns their ref
-    and new classes. Draws, class by class: the class's extra members (or
-    noise rows), then in train mode its sets' dropout masks, set by set."""
+    and new classes.
+
+    At cardinality 2 the sets are the support pairs of `_support_pairs`,
+    added in one `batch.sets` call: nothing is drawn for their members, so
+    in train mode one draw of every set's dropout masks equals the class
+    by class draws. Otherwise draws interleave, class by class: the
+    class's extra members (or noise rows), then in train mode its sets'
+    dropout masks, set by set."""
     n = cfg.cardinality
     s1 = batch.rows(task1, "s")
     s2 = None if cfg.strategy == "support_noise" else batch.rows(task2, "s")
+    if n == 2 and s2 is not None:
+        a, b, classes = _support_pairs(task1, task2, pairing)
+        return batch.sets(np.column_stack([s1[a], s2[b]])), classes
     group, sets, classes = None, [], []
     for k in range(1, task1.way + 1):
-        a = s1[task1.ys == pairing.sigma1[k - 1]]
+        a = s1[_class_rows(task1, pairing.sigma1[k - 1])]
         fill = None
         if s2 is None:
             d = batch.theta.interp_width
@@ -116,7 +149,7 @@ def _fused_sets(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing
             fill[:, 1:] = batch.rng.normal(cfg.noise_mean, cfg.noise_std, size=(len(a), n - 1, d))
             fill = fill.reshape(-1, d)
         else:
-            b = s2[task2.ys == pairing.sigma2[k - 1]]
+            b = s2[_class_rows(task2, pairing.sigma2[k - 1])]
             index = _class_sets(a, b, (n + 1) // 2, n // 2, batch.rng)
         group, numbers = batch.sets(index, fill)
         sets.append(numbers)
@@ -186,11 +219,8 @@ def add_mlti(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing,
     lam_mix = float(beta_a) if beta_b <= 0 else float(batch.rng.beta(beta_a, beta_b))
     query_pairs, ks = _query_pairs(batch, task1, task2, pairing)
     s1, s2 = batch.rows(task1, "s"), batch.rows(task2, "s")
-    sup_pairs = [_class_sets(s1[task1.ys == pairing.sigma1[k - 1]],
-                             s2[task2.ys == pairing.sigma2[k - 1]], 1, 1, batch.rng)
-                 for k in range(1, task1.way + 1)]
-    classes = np.repeat(np.arange(1, task1.way + 1), [len(p) for p in sup_pairs])
+    a, b, classes = _support_pairs(task1, task2, pairing)
     coef = (lam_mix, 1.0 - lam_mix)
-    protos = batch.mixes(np.concatenate(sup_pairs), coef)
+    protos = batch.mixes(np.column_stack([s1[a], s2[b]]), coef)
     batch.episode(batch.mixes(query_pairs, coef), ks, protos, classes, task1.way, weight)
 

@@ -193,7 +193,10 @@ class Batch:
     """The episodes of one loss, laid out before any compute.
 
     Each `add_*` (here and in `interpolate`) makes its term's random draws
-    from `rng` in a fixed order and records row indices only. Train mode
+    from `rng` in a fixed order and records row indices only, as a few
+    array operations per call: a task's rows are numbered once per batch,
+    and a pair's cardinality-2 fused sets are one (P, 2) index built from
+    the tasks' class tables and added in one call. Train mode
     needs an rng, and so does any term that must draw (extra set members,
     noise rows, query partners, the MLTI coefficient); without one such a
     draw raises ValueError. `forward` then builds one graph for every
@@ -221,20 +224,29 @@ class Batch:
         self.lam, self.theta, self.mode = lam, theta, mode
         self.rng = _NoRng() if rng is None else rng
         self._inputs = []        # feature matrices, stacked into the lower-stack input
-        self._first_row = {}     # (task, role) -> its first input row
-        self._shared = np.zeros(0, dtype=np.int64)  # input row -> shared singleton, or -1
+        self._rows = {}          # (task, role) -> its input rows
+        self._row_count = 0
+        self._shared = np.full(64, -1)  # input row -> shared singleton, or -1; grows by doubling
         self._groups = {}        # set size -> _Sets
         self._episodes = []
 
     def rows(self, task: Task, role: str) -> np.ndarray:
-        """The input rows of task's support ("s") or query ("q") features."""
-        x = task.xs if role == "s" else task.xq
+        """The input rows of task's support ("s") or query ("q") features,
+        laid out on first use; later calls return the same read-only array."""
         key = (task, role)
-        if key not in self._first_row:
-            self._first_row[key] = len(self._shared)
+        rows = self._rows.get(key)
+        if rows is None:
+            x = task.xs if role == "s" else task.xq
+            rows = np.arange(self._row_count, self._row_count + len(x))
+            rows.flags.writeable = False
+            self._rows[key] = rows
             self._inputs.append(x)
-            self._shared = np.concatenate([self._shared, np.full(len(x), -1)])
-        return self._first_row[key] + np.arange(len(x))
+            self._row_count += len(x)
+            if self._row_count > len(self._shared):
+                grown = np.full(2 * self._row_count, -1)
+                grown[:len(self._shared)] = self._shared
+                self._shared = grown
+        return rows
 
     def _add(self, size: int, index, masks=None, fill=None, coef=None) -> tuple:
         g = self._groups.setdefault(size, _Sets())

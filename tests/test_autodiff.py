@@ -148,6 +148,41 @@ class TestForwardValues:
         with pytest.raises(ad.ShapeError):
             ad.scatter_rows(y, [0, 1], 4)  # two indices for five rows
 
+    @staticmethod
+    def _row_wise_scatter(x, index, m):
+        """The reference: rows added one index entry at a time into zeros."""
+        out = np.zeros((m, x.shape[1]))
+        kept = index >= 0
+        np.add.at(out, index[kept], x[kept])
+        return out
+
+    @pytest.mark.parametrize("multiplicity", range(1, 7))
+    def test_scatter_rows_bits_match_row_wise_add_at(self, multiplicity, rng):
+        # targets 0, 2 and 5 take `multiplicity` rows each, in shuffled order,
+        # of magnitudes spread over 16 decades, so that a change of summation
+        # order shows in the bits; two rows are dropped (-1), every row bound
+        # for 5 is -0.0, and rows 1, 3, 4 and 6 receive nothing
+        index = rng.permutation(np.concatenate([np.repeat([0, 2, 5], multiplicity), [-1, -1]]))
+        x = rng.standard_normal((len(index), 4)) * 10.0 ** rng.integers(-8, 9, (len(index), 1))
+        x[index == 5] = -0.0
+        want = self._row_wise_scatter(x, index, 7)
+        got = ad.scatter_rows(x, index, 7).data
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+        # take_rows' VJP is the same scatter of the cotangent
+        tape = Tape()
+        leaf = tape.param(rng.standard_normal((7, 4)))
+        (vjp,) = ad.grad(ad.take_rows(leaf, index), [leaf], grad_outputs=x)
+        np.testing.assert_array_equal(vjp.data.view(np.int64), want.view(np.int64))
+
+    def test_scatter_rows_of_an_empty_index(self):
+        got = ad.scatter_rows(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4).data
+        np.testing.assert_array_equal(got.view(np.int64), np.zeros((4, 3)).view(np.int64))
+        tape = Tape()
+        leaf = tape.param(np.ones((4, 3)))
+        (vjp,) = ad.grad(ad.take_rows(leaf, []), [leaf], grad_outputs=np.zeros((0, 3)))
+        np.testing.assert_array_equal(vjp.data.view(np.int64), np.zeros((4, 3)).view(np.int64))
+
     def test_head_relayout_roundtrip(self, rng):
         x = rng.standard_normal((3, 8))
         rows = ad.heads_to_rows(x, 4).data
@@ -522,6 +557,30 @@ class TestPrunedSweep:
             part = ad.grad(loss, [ins[i] for i in subset])
             for i, g in zip(subset, part):
                 assert g.data.tobytes() == everything[i].data.tobytes()
+
+    def test_repeated_sweeps_plan_once(self, monkeypatch):
+        # HVP sweeps over one gradient graph, each with new cotangents, share
+        # one plan and give the bits of sweeps that each plan on a graph of
+        # their own; a sweep to other inputs plans anew
+        def gradient_graph():
+            loss, ins = self._graph(np.random.default_rng(5))
+            return ad.grad(loss, ins[:2], create_graph=True), ins
+
+        rng = np.random.default_rng(6)
+        cotangents = [[DiffValue.const(rng.standard_normal(s)) for s in ((3, 4), (4, 4))]
+                      for _ in range(3)]
+        fresh = []
+        for c in cotangents:
+            grads, ins = gradient_graph()
+            fresh.append([h.data.tobytes() for h in ad.grad(grads, ins[:2], c)])
+        grads, ins = gradient_graph()
+        plans = []
+        real = ad._sweep_plan
+        monkeypatch.setattr(ad, "_sweep_plan", lambda o, i: plans.append(1) or real(o, i))
+        again = [[h.data.tobytes() for h in ad.grad(grads, ins[:2], c)] for c in cotangents]
+        assert again == fresh and len(plans) == 1
+        ad.grad(grads, ins[2:], cotangents[0])
+        assert len(plans) == 2
 
     def test_input_downstream_of_another(self, rng):
         # an intermediate node as input: its own gradient, and the sweep

@@ -30,6 +30,26 @@ def uneven_dataset(seed=7):
     return ds
 
 
+def unequal_shots_dataset(seed=8):
+    """Three-way tasks whose classes have 3, 1 and 2 support rows, the
+    counts turning from task to task, with the support rows shuffled, so
+    the two tasks of a pair differ in their class sizes and no task lists
+    its support rows by class."""
+    cfg = ep.GenConfig(way=3, shots=3, queries=3, dim=5, train_tasks=3, val_tasks=3,
+                       test_tasks=1, spread=1.0, seed=seed)
+    ds = ep.gen_gaussian_tasks(cfg)
+    for split in (ds.meta_train, ds.meta_val):
+        for i, t in enumerate(split):
+            counts = np.roll([3, 1, 2], i)
+            rows = np.concatenate([np.flatnonzero(t.ys == c)[:counts[c - 1]] for c in (1, 2, 3)])
+            rows = np.random.default_rng(i).permutation(rows)
+            split[i] = ep.Task(t.xs[rows], t.ys[rows], t.xq, t.yq, t.way)
+    return ds
+
+
+DATASETS = {"uneven": uneven_dataset, "unequal_shots": unequal_shots_dataset}
+
+
 def config(set_kind, strategy, cardinality, metric="sqeuclidean"):
     return bl.TrainConfig(batch_size=4, seed=5, encoder_widths=(8, 6), set_kind=set_kind,
                           set_hidden=8 if set_kind == "full" else None, dropout_rate=0.3,
@@ -55,19 +75,37 @@ def loss_and_grads(loss_fn, state, pairs, cfg, mode, method, seed):
     return loss.item(), grads, None if rng is None else rng.bit_generator.state
 
 
-CASES = [(method, kind, strategy, card, mode, "sqeuclidean")
+def _case(method, kind, strategy, card, mode, metric="sqeuclidean", data="uneven"):
+    tag = "" if data == "uneven" else f"-{data}"
+    return pytest.param(method, kind, strategy, card, mode, metric, data,
+                        id=f"{method}-{kind}-{strategy}-{card}-{mode}-{metric}{tag}")
+
+
+KINDS = ("simple", "full", "deepsets")
+MODES = ("train", "eval")
+CASES = [_case(method, kind, strategy, card, mode)
          for method in bl.METHODS
-         for kind in ("simple", "full", "deepsets")
+         for kind in KINDS
          for strategy in itp.STRATEGIES
          for card in (2, 3)
-         for mode in ("train", "eval")]
-CASES += [(method, kind, "support_and_query", 2, "train", "euclidean")
+         for mode in MODES]
+CASES += [_case(method, kind, "support_and_query", 2, "train", "euclidean")
           for method in bl.METHODS for kind in ("simple", "full")]
+# classes of unequal support counts, which the class tables hold unpadded;
+# the manifold-mixup baseline pairs supports from the same tables
+CASES += [_case("meta-interp", kind, strategy, card, mode, data="unequal_shots")
+          for kind in KINDS for strategy in itp.STRATEGIES for card in (2, 3)
+          for mode in MODES]
+CASES += [_case("mlti", "simple", "support", 2, mode, data="unequal_shots") for mode in MODES]
+# the largest sets: extra members drawn with and without repeats
+CASES += [_case("meta-interp", kind, strategy, card, mode, data=data)
+          for data in DATASETS for kind in KINDS for strategy in itp.STRATEGIES
+          for card in (4, 5) for mode in MODES]
 
 
-@pytest.mark.parametrize("method,kind,strategy,card,mode,metric", CASES)
-def test_batched_loss_matches_per_pair(method, kind, strategy, card, mode, metric):
-    ds = uneven_dataset()
+@pytest.mark.parametrize("method,kind,strategy,card,mode,metric,data", CASES)
+def test_batched_loss_matches_per_pair(method, kind, strategy, card, mode, metric, data):
+    ds = DATASETS[data]()
     cfg = config(kind, strategy, card, metric)
     state = bl.init_state(ds, cfg, method)
     pairs = bl._sample_batch(ds, cfg, np.random.default_rng(11))

@@ -331,6 +331,26 @@ class TestMetaTrain:
         b = bl.meta_train(ds, cfg, "meta-interp")
         assert a.history == b.history
 
+    # the C8 configuration and the full set transformer on 2-shot tasks at
+    # cardinality 3, as the benchmark's two workloads run them at seed 1
+    C8_GEN = dict(way=5, shots=1, queries=10, dim=10, train_tasks=5, val_tasks=6,
+                  test_tasks=12, spread=1.5, seed=1)
+    C8_TRAIN = dict(update_period=25, hyper_lr=3e-3, batch_size=4, encoder_widths=(32, 16),
+                    set_kind="simple", patience=0, seed=1)
+
+    @pytest.mark.parametrize("gen,train,work", [
+        ({}, dict(max_iters=100), 5215),
+        (dict(way=3, shots=2, queries=5),
+         dict(max_iters=10, update_period=10, batch_size=2, set_kind="full",
+              interp=itp.InterpConfig(cardinality=3)), 2896),
+    ], ids=["c8", "full-set-2shot"])
+    def test_work_meter_pinned(self, gen, train, work):
+        # Tape.op_count is deterministic: a change to how a step is laid out
+        # must not grow its graph (52.15 and 289.6 nodes per iteration)
+        ds = ep.gen_gaussian_tasks(ep.GenConfig(**{**self.C8_GEN, **gen}))
+        res = bl.meta_train(ds, bl.TrainConfig(**{**self.C8_TRAIN, **train}), "meta-interp")
+        assert res.work == work
+
     def test_validation_improves_on_separable_tasks(self):
         wins = 0
         for seed in range(5):

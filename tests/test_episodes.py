@@ -315,6 +315,15 @@ class TestTaskInvariants:
         with pytest.raises(ep.TaskError, match="task has no query rows"):
             ep.Task(np.zeros((2, 2)), [1, 2], np.empty((0, 2)), [], way=2)
 
+    def test_support_rows_by_class(self):
+        # a stable grouping: each class's rows in row order, of any count
+        task = ep.Task(np.zeros((6, 2)), [3, 1, 3, 1, 1, 2], np.zeros((1, 2)), [1], way=3)
+        rows, first, count = task.support_by_class
+        assert [rows[f:f + c].tolist() for f, c in zip(first, count)] == \
+            [[1, 3, 4], [5], [0, 2]]
+        assert task.support_by_class is task.support_by_class
+        assert not rows.flags.writeable
+
     def test_rows_and_labels_must_line_up(self):
         for xs, ys, xq, yq in [(np.zeros(2), [1], np.empty((0, 2)), []),
                                (np.zeros((1, 2)), [1, 1], np.empty((0, 2)), []),

@@ -71,6 +71,11 @@ class TestPairClasses:
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
             itp.ClassPairing(np.array([1, 1]), np.array([1, 2]))
+        # out of 1..K, not one row, or no row at all, in either permutation
+        for bad in ([0, 1], [1, 3], [[1, 2]], 1):
+            for args in ((bad, [1, 2]), ([2, 1], bad)):
+                with pytest.raises(ValueError, match="not a permutation"):
+                    itp.ClassPairing(*args)
 
 
 def build_pairs(task1, task2, pairing, k):
