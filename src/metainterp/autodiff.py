@@ -2,10 +2,22 @@
 
 Everything is a 2-D row-major matrix (scalars are 1x1, vectors are 1xn
 rows). Values participating in differentiation are `DiffValue`s bound to a
-`Tape`; plain arrays and unbound DiffValues act as constants. Backward
-rules are written in terms of the same primitives, so gradients taken with
-``create_graph=True`` are themselves differentiable — that is what enables
-Hessian-vector products and grad-of-grad.
+`Tape`; plain arrays and unbound DiffValues act as constants.
+
+Two backends, one VJP per op (the design of HIPS Autograd; Maclaurin,
+Duvenaud and Adams 2015). Each primitive's numpy arithmetic is written
+once, as the function of the same name on ndarrays in the `raw`
+namespace. The differentiable op checks its operands, computes its
+forward through that raw twin and records a node. The node's VJP is
+written once, against the ops namespace that `grad` hands it:
+- with ``create_graph=True`` that is this module, so the VJP records
+  nodes and the gradient is itself differentiable, which is what enables
+  Hessian-vector products and grad-of-grad;
+- otherwise it is `raw`: the seeds, cotangents and sums of the sweep are
+  plain ndarrays, wrapped as constant DiffValues once at the end, and no
+  op of the sweep builds a DiffValue, a closure or a tape entry.
+Both backends run the same numpy expressions, so their gradients are
+equal bit for bit.
 
 Elementwise ops (`add`, `sub`, `mul`, `div`) take operands of one shape.
 The only broadcast inside an op is the (1, n) row that the fused `affine`
@@ -41,8 +53,9 @@ of each set, as row blocks of one matrix: `heads_to_rows` moves column
 block j of an (m, h k) matrix to row block j of an (h m, k) one and
 `rows_to_heads` moves it back; each is the other's VJP.
 
-Every VJP is called as vjp(g, need, node), and `grad` passes the node
-itself, so a VJP that needs its node's own output (`exp`, `div`,
+Every VJP is called as vjp(ops, g, need, y, *parents), with the node's
+output y and its parents in the sweep's backend (DiffValues, or their
+arrays), so a VJP that needs its node's own output (`exp`, `div`,
 softmax, log-softmax, row normalization) holds no reference to the node,
 and a tape is freed by reference counting as soon as its last value goes.
 `grad` sweeps only the nodes through which a requested input reaches the
@@ -57,6 +70,7 @@ graph, each with new cotangents, plan once.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -164,14 +178,149 @@ def _owner_tape(parents) -> Optional[Tape]:
 def _make(data, parents, vjp) -> DiffValue:
     """A node over parents, or a constant when nothing is recorded.
 
-    vjp(g, need, node) maps the node's cotangent g to one gradient per
-    parent, None where the parent's flag in need is False; `grad` passes
-    the node itself, so a VJP that reads the node's output holds no
-    reference to it."""
+    vjp(ops, g, need, y, *parents) maps the node's cotangent g to one
+    gradient per parent, None where the parent's flag in need is False;
+    `grad` passes the node's output y and its parents in the backend of
+    ops, so a VJP that reads the node's output holds no reference to it."""
     tape = _owner_tape(parents)
     if tape is None or not tape.recording:
         return DiffValue(data)
     return DiffValue(data, tape=tape, idx=tape._index(), parents=parents, vjp=vjp)
+
+
+# ---------------------------------------------------------------------------
+# the raw backend: each primitive's arithmetic on ndarrays
+
+
+def _split(x: np.ndarray, h: int) -> np.ndarray:
+    """The (h, rows / h, cols) view of the h row blocks of x."""
+    return x.reshape(h, x.shape[0] // h, x.shape[1])
+
+
+def _centered(x: np.ndarray, eps: float) -> tuple:
+    """The rows of x less their means, and the (m, 1) 1 / sqrt(var + eps)."""
+    n = x.shape[1]
+    xc = x - x.sum(axis=1, keepdims=True) * (1.0 / n)
+    return xc, ((xc * xc).sum(axis=1, keepdims=True) * (1.0 / n) + eps) ** -0.5
+
+
+class raw:
+    """The primitives on ndarrays, under the names and signatures of the
+    differentiable ops: their forwards, and the ops of a sweep without a
+    graph. They check nothing; the differentiable ops check their
+    operands, and a VJP passes only operands those checks admitted."""
+
+    @staticmethod
+    def matmul(a, b, blocks=1):
+        b3 = _split(b, blocks)
+        return np.matmul(_split(a, blocks), b3).reshape(-1, b3.shape[2])
+
+    @staticmethod
+    def matmul_nt(a, b, blocks=1):
+        b3 = _split(b, blocks)
+        return np.matmul(_split(a, blocks), b3.transpose(0, 2, 1)).reshape(-1, b3.shape[1])
+
+    @staticmethod
+    def matmul_tn(a, b, blocks=1):
+        b3 = _split(b, blocks)
+        return np.matmul(_split(a, blocks).transpose(0, 2, 1), b3).reshape(-1, b3.shape[2])
+
+    @staticmethod
+    def heads_to_rows(x, h):
+        m, n = x.shape
+        return np.ascontiguousarray(x.reshape(m, h, n // h).transpose(1, 0, 2)).reshape(h * m, n // h)
+
+    @staticmethod
+    def rows_to_heads(x, h):
+        x3 = _split(x, h)
+        m, k = x3.shape[1:]
+        return np.ascontiguousarray(x3.transpose(1, 0, 2)).reshape(m, h * k)
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def div(a, b):
+        return a / b
+
+    @staticmethod
+    def scale(a, c):
+        return a * c
+
+    @staticmethod
+    def exp(a):
+        return np.exp(a)
+
+    @staticmethod
+    def powf(a, p):
+        return a ** p
+
+    @staticmethod
+    def sum_all(a):
+        return a.sum().reshape(1, 1)
+
+    @staticmethod
+    def row_sum(a):
+        return a.sum(axis=1, keepdims=True)
+
+    @staticmethod
+    def col_sum(a):
+        return a.sum(axis=0, keepdims=True)
+
+    @staticmethod
+    def tile_rows(row, m):
+        return np.repeat(row, m, axis=0)
+
+    @staticmethod
+    def tile_cols(col, n):
+        return np.repeat(col, n, axis=1)
+
+    @staticmethod
+    def fill_like(scalar, shape):
+        return np.full(shape, scalar[0, 0])
+
+    @staticmethod
+    def take_rows(x, index):
+        out = x[index]
+        out[index < 0] = 0.0
+        return out
+
+    @staticmethod
+    def scatter_rows(x, index, m):
+        d = x.shape[1]
+        rows, data = index, x
+        if index.size and index.min() < 0:
+            kept = index >= 0
+            rows, data = index[kept], data[kept]
+        flat = (rows[:, None] * d + np.arange(d)).reshape(-1)
+        return np.bincount(flat, data.reshape(-1), minlength=m * d).reshape(m, d)
+
+    @staticmethod
+    def normalize_rows(x, eps=1e-12):
+        xc, inv = _centered(x, eps)
+        return xc * inv
+
+    @staticmethod
+    def _inv_std_rows(x, eps, inv):
+        return inv
+
+    @staticmethod
+    def scale_shift(y, gain, bias=None):
+        out = y * gain
+        return out if bias is None else out + bias
+
+    @staticmethod
+    def _row_total(g):
+        return g if g.shape[0] == 1 else g.sum(axis=0, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +332,7 @@ def _blocks(x: DiffValue, h: int, op: str) -> np.ndarray:
     m, n = x.shape
     if h < 1 or m % h:
         raise ShapeError(f"{op}: {m} rows do not split into {h} blocks")
-    return x.data.reshape(h, m // h, n)
+    return _split(x.data, h)
 
 
 def matmul(a, b, blocks: int = 1) -> DiffValue:
@@ -192,13 +341,12 @@ def matmul(a, b, blocks: int = 1) -> DiffValue:
     a3, b3 = _blocks(a, blocks, "matmul"), _blocks(b, blocks, "matmul")
     if a3.shape[2] != b3.shape[1]:
         raise ShapeError(f"matmul inner dims differ: {a3.shape} x {b3.shape}")
-    out = np.matmul(a3, b3).reshape(-1, b3.shape[2])
 
-    def vjp(g, need, node):
-        return (matmul_nt(g, b, blocks) if need[0] else None,
-                matmul_tn(a, g, blocks) if need[1] else None)
+    def vjp(ops, g, need, y, a, b):
+        return (ops.matmul_nt(g, b, blocks) if need[0] else None,
+                ops.matmul_tn(a, g, blocks) if need[1] else None)
 
-    return _make(out, (a, b), vjp)
+    return _make(raw.matmul(a.data, b.data, blocks), (a, b), vjp)
 
 
 def matmul_nt(a, b, blocks: int = 1) -> DiffValue:
@@ -207,13 +355,12 @@ def matmul_nt(a, b, blocks: int = 1) -> DiffValue:
     a3, b3 = _blocks(a, blocks, "matmul_nt"), _blocks(b, blocks, "matmul_nt")
     if a3.shape[2] != b3.shape[2]:
         raise ShapeError(f"matmul_nt inner dims differ: {a3.shape} x {b3.shape}^T")
-    out = np.matmul(a3, b3.transpose(0, 2, 1)).reshape(-1, b3.shape[1])
 
-    def vjp(g, need, node):
-        return (matmul(g, b, blocks) if need[0] else None,
-                matmul_tn(g, a, blocks) if need[1] else None)
+    def vjp(ops, g, need, y, a, b):
+        return (ops.matmul(g, b, blocks) if need[0] else None,
+                ops.matmul_tn(g, a, blocks) if need[1] else None)
 
-    return _make(out, (a, b), vjp)
+    return _make(raw.matmul_nt(a.data, b.data, blocks), (a, b), vjp)
 
 
 def matmul_tn(a, b, blocks: int = 1) -> DiffValue:
@@ -222,40 +369,36 @@ def matmul_tn(a, b, blocks: int = 1) -> DiffValue:
     a3, b3 = _blocks(a, blocks, "matmul_tn"), _blocks(b, blocks, "matmul_tn")
     if a3.shape[1] != b3.shape[1]:
         raise ShapeError(f"matmul_tn inner dims differ: {a3.shape}^T x {b3.shape}")
-    out = np.matmul(a3.transpose(0, 2, 1), b3).reshape(-1, b3.shape[2])
 
-    def vjp(g, need, node):
-        return (matmul_nt(b, g, blocks) if need[0] else None,
-                matmul(a, g, blocks) if need[1] else None)
+    def vjp(ops, g, need, y, a, b):
+        return (ops.matmul_nt(b, g, blocks) if need[0] else None,
+                ops.matmul(a, g, blocks) if need[1] else None)
 
-    return _make(out, (a, b), vjp)
+    return _make(raw.matmul_tn(a.data, b.data, blocks), (a, b), vjp)
 
 
 def heads_to_rows(x, h: int) -> DiffValue:
     """(m, h k) -> (h m, k): column block j becomes row block j."""
     x = _lift(x)
-    m, n = x.shape
+    n = x.shape[1]
     if h < 1 or n % h:
         raise ShapeError(f"heads_to_rows: {n} columns do not split into {h} heads")
-    out = np.ascontiguousarray(x.data.reshape(m, h, n // h).transpose(1, 0, 2))
 
-    def vjp(g, need, node):
-        return (rows_to_heads(g, h),)
+    def vjp(ops, g, need, y, x):
+        return (ops.rows_to_heads(g, h),)
 
-    return _make(out.reshape(h * m, n // h), (x,), vjp)
+    return _make(raw.heads_to_rows(x.data, h), (x,), vjp)
 
 
 def rows_to_heads(x, h: int) -> DiffValue:
     """(h m, k) -> (m, h k): row block j becomes column block j."""
     x = _lift(x)
-    x3 = _blocks(x, h, "rows_to_heads")
-    m, k = x3.shape[1:]
-    out = np.ascontiguousarray(x3.transpose(1, 0, 2))
+    _blocks(x, h, "rows_to_heads")
 
-    def vjp(g, need, node):
-        return (heads_to_rows(g, h),)
+    def vjp(ops, g, need, y, x):
+        return (ops.heads_to_rows(g, h),)
 
-    return _make(out.reshape(m, h * k), (x,), vjp)
+    return _make(raw.rows_to_heads(x.data, h), (x,), vjp)
 
 
 def _same_shape(a, b, op: str) -> tuple:
@@ -267,63 +410,61 @@ def _same_shape(a, b, op: str) -> tuple:
     return a, b
 
 
+def _add_vjp(ops, g, need, y, a, b):
+    return g, g
+
+
 def add(a, b) -> DiffValue:
     a, b = _same_shape(a, b, "add")
+    return _make(raw.add(a.data, b.data), (a, b), _add_vjp)
 
-    def vjp(g, need, node):
-        return g, g
 
-    return _make(a.data + b.data, (a, b), vjp)
+def _sub_vjp(ops, g, need, y, a, b):
+    return g, ops.scale(g, -1.0) if need[1] else None
 
 
 def sub(a, b) -> DiffValue:
     a, b = _same_shape(a, b, "sub")
+    return _make(raw.sub(a.data, b.data), (a, b), _sub_vjp)
 
-    def vjp(g, need, node):
-        return g, scale(g, -1.0) if need[1] else None
 
-    return _make(a.data - b.data, (a, b), vjp)
+def _mul_vjp(ops, g, need, y, a, b):
+    return (ops.mul(g, b) if need[0] else None,
+            ops.mul(g, a) if need[1] else None)
 
 
 def mul(a, b) -> DiffValue:
     a, b = _same_shape(a, b, "mul")
+    return _make(raw.mul(a.data, b.data), (a, b), _mul_vjp)
 
-    def vjp(g, need, node):
-        return (mul(g, b) if need[0] else None,
-                mul(g, a) if need[1] else None)
 
-    return _make(a.data * b.data, (a, b), vjp)
+def _div_vjp(ops, g, need, res, a, b):
+    return (ops.div(g, b) if need[0] else None,
+            ops.scale(ops.mul(g, ops.div(res, b)), -1.0) if need[1] else None)
 
 
 def div(a, b) -> DiffValue:
     a, b = _same_shape(a, b, "div")
-
-    def vjp(g, need, res):
-        return (div(g, b) if need[0] else None,
-                scale(mul(g, div(res, b)), -1.0) if need[1] else None)
-
-    return _make(a.data / b.data, (a, b), vjp)
+    return _make(raw.div(a.data, b.data), (a, b), _div_vjp)
 
 
 def scale(a, c: float) -> DiffValue:
     a = _lift(a)
     c = float(c)
-    out = a.data * c
 
-    def vjp(g, need, node):
-        return (scale(g, c),)
+    def vjp(ops, g, need, y, a):
+        return (ops.scale(g, c),)
 
-    return _make(out, (a,), vjp)
+    return _make(raw.scale(a.data, c), (a,), vjp)
+
+
+def _exp_vjp(ops, g, need, res, a):
+    return (ops.mul(g, res),)
 
 
 def exp(a) -> DiffValue:
     a = _lift(a)
-    out = np.exp(a.data)
-
-    def vjp(g, need, res):
-        return (mul(g, res),)
-
-    return _make(out, (a,), vjp)
+    return _make(raw.exp(a.data), (a,), _exp_vjp)
 
 
 def powf(a, p: float) -> DiffValue:
@@ -331,57 +472,54 @@ def powf(a, p: float) -> DiffValue:
     p = float(p)
     if p != int(p) and np.any(a.data < 0.0):
         raise DomainError("powf: negative base with non-integer exponent")
-    out = a.data ** p
 
-    def vjp(g, need, node):
-        return (mul(g, scale(powf(a, p - 1.0), p)),)
+    def vjp(ops, g, need, y, a):
+        return (ops.mul(g, ops.scale(ops.powf(a, p - 1.0), p)),)
 
-    return _make(out, (a,), vjp)
+    return _make(raw.powf(a.data, p), (a,), vjp)
 
 
 def leaky_relu(a, slope: float = 0.01) -> DiffValue:
     a = _lift(a)
     slope = float(slope)
     out = np.where(a.data > 0.0, a.data, slope * a.data)
-    mask = DiffValue(np.where(a.data > 0.0, 1.0, slope))
+    mask = np.where(a.data > 0.0, 1.0, slope)
 
-    def vjp(g, need, node):
-        return (mul(g, mask),)
+    def vjp(ops, g, need, y, a):
+        return (ops.mul(g, mask),)
 
     return _make(out, (a,), vjp)
+
+
+def _sum_all_vjp(ops, g, need, y, a):
+    return (ops.fill_like(g, a.shape),)
 
 
 def sum_all(a) -> DiffValue:
     a = _lift(a)
-    out = a.data.sum().reshape(1, 1)
-    m, n = a.shape
+    return _make(raw.sum_all(a.data), (a,), _sum_all_vjp)
 
-    def vjp(g, need, node):
-        return (fill_like(g, (m, n)),)
 
-    return _make(out, (a,), vjp)
+def _row_sum_vjp(ops, g, need, y, a):
+    return (ops.tile_cols(g, a.shape[1]),)
 
 
 def row_sum(a) -> DiffValue:
     a = _lift(a)
-    out = a.data.sum(axis=1, keepdims=True)
-    n = a.shape[1]
+    return _make(raw.row_sum(a.data), (a,), _row_sum_vjp)
 
-    def vjp(g, need, node):
-        return (tile_cols(g, n),)
 
-    return _make(out, (a,), vjp)
+def _col_sum_vjp(ops, g, need, y, a):
+    return (ops.tile_rows(g, a.shape[0]),)
 
 
 def col_sum(a) -> DiffValue:
     a = _lift(a)
-    out = a.data.sum(axis=0, keepdims=True)
-    m = a.shape[0]
+    return _make(raw.col_sum(a.data), (a,), _col_sum_vjp)
 
-    def vjp(g, need, node):
-        return (tile_rows(g, m),)
 
-    return _make(out, (a,), vjp)
+def _tile_rows_vjp(ops, g, need, y, row):
+    return (ops.col_sum(g),)
 
 
 def tile_rows(row, m: int) -> DiffValue:
@@ -389,12 +527,11 @@ def tile_rows(row, m: int) -> DiffValue:
     row = _lift(row)
     if row.shape[0] != 1:
         raise ShapeError(f"tile_rows expects a row vector, got {row.shape}")
-    out = np.repeat(row.data, m, axis=0)
+    return _make(raw.tile_rows(row.data, m), (row,), _tile_rows_vjp)
 
-    def vjp(g, need, node):
-        return (col_sum(g),)
 
-    return _make(out, (row,), vjp)
+def _tile_cols_vjp(ops, g, need, y, col):
+    return (ops.row_sum(g),)
 
 
 def tile_cols(col, n: int) -> DiffValue:
@@ -402,12 +539,11 @@ def tile_cols(col, n: int) -> DiffValue:
     col = _lift(col)
     if col.shape[1] != 1:
         raise ShapeError(f"tile_cols expects a column vector, got {col.shape}")
-    out = np.repeat(col.data, n, axis=1)
+    return _make(raw.tile_cols(col.data, n), (col,), _tile_cols_vjp)
 
-    def vjp(g, need, node):
-        return (row_sum(g),)
 
-    return _make(out, (col,), vjp)
+def _fill_like_vjp(ops, g, need, y, scalar):
+    return (ops.sum_all(g),)
 
 
 def fill_like(scalar, shape) -> DiffValue:
@@ -415,12 +551,13 @@ def fill_like(scalar, shape) -> DiffValue:
     scalar = _lift(scalar)
     if scalar.shape != (1, 1):
         raise ShapeError(f"fill_like expects 1x1, got {scalar.shape}")
-    out = np.full(shape, scalar.data[0, 0])
+    return _make(raw.fill_like(scalar.data, shape), (scalar,), _fill_like_vjp)
 
-    def vjp(g, need, node):
-        return (sum_all(g),)
 
-    return _make(out, (scalar,), vjp)
+def _concat_rows_vjp(ops, g, need, y, a, b):
+    ma = a.shape[0]
+    return (ops.take_rows(g, np.arange(ma)) if need[0] else None,
+            ops.take_rows(g, np.arange(ma, y.shape[0])) if need[1] else None)
 
 
 def concat_rows(a, b) -> DiffValue:
@@ -428,13 +565,14 @@ def concat_rows(a, b) -> DiffValue:
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"concat_rows: widths differ {a.shape} vs {b.shape}")
     out = np.ascontiguousarray(np.concatenate([a.data, b.data], axis=0))
-    ma = a.shape[0]
+    return _make(out, (a, b), _concat_rows_vjp)
 
-    def vjp(g, need, node):
-        return (take_rows(g, np.arange(ma)) if need[0] else None,
-                take_rows(g, np.arange(ma, out.shape[0])) if need[1] else None)
 
-    return _make(out, (a, b), vjp)
+def _concat_cols_vjp(ops, g, need, y, *parts):
+    h, m = len(parts), parts[0].shape[0]
+    rows = ops.heads_to_rows(g, h)
+    return tuple(ops.take_rows(rows, np.arange(j * m, (j + 1) * m)) if n else None
+                 for j, n in enumerate(need))
 
 
 def concat_cols(*parts) -> DiffValue:
@@ -446,14 +584,7 @@ def concat_cols(*parts) -> DiffValue:
     if len({p.shape for p in parts}) > 1:
         raise ShapeError(f"concat_cols: shapes differ {[p.shape for p in parts]}")
     out = np.ascontiguousarray(np.concatenate([p.data for p in parts], axis=1))
-    h, m = len(parts), parts[0].shape[0]
-
-    def vjp(g, need, node):
-        rows = heads_to_rows(g, h)
-        return tuple(take_rows(rows, np.arange(j * m, (j + 1) * m)) if n else None
-                     for j, n in enumerate(need))
-
-    return _make(out, parts, vjp)
+    return _make(out, parts, _concat_cols_vjp)
 
 
 def _row_index(index, m: int) -> np.ndarray:
@@ -469,15 +600,12 @@ def _row_index(index, m: int) -> np.ndarray:
 def take_rows(x, index) -> DiffValue:
     """The rows x[index] in one node; an index of -1 gives a zero row."""
     x = _lift(x)
-    m = x.shape[0]
-    index = _row_index(index, m)
-    out = x.data[index]
-    out[index < 0] = 0.0
+    index = _row_index(index, x.shape[0])
 
-    def vjp(g, need, node):
-        return (scatter_rows(g, index, m),)
+    def vjp(ops, g, need, y, x):
+        return (ops.scatter_rows(g, index, x.shape[0]),)
 
-    return _make(out, (x,), vjp)
+    return _make(raw.take_rows(x.data, index), (x,), vjp)
 
 
 def scatter_rows(x, index, m: int) -> DiffValue:
@@ -487,22 +615,19 @@ def scatter_rows(x, index, m: int) -> DiffValue:
     index = _row_index(index, m)
     if len(index) != x.shape[0]:
         raise ShapeError(f"scatter_rows: {len(index)} indices for {x.shape[0]} rows")
-    d = x.shape[1]
-    rows, data = index, x.data
-    if index.size and index.min() < 0:
-        kept = index >= 0
-        rows, data = index[kept], data[kept]
-    flat = (rows[:, None] * d + np.arange(d)).reshape(-1)
-    out = np.bincount(flat, data.reshape(-1), minlength=m * d).reshape(m, d)
 
-    def vjp(g, need, node):
-        return (take_rows(g, index),)
+    def vjp(ops, g, need, y, x):
+        return (ops.take_rows(g, index),)
 
-    return _make(out, (x,), vjp)
+    return _make(raw.scatter_rows(x.data, index, m), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
 # fused primitives: one node each, VJPs written in the primitives above
+
+
+def _softmax_rows_vjp(ops, g, need, s, a):
+    return (ops.mul(s, ops.sub(g, ops.tile_cols(ops.row_sum(ops.mul(g, s)), a.shape[1]))),)
 
 
 def softmax_rows(a) -> DiffValue:
@@ -513,13 +638,11 @@ def softmax_rows(a) -> DiffValue:
     """
     a = _lift(a)
     e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
-    out = e / e.sum(axis=1, keepdims=True)
-    n = a.shape[1]
+    return _make(e / e.sum(axis=1, keepdims=True), (a,), _softmax_rows_vjp)
 
-    def vjp(g, need, s):
-        return (mul(s, sub(g, tile_cols(row_sum(mul(g, s)), n))),)
 
-    return _make(out, (a,), vjp)
+def _log_softmax_rows_vjp(ops, g, need, logp, a):
+    return (ops.sub(g, ops.mul(ops.exp(logp), ops.tile_cols(ops.row_sum(g), a.shape[1]))),)
 
 
 def log_softmax_rows(a) -> DiffValue:
@@ -527,27 +650,21 @@ def log_softmax_rows(a) -> DiffValue:
     a = _lift(a)
     z = a.data - a.data.max(axis=1, keepdims=True)
     out = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    n = a.shape[1]
-
-    def vjp(g, need, logp):
-        return (sub(g, mul(exp(logp), tile_cols(row_sum(g), n))),)
-
-    return _make(out, (a,), vjp)
+    return _make(out, (a,), _log_softmax_rows_vjp)
 
 
 def normalize_rows(x, eps: float = 1e-12) -> DiffValue:
     """Each row to zero mean and unit variance: (x - mean) / sqrt(var + eps)."""
     x = _lift(x)
-    n = x.shape[1]
-    xc = x.data - x.data.sum(axis=1, keepdims=True) * (1.0 / n)
-    inv = ((xc * xc).sum(axis=1, keepdims=True) * (1.0 / n) + eps) ** -0.5
+    xc, inv = _centered(x.data, eps)
 
-    def vjp(g, need, y):
+    def vjp(ops, g, need, y, x):
         # inv * (g - mean(g) - y * mean(g * y)), row by row
-        mean_g = tile_cols(scale(row_sum(g), 1.0 / n), n)
-        mean_gy = tile_cols(scale(row_sum(mul(g, y)), 1.0 / n), n)
-        inner = sub(sub(g, mean_g), mul(y, mean_gy))
-        return (mul(tile_cols(_inv_std_rows(x, eps, inv), n), inner),)
+        n = x.shape[1]
+        mean_g = ops.tile_cols(ops.scale(ops.row_sum(g), 1.0 / n), n)
+        mean_gy = ops.tile_cols(ops.scale(ops.row_sum(ops.mul(g, y)), 1.0 / n), n)
+        inner = ops.sub(ops.sub(g, mean_g), ops.mul(y, mean_gy))
+        return (ops.mul(ops.tile_cols(ops._inv_std_rows(x, eps, inv), n), inner),)
 
     return _make(xc * inv, (x,), vjp)
 
@@ -556,14 +673,14 @@ def _inv_std_rows(x, eps: float, inv: np.ndarray) -> DiffValue:
     """(m,1) node 1 / sqrt(var + eps) of the rows of x, whose value inv the
     caller has computed; it carries the x-dependence of normalize_rows's
     VJP."""
-    n = x.shape[1]
 
-    def vjp(g, need, r):
+    def vjp(ops, g, need, r, x):
         # d r / dx = -r^2 / n * normalize_rows(x)
-        coef = scale(mul(g, mul(r, r)), -1.0 / n)
-        return (mul(normalize_rows(x, eps), tile_cols(coef, n)),)
+        n = x.shape[1]
+        coef = ops.scale(ops.mul(g, ops.mul(r, r)), -1.0 / n)
+        return (ops.mul(ops.normalize_rows(x, eps), ops.tile_cols(coef, n)),)
 
-    return _make(inv, (x,), vjp)
+    return _make(raw._inv_std_rows(x.data, eps, inv), (x,), vjp)
 
 
 def block_sq_dists(a, b, h: int) -> DiffValue:
@@ -577,19 +694,27 @@ def block_sq_dists(a, b, h: int) -> DiffValue:
     aa = (a3 * a3).sum(axis=2, keepdims=True)
     bb = (b3 * b3).sum(axis=2)[:, None, :]
     out = ((aa + bb) - np.matmul(a3, b3.transpose(0, 2, 1)) * 2.0).reshape(-1, b3.shape[1])
-    d = a.shape[1]
 
-    def vjp(g, need, node):
+    def vjp(ops, g, need, y, a, b):
         # per block: 2 (rowsum(g) a - g b) and 2 (colsum(g)^T b - g^T a)
+        d = a.shape[1]
         ga = gb = None
         if need[0]:
-            ga = scale(sub(mul(tile_cols(row_sum(g), d), a), matmul(g, b, h)), 2.0)
+            ga = ops.scale(ops.sub(ops.mul(ops.tile_cols(ops.row_sum(g), d), a),
+                                   ops.matmul(g, b, h)), 2.0)
         if need[1]:
-            col = matmul_tn(g, np.ones((g.shape[0], 1)), h)  # blocks' colsum(g)^T
-            gb = scale(sub(mul(tile_cols(col, d), b), matmul_tn(g, a, h)), 2.0)
+            col = ops.matmul_tn(g, np.ones((g.shape[0], 1)), h)  # blocks' colsum(g)^T
+            gb = ops.scale(ops.sub(ops.mul(ops.tile_cols(col, d), b),
+                                   ops.matmul_tn(g, a, h)), 2.0)
         return ga, gb
 
     return _make(out, (a, b), vjp)
+
+
+def _affine_vjp(ops, g, need, y, x, w, b):
+    return (ops.matmul_nt(g, w) if need[0] else None,
+            ops.matmul_tn(x, g) if need[1] else None,
+            ops._row_total(g) if need[2] else None)
 
 
 def affine(x, w, b) -> DiffValue:
@@ -599,14 +724,15 @@ def affine(x, w, b) -> DiffValue:
         raise ShapeError(f"affine inner dims differ: {x.shape} x {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ShapeError(f"affine bias must be (1, {w.shape[1]}), got {b.shape}")
-    out = x.data @ w.data + b.data
+    return _make(x.data @ w.data + b.data, (x, w, b), _affine_vjp)
 
-    def vjp(g, need, node):
-        return (matmul_nt(g, w) if need[0] else None,
-                matmul_tn(x, g) if need[1] else None,
-                _row_total(g) if need[2] else None)
 
-    return _make(out, (x, w, b), vjp)
+def _scale_shift_vjp(ops, g, need, out, y, gain, bias=None):
+    gy = ops.scale_shift(g, gain) if need[0] else None
+    g_gain = ops._row_total(ops.mul(g, y)) if need[1] else None
+    if bias is None:
+        return gy, g_gain
+    return gy, g_gain, ops._row_total(g) if need[2] else None
 
 
 def scale_shift(y, gain, bias=None) -> DiffValue:
@@ -616,23 +742,13 @@ def scale_shift(y, gain, bias=None) -> DiffValue:
     n = y.shape[1]
     if gain.shape != (1, n):
         raise ShapeError(f"scale_shift gain must be (1, {n}), got {gain.shape}")
-    out = y.data * gain.data
-    parents = (y, gain)
-    if bias is not None:
-        bias = _lift(bias)
-        if bias.shape != (1, n):
-            raise ShapeError(f"scale_shift bias must be (1, {n}), got {bias.shape}")
-        out = out + bias.data
-        parents = (y, gain, bias)
-
-    def vjp(g, need, node):
-        gy = scale_shift(g, gain) if need[0] else None
-        g_gain = _row_total(mul(g, y)) if need[1] else None
-        if bias is None:
-            return gy, g_gain
-        return gy, g_gain, _row_total(g) if need[2] else None
-
-    return _make(out, parents, vjp)
+    if bias is None:
+        return _make(raw.scale_shift(y.data, gain.data), (y, gain), _scale_shift_vjp)
+    bias = _lift(bias)
+    if bias.shape != (1, n):
+        raise ShapeError(f"scale_shift bias must be (1, {n}), got {bias.shape}")
+    return _make(raw.scale_shift(y.data, gain.data, bias.data), (y, gain, bias),
+                 _scale_shift_vjp)
 
 
 def _row_total(g) -> DiffValue:
@@ -659,6 +775,8 @@ def dropout(x, rate: float, mask) -> DiffValue:
 
 # ---------------------------------------------------------------------------
 # reverse pass
+
+_graph_ops = sys.modules[__name__]  # the differentiable backend: this module's ops
 
 
 def _sweep_plan(outs, ins) -> tuple:
@@ -700,12 +818,14 @@ def grad(
 
     Without grad_outputs every output must be scalar (cotangent 1). With
     create_graph the returned values are differentiable, enabling
-    Hessian-vector products. Inputs that do not influence the outputs get
-    zero gradients. Only the nodes between the inputs and the outputs are
-    swept, so the result does not depend on which other inputs are asked
-    for, and asking for fewer builds less. The tape keeps the sweep plan,
-    so a later call with the same outputs and inputs (the Neumann series'
-    HVPs, each with new grad_outputs) reuses it.
+    Hessian-vector products; without it the sweep runs on the raw
+    backend and returns constants of the same bits. Inputs that do not
+    influence the outputs get zero gradients. Only the nodes between the
+    inputs and the outputs are swept, so the result does not depend on
+    which other inputs are asked for, and asking for fewer builds less.
+    The tape keeps the sweep plan, so a later call with the same outputs
+    and inputs (the Neumann series' HVPs, each with new grad_outputs)
+    reuses it.
     """
     single = isinstance(outputs, DiffValue)
     outs = [outputs] if single else list(outputs)
@@ -744,15 +864,15 @@ def grad(
     if plan is None:
         plan = tape._plans[key] = _sweep_plan(on_tape, ins)
 
-    adjoint: dict[int, DiffValue] = {}
+    ops = _graph_ops if create_graph else raw
+    adjoint: dict = {}  # node number -> cotangent, in the backend of ops
     nodes = {o._idx: o for o in on_tape}  # the swept nodes, met on the way down
     for o, s in zip(outs, seeds):
         if o.tape is not tape:
             continue
-        if o._idx in adjoint:
-            adjoint[o._idx] = add(adjoint[o._idx], s)
-        else:
-            adjoint[o._idx] = s
+        s = s if create_graph else s.data
+        prev = adjoint.get(o._idx)
+        adjoint[o._idx] = s if prev is None else ops.add(prev, s)
 
     was_recording, tape.recording = tape.recording, create_graph
     try:
@@ -761,12 +881,16 @@ def grad(
             if g is None:
                 continue
             node = nodes[idx]
-            parent_grads = node._vjp(g, need, node)
+            if create_graph:
+                parent_grads = node._vjp(ops, g, need, node, *node._parents)
+            else:
+                parent_grads = node._vjp(ops, g, need, node.data,
+                                         *[p.data for p in node._parents])
             for p, n, pg in zip(node._parents, need, parent_grads):
                 if not n:
                     continue
                 prev = adjoint.get(p._idx)
-                adjoint[p._idx] = pg if prev is None else add(prev, pg)
+                adjoint[p._idx] = pg if prev is None else ops.add(prev, pg)
                 nodes[p._idx] = p
     finally:
         tape.recording = was_recording
@@ -775,6 +899,6 @@ def grad(
     for i in ins:
         g = adjoint.get(i._idx)
         if g is None:
-            g = DiffValue(np.zeros(i.shape, dtype=np.float64))
-        result.append(g)
+            g = np.zeros(i.shape, dtype=np.float64)
+        result.append(g if isinstance(g, DiffValue) else DiffValue(g))
     return result

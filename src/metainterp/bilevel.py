@@ -13,7 +13,6 @@ the result into the set-function parameters.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -442,31 +441,46 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
 CKPT_HEADER = "# meta-interp-ckpt v1"
 
 
-def save_checkpoint(path, named: dict) -> None:
+def _tensor_text(name: str, arr) -> tuple:
+    """A tensor's block: its `tensor name rows cols` line, then its rows."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim == 0:
+        arr = arr.reshape(1, 1)
+    elif arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    rows, cols = arr.shape
+    row_fmt = " ".join(["%.17g"] * cols) + "\n"
+    return f"tensor {name} {rows} {cols}\n", (row_fmt * rows) % tuple(arr.ravel().tolist())
+
+
+def save_checkpoint(path, named: dict, blocks: Optional[dict] = None) -> None:
     """Named-tensor container: one `tensor name rows cols` line per entry,
     then the rows with 17-significant-digit doubles.
 
-    The text goes to a sibling temporary file that then replaces path, so
-    a crash mid-write leaves the previous file whole."""
-    buf = io.StringIO()
-    buf.write(CKPT_HEADER + "\n")
-    for name, arr in named.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        rows, cols = arr.shape
-        buf.write(f"tensor {name} {rows} {cols}\n")
-        row_fmt = " ".join(["%.17g"] * cols) + "\n"
-        buf.write((row_fmt * rows) % tuple(arr.ravel().tolist()))
+    Each tensor's block goes to a sibling temporary file as it is
+    formatted, and that file then replaces path, so a crash mid-write
+    leaves the previous file whole. blocks, when given, maps some tensor
+    names to their blocks: a name mapped to a block is written from it,
+    not formatted again, and a name mapped to None gets its block stored
+    there, for a later save of the same values."""
     tmp = os.fspath(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as f:
-        f.write(buf.getvalue())
+        f.write(CKPT_HEADER + "\n")
+        for name, arr in named.items():
+            block = None if blocks is None else blocks.get(name)
+            if block is None:
+                block = _tensor_text(name, arr)
+                if blocks is not None and name in blocks:
+                    blocks[name] = block
+            f.writelines(block)
     os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> dict:
+    """The named float64 tensors of a file `save_checkpoint` wrote. Each
+    tensor's rows are converted in one numpy call; only when that fails,
+    or gives the wrong shape, are they parsed again row by row, to report
+    the first bad row."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != CKPT_HEADER:
@@ -484,13 +498,18 @@ def load_checkpoint(path) -> dict:
         name, rows, cols = parts[1], int(parts[2]), int(parts[3])
         if i + rows > len(lines):
             raise ValueError(f"{path}: tensor {name} is cut short after {len(lines) - i} of {rows} rows")
-        data = np.empty((rows, cols))
-        for r in range(rows):
-            vals = lines[i].split()
-            if len(vals) != cols:
-                raise ValueError(f"{path}: tensor {name} row {r} has {len(vals)} values, expected {cols}")
-            data[r] = [float(v) for v in vals]
-            i += 1
+        try:
+            data = np.array([row.split() for row in lines[i:i + rows]], dtype=np.float64)
+        except ValueError:  # a ragged row or a bad number
+            data = None
+        if data is None or data.shape != (rows, cols):
+            data = np.empty((rows, cols))
+            for r in range(rows):
+                vals = lines[i + r].split()
+                if len(vals) != cols:
+                    raise ValueError(f"{path}: tensor {name} row {r} has {len(vals)} values, expected {cols}")
+                data[r] = [float(v) for v in vals]
+        i += rows
         named[name] = data
     return named
 

@@ -135,14 +135,24 @@ def cmd_train(args) -> int:
         state = bl.init_state(dataset, train_cfg, method)
 
     saved_at = None  # iteration of the last final.ckpt this invocation wrote
+    # (iteration, blocks): the model tensors' text of the last final.ckpt
+    # this invocation wrote at a best, which best.ckpt then reuses
+    best_text = (None, None)
+
+    def save_final():
+        nonlocal saved_at, best_text
+        blocks = None
+        if state.best_iter == state.iteration:  # the model is the best model
+            blocks = dict.fromkeys(bl.model_to_named(state.theta, state.lam, train_cfg))
+            best_text = (state.iteration, blocks)
+        bl.save_checkpoint(out_dir / "final.ckpt",
+                           bl.state_to_named(state, train_cfg, method), blocks)
+        saved_at = state.iteration
 
     def on_eval(row):
-        nonlocal saved_at
         metrics.write(_metric_row(row) + "\n")
         metrics.flush()
-        bl.save_checkpoint(out_dir / "final.ckpt",
-                           bl.state_to_named(state, train_cfg, method))
-        saved_at = state.iteration
+        save_final()
 
     try:
         bl.meta_train(dataset, train_cfg, method, state=state,
@@ -154,11 +164,11 @@ def cmd_train(args) -> int:
     metrics.close()
 
     if saved_at != state.iteration:
-        bl.save_checkpoint(out_dir / "final.ckpt",
-                           bl.state_to_named(state, train_cfg, method))
+        save_final()
+    text_iter, text = best_text
     bl.save_checkpoint(out_dir / "best.ckpt",
-                       bl.model_to_named(state.best_theta, state.best_lam,
-                                         train_cfg))
+                       bl.model_to_named(state.best_theta, state.best_lam, train_cfg),
+                       text if text_iter == state.best_iter else None)
     _write_prototypes(out_dir / "prototypes.csv", state.best_theta,
                       state.best_lam, dataset, method, train_cfg.seed)
 

@@ -38,11 +38,16 @@ class ClassPairing:
     sigma2: np.ndarray
 
     def __post_init__(self):
-        self.sigma1 = np.asarray(self.sigma1, dtype=np.int64)
-        self.sigma2 = np.asarray(self.sigma2, dtype=np.int64)
-        for s in (self.sigma1, self.sigma2):
-            if s.ndim != 1 or sorted(s.tolist()) != list(range(1, len(s) + 1)):
-                raise ValueError(f"not a permutation of 1..{s.size}: {s}")
+        self.sigma1, self.sigma2 = _permutation(self.sigma1), _permutation(self.sigma2)
+
+
+def _permutation(s) -> np.ndarray:
+    """s as an int64 array, which must be a permutation of 1..len(s) with
+    an integer dtype: a float or bool array is not truncated into one."""
+    s = np.asarray(s)
+    if s.dtype.kind not in "iu" or s.ndim != 1 or sorted(s.tolist()) != list(range(1, s.size + 1)):
+        raise ValueError(f"not a permutation of 1..{s.size}: {s}")
+    return s.astype(np.int64, copy=False)
 
 
 @dataclass

@@ -311,6 +311,37 @@ class TestGradients:
         np.testing.assert_allclose(g.data, np.exp(a0) * v, atol=1e-12)
 
 
+class TestBackends:
+    def test_raw_namespace_mirrors_the_ops(self):
+        # every op a VJP calls has a raw twin of the same name
+        names = {n for n in vars(ad.raw) if not n.startswith("__")}
+        assert names == {
+            "matmul", "matmul_nt", "matmul_tn", "heads_to_rows", "rows_to_heads",
+            "add", "sub", "mul", "div", "scale", "exp", "powf",
+            "sum_all", "row_sum", "col_sum", "tile_rows", "tile_cols", "fill_like",
+            "take_rows", "scatter_rows", "normalize_rows", "_inv_std_rows",
+            "scale_shift", "_row_total"}
+        for name in names:
+            assert callable(getattr(ad, name)), name
+
+    @pytest.mark.parametrize("name,shape,build", TestGradients.CASES,
+                             ids=[c[0] for c in TestGradients.CASES])
+    def test_raw_vjps_give_the_graph_bits(self, name, shape, build, rng):
+        # the sweep without a graph against the recorded one: at first
+        # order through the op's VJP, then through the gradient graph,
+        # whose nodes are the ops the VJPs call
+        tape = Tape()
+        x = tape.param(rng.standard_normal(shape) + 0.1)
+        out = build(x, rng.standard_normal(16))
+        outs, cot = out, None
+        for order in (1, 2, 3):
+            (want,) = ad.grad(outs, [x], cot, create_graph=True)
+            (got,) = ad.grad(outs, [x], cot)
+            assert got.tape is None
+            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), order
+            outs, cot = want, rng.standard_normal(shape)
+
+
 class TestSecondOrder:
     def test_hvp_quadratic(self):
         # f(x) = 0.5 x^T A x with A = diag(2,4); Hessian is A

@@ -337,19 +337,43 @@ class TestMetaTrain:
                   test_tasks=12, spread=1.5, seed=1)
     C8_TRAIN = dict(update_period=25, hyper_lr=3e-3, batch_size=4, encoder_widths=(32, 16),
                     set_kind="simple", patience=0, seed=1)
+    WORKLOADS = [({}, dict(max_iters=100)),
+                 (dict(way=3, shots=2, queries=5),
+                  dict(max_iters=10, update_period=10, batch_size=2, set_kind="full",
+                       interp=itp.InterpConfig(cardinality=3)))]
 
-    @pytest.mark.parametrize("gen,train,work", [
-        ({}, dict(max_iters=100), 5215),
-        (dict(way=3, shots=2, queries=5),
-         dict(max_iters=10, update_period=10, batch_size=2, set_kind="full",
-              interp=itp.InterpConfig(cardinality=3)), 2896),
-    ], ids=["c8", "full-set-2shot"])
+    @pytest.mark.parametrize("gen,train,work", [(*WORKLOADS[0], 5215), (*WORKLOADS[1], 2896)],
+                             ids=["c8", "full-set-2shot"])
     def test_work_meter_pinned(self, gen, train, work):
         # Tape.op_count is deterministic: a change to how a step is laid out
         # must not grow its graph (52.15 and 289.6 nodes per iteration)
         ds = ep.gen_gaussian_tasks(ep.GenConfig(**{**self.C8_GEN, **gen}))
         res = bl.meta_train(ds, bl.TrainConfig(**{**self.C8_TRAIN, **train}), "meta-interp")
         assert res.work == work
+
+    @pytest.mark.parametrize("gen,train", WORKLOADS, ids=["c8", "full-set-2shot"])
+    def test_sweeps_without_a_graph_give_the_graph_bits(self, gen, train):
+        # a training step's three kinds of sweep: the first-order gradient,
+        # a Neumann HVP and the set-function sweep, each run on the raw
+        # backend and recorded as a graph
+        ds = ep.gen_gaussian_tasks(ep.GenConfig(**{**self.C8_GEN, **gen}))
+        cfg = bl.TrainConfig(**{**self.C8_TRAIN, **train})
+        state = bl.init_state(ds, cfg, "meta-interp")
+        rng = np.random.default_rng([cfg.seed, 5])
+        tape = Tape()
+        theta_live, lam_live = _params.bind(state.theta, tape), _params.bind(state.lam, tape)
+        ltr = bl.inner_loss(lam_live, theta_live, bl._sample_batch(ds, cfg, rng), cfg,
+                            "train", rng)
+        theta, lam = _params.leaves(theta_live), _params.leaves(lam_live)
+        dltr = ad.grad(ltr, theta, create_graph=True)
+        v = [rng.standard_normal(t.shape) for t in theta]
+        for outs, ins, cot in ((ltr, theta, None), (dltr, theta, v), (dltr, lam, v)):
+            graph = ad.grad(outs, ins, cot, create_graph=True)
+            before = tape.op_count
+            raw = ad.grad(outs, ins, cot)
+            assert tape.op_count == before and all(g.tape is None for g in raw)
+            for g, want in zip(raw, graph):
+                assert np.array_equal(g.data.view(np.int64), want.data.view(np.int64))
 
     def test_validation_improves_on_separable_tasks(self):
         wins = 0
@@ -540,6 +564,40 @@ class TestCheckpoints:
         bl.save_checkpoint(got, named)
         reference(want, named)
         assert got.read_bytes() == want.read_bytes()
+
+    GOOD = ["tensor a 2 2", "1 2", "3 4", "tensor b 1 1", "5"]
+
+    @pytest.mark.parametrize("lines,message", [
+        (["# meta-interp-ckpt v0", *GOOD], "expected header '# meta-interp-ckpt v1'"),
+        ([*GOOD, "tensor c 1"], "malformed entry line 7: 'tensor c 1'"),
+        ([*GOOD, "tensr c 1 1", "6"], "malformed entry line 7: 'tensr c 1 1'"),
+        ([*GOOD, "tensor c 2 1", "6"], "tensor c is cut short after 1 of 2 rows"),
+        # the row counts are checked row by row, also where the total is right
+        (["tensor a 2 2", "1 2 3", "4"], "tensor a row 0 has 3 values, expected 2"),
+        (["tensor a 2 2", "1 2", "3"], "tensor a row 1 has 1 values, expected 2"),
+        (["tensor a 2 2", "1 2", "3 4 5"], "tensor a row 1 has 3 values, expected 2"),
+        (["tensor a 2 2", "1 x", "3 y"], "could not convert string to float: 'x'"),
+    ], ids=["header", "short-entry", "not-tensor", "cut-short", "ragged", "short-row",
+            "long-row", "bad-number"])
+    def test_reader_faults_keep_their_messages(self, tmp_path, lines, message):
+        path = tmp_path / "bad.ckpt"
+        if lines[0] != "# meta-interp-ckpt v0":
+            lines = [bl.CKPT_HEADER, *lines]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            bl.load_checkpoint(path)
+        assert str(e.value).endswith(message)
+
+    def test_reader_reads_rows_in_bulk_bit_for_bit(self, tmp_path, rng):
+        named = {"a": rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-300, 300, (5, 3)),
+                 "b": np.array([[np.nan, -np.inf, -0.0, 5e-324]]), "c": np.zeros((0, 2)),
+                 "d": np.zeros((2, 0))}
+        path = tmp_path / "t.ckpt"
+        bl.save_checkpoint(path, named)
+        loaded = bl.load_checkpoint(path)
+        for k, arr in named.items():
+            assert loaded[k].shape == arr.shape and loaded[k].dtype == np.float64
+            assert np.array_equal(loaded[k].view(np.int64), arr.view(np.int64)), k
 
     def test_model_rebuild_all_kinds(self, tmp_path, rng):
         ds = small_dataset()

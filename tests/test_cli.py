@@ -155,8 +155,8 @@ class TestTrain:
 
         save = bl.save_checkpoint
 
-        def crash_at_30(path, named):
-            save(path, named)
+        def crash_at_30(path, named, *rest):
+            save(path, named, *rest)
             if int(named["meta.iteration"][0, 0]) == 30:
                 raise Crash
 
@@ -205,11 +205,11 @@ class TestTrain:
         save, replace = bl.save_checkpoint, bl.os.replace
         at = []
 
-        def crash_at_30(path, named):
+        def crash_at_30(path, named, *rest):
             at[:] = [int(named["meta.iteration"][0, 0])]
             if where == "before_write" and at[0] == 30:
                 raise Crash
-            save(path, named)
+            save(path, named, *rest)
 
         def crash_replace(src, dst):
             if at[0] == 30:
@@ -251,10 +251,10 @@ class TestTrain:
         saved = []
         save = bl.save_checkpoint
 
-        def spy(path, named):
+        def spy(path, named, *rest):
             if path.name == "final.ckpt":
                 saved.append(int(named["meta.iteration"][0, 0]))
-            save(path, named)
+            save(path, named, *rest)
 
         monkeypatch.setattr(bl, "save_checkpoint", spy)
         argv = ["train", "--config", str(cfg), "--tasks", str(tasks), "--seed", "2"]
@@ -269,6 +269,38 @@ class TestTrain:
         cli.main(argv + ["--out-dir", str(tmp / "a"),
                          "--resume", str(tmp / "a" / "final.ckpt")])
         assert saved == [40]
+
+    @pytest.mark.parametrize("stop,best", [([], "earlier"), (["--stop-after", "30"], "last")],
+                             ids=["best-earlier", "best-last"])
+    def test_best_checkpoint_reuses_the_text_of_a_final_save(self, workspace, monkeypatch,
+                                                             stop, best):
+        # the best model of seed 4 is the one at iteration 30; best.ckpt
+        # written from the model text of the final.ckpt saved there has the
+        # bytes of one formatted anew
+        tmp, cfg, tasks = workspace
+        argv = ["train", "--config", str(cfg), "--tasks", str(tasks), "--seed", "4",
+                "--set", "update_period=10", *stop]
+        save = bl.save_checkpoint
+        reused = []
+
+        def spy(path, named, blocks=None):
+            if path.name == "best.ckpt":
+                reused.append(blocks is not None and set(blocks) == set(named)
+                              and None not in blocks.values())
+            save(path, named, blocks)
+
+        monkeypatch.setattr(bl, "save_checkpoint", spy)
+        assert cli.main(argv + ["--out-dir", str(tmp / "reused")]) == 0
+        monkeypatch.setattr(bl, "save_checkpoint", lambda path, named, blocks=None:
+                            save(path, named))
+        assert cli.main(argv + ["--out-dir", str(tmp / "formatted")]) == 0
+        report = json.loads((tmp / "reused" / "run_report.json").read_text())
+        assert report["best_iter"] == 30
+        assert (report["iterations"] == 30) == (best == "last")
+        assert reused == [True]
+        for name in ("best.ckpt", "final.ckpt"):
+            assert ((tmp / "reused" / name).read_bytes()
+                    == (tmp / "formatted" / name).read_bytes()), name
 
     def test_non_finite_hypergradient_exits_one(self, workspace, monkeypatch, capsys):
         tmp, cfg, tasks = workspace

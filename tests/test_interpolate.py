@@ -71,11 +71,18 @@ class TestPairClasses:
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
             itp.ClassPairing(np.array([1, 1]), np.array([1, 2]))
-        # out of 1..K, not one row, or no row at all, in either permutation
-        for bad in ([0, 1], [1, 3], [[1, 2]], 1):
+        # out of 1..K, not one row, no row at all, or not of an integer
+        # dtype (which used to be truncated into 1..K), in either permutation
+        for bad in ([0, 1], [1, 3], [[1, 2]], 1, [1.5, 2], [1.0, 2.0],
+                    np.array([2, 1], dtype=np.float32)):
             for args in ((bad, [1, 2]), ([2, 1], bad)):
                 with pytest.raises(ValueError, match="not a permutation"):
                     itp.ClassPairing(*args)
+        for args in (([True], [1]), ([1], [True])):
+            with pytest.raises(ValueError, match="not a permutation"):
+                itp.ClassPairing(*args)
+        pairing = itp.ClassPairing(np.array([2, 1], dtype=np.uint8), [1, 2])
+        assert pairing.sigma1.dtype == np.int64 and pairing.sigma1.tolist() == [2, 1]
 
 
 def build_pairs(task1, task2, pairing, k):
