@@ -109,15 +109,13 @@ class Tape:
 
     Node order (the creation index) is a topological order of the graph,
     which backward replays in reverse. `op_count` is a deterministic work
-    meter: it counts recorded primitives. While `recording` is False, ops
-    on the tape's values produce constants. `grad` keeps each sweep plan
-    it makes here, as node numbers and marks only, so the plans hold no
-    value alive.
+    meter: it counts recorded primitives; a sweep without a graph records
+    none. `grad` keeps each sweep plan it makes here, as node numbers and
+    marks only, so the plans hold no value alive.
     """
 
     def __init__(self):
         self.op_count = 0
-        self.recording = True
         self._plans = {}  # (output nodes, input nodes) -> grad's sweep plan
 
     def _index(self) -> int:
@@ -176,14 +174,14 @@ def _owner_tape(parents) -> Optional[Tape]:
 
 
 def _make(data, parents, vjp) -> DiffValue:
-    """A node over parents, or a constant when nothing is recorded.
+    """A node over parents, or a constant when no parent is on a tape.
 
     vjp(ops, g, need, y, *parents) maps the node's cotangent g to one
     gradient per parent, None where the parent's flag in need is False;
     `grad` passes the node's output y and its parents in the backend of
     ops, so a VJP that reads the node's output holds no reference to it."""
     tape = _owner_tape(parents)
-    if tape is None or not tape.recording:
+    if tape is None:
         return DiffValue(data)
     return DiffValue(data, tape=tape, idx=tape._index(), parents=parents, vjp=vjp)
 
@@ -818,17 +816,18 @@ def grad(
 
     Without grad_outputs every output must be scalar (cotangent 1). With
     create_graph the returned values are differentiable, enabling
-    Hessian-vector products; without it the sweep runs on the raw
-    backend and returns constants of the same bits. Inputs that do not
-    influence the outputs get zero gradients. Only the nodes between the
-    inputs and the outputs are swept, so the result does not depend on
-    which other inputs are asked for, and asking for fewer builds less.
-    The tape keeps the sweep plan, so a later call with the same outputs
-    and inputs (the Neumann series' HVPs, each with new grad_outputs)
-    reuses it.
+    Hessian-vector products; they are graph values (at times a seed, or
+    one value twice) and must not be written in place. Without it the
+    sweep runs on the raw backend and returns constants of the same bits,
+    each in a buffer that no other result and no seed holds. Inputs that
+    do not influence the outputs get zero gradients. Only the nodes
+    between the inputs and the outputs are swept, so the result does not
+    depend on which other inputs are asked for, and asking for fewer
+    builds less. The tape keeps the sweep plan, so a later call with the
+    same outputs and inputs (the Neumann series' HVPs, each with new
+    grad_outputs) reuses it.
     """
-    single = isinstance(outputs, DiffValue)
-    outs = [outputs] if single else list(outputs)
+    outs = [outputs] if isinstance(outputs, DiffValue) else list(outputs)
     ins = list(inputs)
     if grad_outputs is None:
         for o in outs:
@@ -846,11 +845,7 @@ def grad(
             if s.shape != o.shape:
                 raise ShapeError(f"grad_outputs shape {s.shape} != output {o.shape}")
 
-    tape = None
-    for o in outs:
-        if o.tape is not None:
-            tape = o.tape
-            break
+    tape = next((o.tape for o in outs if o.tape is not None), None)
     if tape is None:
         # outputs are constants: gradient is identically zero
         return [DiffValue(np.zeros(i.shape, dtype=np.float64)) for i in ins]
@@ -874,31 +869,28 @@ def grad(
         prev = adjoint.get(o._idx)
         adjoint[o._idx] = s if prev is None else ops.add(prev, s)
 
-    was_recording, tape.recording = tape.recording, create_graph
-    try:
-        for idx, need in plan:
-            g = adjoint.get(idx)
-            if g is None:
+    for idx, need in plan:
+        g = adjoint.get(idx)
+        if g is None:
+            continue
+        node = nodes[idx]
+        if create_graph:
+            parent_grads = node._vjp(ops, g, need, node, *node._parents)
+        else:
+            parent_grads = node._vjp(ops, g, need, node.data, *[p.data for p in node._parents])
+        for p, n, pg in zip(node._parents, need, parent_grads):
+            if not n:
                 continue
-            node = nodes[idx]
-            if create_graph:
-                parent_grads = node._vjp(ops, g, need, node, *node._parents)
-            else:
-                parent_grads = node._vjp(ops, g, need, node.data,
-                                         *[p.data for p in node._parents])
-            for p, n, pg in zip(node._parents, need, parent_grads):
-                if not n:
-                    continue
-                prev = adjoint.get(p._idx)
-                adjoint[p._idx] = pg if prev is None else ops.add(prev, pg)
-                nodes[p._idx] = p
-    finally:
-        tape.recording = was_recording
+            prev = adjoint.get(p._idx)
+            adjoint[p._idx] = pg if prev is None else ops.add(prev, pg)
+            nodes[p._idx] = p
 
     result = []
     for i in ins:
         g = adjoint.get(i._idx)
         if g is None:
-            g = np.zeros(i.shape, dtype=np.float64)
-        result.append(g if isinstance(g, DiffValue) else DiffValue(g))
+            g = DiffValue(np.zeros(i.shape, dtype=np.float64))
+        elif not create_graph:  # a raw cotangent may be a seed or another result
+            g = DiffValue(g.copy())
+        result.append(g)
     return result

@@ -3,8 +3,8 @@
 A Task is a K-way classification episode held as four read-only arrays:
 labeled support rows for adaptation (`xs`, `ys`) and labeled query rows
 for evaluation (`xq`, `yq`), checked in bulk when the task is built, and
-a table of its support rows by class, built once on first use. The
-generator builds a small number of distinct tasks by composing per-task
+tables of its support and of its query rows by class, built on first use.
+The generator builds a small number of distinct tasks by composing per-task
 transforms (rotation / scale / offset) of a Gaussian cluster layout, which
 gives a controllable "few distinct tasks" axis without any real dataset.
 The reader parses a task file in one pass: every line's key fields one by
@@ -39,6 +39,18 @@ class Example:
 
     features: np.ndarray  # (D_in,)
     label: int            # 1..K
+
+
+def _class_table(labels: np.ndarray, way: int) -> tuple:
+    """(rows, first, count): the row numbers of labels (1..way) grouped by
+    class by one stable sort, so each class's rows keep their order; class
+    c's (maybe none) are rows[first[c-1]:first[c-1] + count[c-1]]."""
+    rows = np.argsort(labels, kind="stable")
+    count = np.bincount(labels, minlength=way + 1)[1:]
+    first = np.cumsum(count) - count
+    for a in (rows, first, count):
+        a.flags.writeable = False
+    return rows, first, count
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,16 +89,13 @@ class Task:
 
     @cached_property
     def support_by_class(self) -> tuple:
-        """(rows, first, count): the support row numbers grouped by class
-        by one stable sort of the labels, so each class's rows keep their
-        order; class c's are rows[first[c-1]:first[c-1] + count[c-1]].
-        Built on first use; the task is read-only, so it stays valid."""
-        rows = np.argsort(self.ys, kind="stable")
-        count = np.bincount(self.ys, minlength=self.way + 1)[1:]
-        first = np.cumsum(count) - count
-        for a in (rows, first, count):
-            a.flags.writeable = False
-        return rows, first, count
+        """The support rows' `_class_table`, built on first use."""
+        return _class_table(self.ys, self.way)
+
+    @cached_property
+    def query_by_class(self) -> tuple:
+        """The query rows' `_class_table`, built on first use."""
+        return _class_table(self.yq, self.way)
 
     @cached_property
     def support(self) -> tuple:

@@ -12,10 +12,10 @@ A pair's terms are episodes of a `protonet.Batch` (`add_mix`, `add_mlti`)
 and draw from the batch's generator: its fused sets join the sets of every
 other pair of the training step in one `set_forward` per set size, and its
 queries and prototypes one block of the step's distances. A pair's
-support pairs are read from the two tasks' class tables
-(`Task.support_by_class`) as one index, not class by class. `loss_mix` is a
-batch of the one pair; the fused prototypes a training run writes out are
-the `protos` of `add_mix` episodes.
+support pairs (one index) and query partners (one draw) are read from the
+tasks' class tables, `Task.support_by_class` and `Task.query_by_class`.
+`loss_mix` is a batch of the one pair; the fused prototypes a training
+run writes out are the `protos` of `add_mix` episodes.
 """
 
 from __future__ import annotations
@@ -165,17 +165,15 @@ def _fused_sets(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing
 def _query_pairs(batch: pn.Batch, task1: Task, task2: Task, pairing: ClassPairing):
     """Each task1 query's input row beside the row of a task2 query drawn
     from the paired class, in task1's query order, as a (Nq, 2) index; and
-    each query's new class k."""
+    each query's new class k. The partners are one draw over task2's query
+    class table, made query by query as one call per query would be."""
     ks = _inverse(pairing.sigma1)[task1.yq]
-    pools = {}
-    partners = np.zeros(len(ks), dtype=np.int64)
-    for i, label in enumerate(pairing.sigma2[ks - 1]):
-        if label not in pools:
-            pools[label] = np.flatnonzero(task2.yq == label)
-        pool = pools[label]
-        if not len(pool):
-            raise ValueError(f"task2 has no queries of class {int(label)}")
-        partners[i] = pool[int(batch.rng.integers(len(pool)))]
+    labels = pairing.sigma2[ks - 1]
+    rows, first, count = task2.query_by_class
+    empty = labels[count[labels - 1] == 0]
+    if len(empty):
+        raise ValueError(f"task2 has no queries of class {int(empty[0])}")
+    partners = rows[first[labels - 1] + batch.rng.integers(count[labels - 1])]
     return np.column_stack([batch.rows(task1, "q"), batch.rows(task2, "q")[partners]]), ks
 
 

@@ -21,12 +21,12 @@ def plain_protonet_loss(theta, task, metric="sqeuclidean"):
 
     protos = {}
     for k in range(1, task.way + 1):
-        members = [encode(ex.features) for ex in task.support if ex.label == k]
+        members = [encode(x) for x, y in zip(task.xs, task.ys.tolist()) if y == k]
         protos[k] = np.mean(members, axis=0)
 
     total = 0.0
-    for ex in task.query:
-        e = encode(ex.features)
+    for x, label in zip(task.xq, task.yq.tolist()):
+        e = encode(x)
         d = np.array(
             [np.sum((e - protos[k]) ** 2) for k in range(1, task.way + 1)]
         )
@@ -35,8 +35,8 @@ def plain_protonet_loss(theta, task, metric="sqeuclidean"):
         logits = -d
         logits -= logits.max()
         logp = logits - np.log(np.sum(np.exp(logits)))
-        total -= logp[ex.label - 1]
-    return total / len(task.query)
+        total -= logp[label - 1]
+    return total / len(task.yq)
 
 
 def logistic(z):

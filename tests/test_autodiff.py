@@ -341,6 +341,26 @@ class TestBackends:
             assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), order
             outs, cot = want, rng.standard_normal(shape)
 
+    def test_raw_gradients_own_their_buffers(self, rng):
+        # add's VJP and a one-row bias's pass their cotangent through: the
+        # sweep without a graph still hands back no seed and no buffer twice
+        tape = Tape()
+        x, y = tape.param(rng.standard_normal((2, 3))), tape.param(rng.standard_normal((2, 3)))
+        v = rng.standard_normal((2, 3))
+        row, w = tape.param(rng.standard_normal((1, 3))), tape.param(rng.standard_normal((3, 4)))
+        b, u = tape.param(rng.standard_normal((1, 4))), rng.standard_normal((1, 4))
+        for outs, ins, seed in ((ad.add(x, y), [x, y], v), (ad.affine(row, w, b), [row, w, b], u)):
+            want = [g.data.copy() for g in ad.grad(outs, ins, seed, create_graph=True)]
+            before = seed.copy()
+            got = [g.data for g in ad.grad(outs, ins, seed)]
+            held = [seed, *got]
+            assert not any(np.shares_memory(p, q)
+                           for i, p in enumerate(held) for q in held[i + 1:])
+            for g, bits in zip(got, want):
+                assert np.array_equal(g, bits)
+                g += 1.0
+            assert np.array_equal(seed, before)
+
 
 class TestSecondOrder:
     def test_hvp_quadratic(self):

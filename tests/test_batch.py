@@ -47,7 +47,25 @@ def unequal_shots_dataset(seed=8):
     return ds
 
 
-DATASETS = {"uneven": uneven_dataset, "unequal_shots": unequal_shots_dataset}
+def unequal_queries_dataset(seed=13):
+    """Three-way tasks whose classes have 3, 1 and 2 query rows, the counts
+    turning from task to task, with the query rows shuffled, so query
+    partners are drawn from pools of one row and of several, and no task
+    lists its query rows by class."""
+    cfg = ep.GenConfig(way=3, shots=2, queries=3, dim=5, train_tasks=3, val_tasks=3,
+                       test_tasks=1, spread=1.0, seed=seed)
+    ds = ep.gen_gaussian_tasks(cfg)
+    for split in (ds.meta_train, ds.meta_val):
+        for i, t in enumerate(split):
+            counts = np.roll([3, 1, 2], i)
+            rows = np.concatenate([np.flatnonzero(t.yq == c)[:counts[c - 1]] for c in (1, 2, 3)])
+            rows = np.random.default_rng(i).permutation(rows)
+            split[i] = ep.Task(t.xs, t.ys, t.xq[rows], t.yq[rows], t.way)
+    return ds
+
+
+DATASETS = {"uneven": uneven_dataset, "unequal_shots": unequal_shots_dataset,
+            "unequal_queries": unequal_queries_dataset}
 
 
 def config(set_kind, strategy, cardinality, metric="sqeuclidean"):
@@ -99,8 +117,13 @@ CASES += [_case("meta-interp", kind, strategy, card, mode, data="unequal_shots")
 CASES += [_case("mlti", "simple", "support", 2, mode, data="unequal_shots") for mode in MODES]
 # the largest sets: extra members drawn with and without repeats
 CASES += [_case("meta-interp", kind, strategy, card, mode, data=data)
-          for data in DATASETS for kind in KINDS for strategy in itp.STRATEGIES
+          for data in ("uneven", "unequal_shots") for kind in KINDS for strategy in itp.STRATEGIES
           for card in (4, 5) for mode in MODES]
+# classes of unequal query counts: every query partner drawn in one call,
+# from pools of one row and of several
+CASES += [_case("meta-interp", kind, strategy, 2, mode, data="unequal_queries")
+          for kind in KINDS for strategy in ("query", "support_and_query") for mode in MODES]
+CASES += [_case("mlti", "simple", "support", 2, mode, data="unequal_queries") for mode in MODES]
 
 
 @pytest.mark.parametrize("method,kind,strategy,card,mode,metric,data", CASES)

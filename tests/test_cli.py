@@ -386,6 +386,21 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: checkpoint encoder takes 5 features, task file has dims=4"]
 
+    def test_paired_class_without_queries_one_line_error(self, workspace, capsys):
+        # no meta-train task keeps a query of class 2, so a manifold-mixup
+        # pair that needs a class-2 partner from task2 cannot be built
+        tmp, cfg, tasks = workspace
+        ds = ep.load_tasks(tasks)
+        ds.meta_train = [ep.Task(t.xs, t.ys, t.xq[t.yq != 2], t.yq[t.yq != 2], t.way)
+                         for t in ds.meta_train]
+        holed = tmp / "holed.txt"
+        ep.save_tasks(ds, holed)
+        rc = cli.main(["train", "--config", str(cfg), "--tasks", str(holed),
+                       "--out-dir", str(tmp / "run"), "--seed", "1", "--method", "mlti"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: task2 has no queries of class 2"]
+
     def test_prototypes_csv_has_both_sources(self, workspace):
         tmp, cfg, tasks = workspace
         out = tmp / "protos"

@@ -86,12 +86,12 @@ class TestPairClasses:
 
 
 def build_pairs(task1, task2, pairing, k):
-    """Support pairs (task1 example, task2 example) of new class k, as
-    the cardinality-2 fused sets of `_class_sets` index them."""
-    a = [i for i, ex in enumerate(task1.support) if ex.label == pairing.sigma1[k - 1]]
-    b = [j for j, ex in enumerate(task2.support) if ex.label == pairing.sigma2[k - 1]]
-    sets = itp._class_sets(np.array(a), np.array(b), 1, 1, np.random.default_rng(0))
-    return [(task1.support[i], task2.support[j]) for i, j in sets]
+    """Support pairs (task1 row, task2 row) of new class k, as the
+    cardinality-2 fused sets of `_class_sets` index them."""
+    a = np.flatnonzero(task1.ys == pairing.sigma1[k - 1])
+    b = np.flatnonzero(task2.ys == pairing.sigma2[k - 1])
+    sets = itp._class_sets(a, b, 1, 1, np.random.default_rng(0))
+    return [(int(i), int(j)) for i, j in sets]
 
 
 class TestBuildPairs:
@@ -106,7 +106,7 @@ class TestBuildPairs:
         t2 = make_task(2, 3, 1, 3, seed=4)
         pairs = build_pairs(t1, t2, id_pairing(2), 1)
         assert len(pairs) == 6
-        assert len({(id(a), id(b)) for a, b in pairs}) == 6
+        assert len(set(pairs)) == 6
 
     def test_matches_double_loop_enumeration(self):
         t1 = make_task(3, 2, 1, 3, seed=5)
@@ -114,16 +114,13 @@ class TestBuildPairs:
         pairing = itp.pair_classes(3, np.random.default_rng(7))
         for k in range(1, 4):
             want = []
-            for ea in t1.support:
-                if ea.label != pairing.sigma1[k - 1]:
+            for i, ya in enumerate(t1.ys):
+                if ya != pairing.sigma1[k - 1]:
                     continue
-                for eb in t2.support:
-                    if eb.label == pairing.sigma2[k - 1]:
-                        want.append((ea, eb))
-            got = build_pairs(t1, t2, pairing, k)
-            assert [(id(a), id(b)) for a, b in got] == [
-                (id(a), id(b)) for a, b in want
-            ]
+                for j, yb in enumerate(t2.ys):
+                    if yb == pairing.sigma2[k - 1]:
+                        want.append((i, j))
+            assert build_pairs(t1, t2, pairing, k) == want
 
     def test_product_law_all_shot_combos(self):
         for s1 in range(1, 5):
@@ -162,9 +159,9 @@ class TestInterpolatedPrototypes:
         M, b = sf.effective_affine(lam)
         for k in (1, 2):
             acc = []
-            for ea, eb in build_pairs(t1, t2, pairing, k):
-                h1 = ea.features.reshape(1, -1)
-                h2 = eb.features.reshape(1, -1)
+            for i, j in build_pairs(t1, t2, pairing, k):
+                h1 = t1.xs[i].reshape(1, -1)
+                h2 = t2.xs[j].reshape(1, -1)
                 alpha, *_ = sf.alpha_pair(lam, h1, h2)
                 fused = (h1 + alpha * (h2 - h1)) @ M + b
                 acc.append(fused @ upper.w + upper.b)
@@ -330,6 +327,25 @@ class TestLossMix:
         cfg = itp.InterpConfig(strategy=strategy, cardinality=cardinality)
         with pytest.raises(ValueError, match="no rng"):
             itp.loss_mix(lam, theta, t1, t2, id_pairing(3), cfg, mode="eval")
+
+    @pytest.mark.parametrize("with_rng", [True, False], ids=["rng", "no-rng"])
+    @pytest.mark.parametrize("term", ["query", "support_and_query", "mlti"])
+    def test_paired_class_without_queries_raises(self, term, with_rng, rng):
+        # task2 keeps no query of class 2, the partner class of task1's
+        # class 2: every pool is checked before any partner is drawn, so
+        # the class is named with or without a generator
+        t1 = make_task(3, 2, 3, 4, seed=24)
+        t2 = make_task(3, 2, 3, 4, seed=25)
+        keep = t2.yq != 2
+        t2 = ep.Task(t2.xs, t2.ys, t2.xq[keep], t2.yq[keep], t2.way)
+        theta = pn.init_encoder([4, 4, 3], split=1, rng=rng)
+        draws = np.random.default_rng(40) if with_rng else None
+        with pytest.raises(ValueError, match="^task2 has no queries of class 2$"):
+            if term == "mlti":
+                mlti_loss(theta, t1, t2, id_pairing(3), (0.5, 0.0), draws)
+            else:
+                itp.loss_mix(sf.init_simple(4, rng), theta, t1, t2, id_pairing(3),
+                             itp.InterpConfig(strategy=term), mode="eval", rng=draws)
 
 
 def mlti_loss(theta, task1, task2, pairing, beta_params, rng):
