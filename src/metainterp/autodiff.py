@@ -771,6 +771,17 @@ def dropout(x, rate: float, mask) -> DiffValue:
     return mul(x, DiffValue.const(mask.data * (1.0 / (1.0 - rate))))
 
 
+def affine_stack(x, layers, slope: float = 0.01, activate_last: bool = True) -> DiffValue:
+    """`affine` then `leaky_relu` for each (w, b) pair of layers, the last
+    pair affine-only unless activate_last; no pairs give x lifted."""
+    x = _lift(x)
+    for i, (w, b) in enumerate(layers, start=1):
+        x = affine(x, w, b)
+        if activate_last or i < len(layers):
+            x = leaky_relu(x, slope)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # reverse pass
 

@@ -299,6 +299,22 @@ def init_state(dataset: ep.TaskDataset, cfg: TrainConfig,
     return TrainState(theta=theta, lam=lam, opt_theta=opt_theta, opt_lam=opt_lam)
 
 
+def check_query_classes(dataset: ep.TaskDataset, cfg: TrainConfig, method: str) -> None:
+    """ValueError unless every meta-train task has a query of every class,
+    when the method draws query partners by class (its `mlti` term, or its
+    `mix` term under a query strategy), rather than failing at the first
+    step whose pairing needs a missing class."""
+    terms, strategy = METHODS[method][0], cfg.interp.strategy
+    if "mlti" not in terms and not ("mix" in terms and strategy in ("query", "support_and_query")):
+        return
+    who = f"method {method}" if "mlti" in terms else f"strategy {strategy}"
+    for i, task in enumerate(dataset.meta_train):
+        empty = np.flatnonzero(task.query_by_class[2] == 0)
+        if empty.size:
+            raise ValueError(f"meta-train task {i} has no queries of class {empty[0] + 1}, "
+                             f"which {who} needs")
+
+
 def _sample_batch(dataset, cfg, rng):
     pairs = []
     for _ in range(cfg.batch_size):

@@ -80,27 +80,15 @@ def init_encoder(widths, split: int, rng: np.random.Generator,
     return EncoderParams(layers=layers, split=split, slope=slope)
 
 
-def _run_layers(layers, x, slope: float, tail_has_last: bool) -> DiffValue:
-    """tail_has_last: this slice contains the network's final layer, which
-    gets no activation."""
-    n = len(layers)
-    for i, layer in enumerate(layers):
-        x = ad.affine(x, layer.w, layer.b)
-        if not (tail_has_last and i == n - 1):
-            x = ad.leaky_relu(x, slope)
-    return x
-
-
 def encode_lower(theta: EncoderParams, x) -> DiffValue:
     """Layers 1..split (identity when split = 0, input-layer interpolation)."""
-    x = ad._lift(x)
-    return _run_layers(theta.layers[: theta.split], x, theta.slope, tail_has_last=False)
+    return ad.affine_stack(x, [(l.w, l.b) for l in theta.layers[: theta.split]], theta.slope)
 
 
 def encode_upper(theta: EncoderParams, h) -> DiffValue:
     """Layers split+1..L; the final layer is affine-only."""
-    h = ad._lift(h)
-    return _run_layers(theta.layers[theta.split :], h, theta.slope, tail_has_last=True)
+    return ad.affine_stack(h, [(l.w, l.b) for l in theta.layers[theta.split :]], theta.slope,
+                           activate_last=False)
 
 
 def prototypes_from_matrix(embeddings, labels, way: int) -> DiffValue:

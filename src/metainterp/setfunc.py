@@ -11,17 +11,17 @@ the one builder of each:
   with layer norm, skip connections and two dropout sites.
 * `DeepSetsParams` — affine stacks around a mean pool.
 
-Every forward is batched over sets. It takes an (N, d) matrix, or a list
-of (1, d) rows, cut into P = N / set_size sets of `set_size` consecutive
-rows (by default all N rows form one set), and returns the (P, d) matrix
-of the P set outputs in one pass. Attention runs set by set: the sets are
-the row blocks of the products (`matmul_nt` for the scores, `matmul` for
-the weighting, each with one block per set), so a set's scores are
-(n, n), or (1, n) for the pooling query, and no score ever crosses two
-sets. At set_size 1 every attention weight is exactly 1, so the scores
-are skipped and a singleton costs what its closed form costs. Vectors are
-carried as rows throughout; the classic column-convention output is the
-transpose of ours.
+Every forward is batched over sets. It takes an (N, d) matrix (a
+`DiffValue` or an ndarray) cut into P = N / set_size sets of `set_size`
+consecutive rows (by default all N rows form one set, which must not be
+empty) and returns the (P, d) matrix of the P set outputs in one pass.
+Attention runs set by set: the sets are the row blocks of the products
+(`matmul_nt` for the scores, `matmul` for the weighting, each with one
+block per set), so a set's scores are (n, n), or (1, n) for the pooling
+query, and no score ever crosses two sets. At set_size 1 every attention
+weight is exactly 1, so the scores are skipped and a singleton costs what
+its closed form costs. Vectors are carried as rows throughout; the classic
+column-convention output is the transpose of ours.
 
 The full form runs all heads of an attention block in one set of nodes:
 the heads' weights sit side by side, so one affine gives every head's
@@ -49,22 +49,10 @@ class CardinalityError(ValueError):
     pass
 
 
-def _stack(elems) -> DiffValue:
-    """elems as one (N, d) matrix: a matrix as it is, a list of rows stacked."""
-    if isinstance(elems, (DiffValue, np.ndarray)):
-        return ad._lift(elems)
-    if len(elems) == 0:
-        raise CardinalityError("set function needs at least one element")
-    out = ad._lift(elems[0])
-    for r in elems[1:]:
-        out = ad.concat_rows(out, r)
-    return out
-
-
 def _split(n_rows: int, set_size: Optional[int]):
-    """(set size n, number of sets P); set_size None is one set of all rows."""
+    """(set size n, number of sets P >= 1); set_size None: one set of all rows."""
     n = n_rows if set_size is None else int(set_size)
-    if n < 1 or n_rows % n:
+    if not 0 < n <= n_rows or n_rows % n:
         raise CardinalityError(f"{n_rows} rows do not split into sets of {n}")
     return n, n_rows // n
 
@@ -136,11 +124,11 @@ def effective_affine(p: SimpleSetParams):
     return w1v @ w2v, _leaf_array(p.b1v) @ w2v + _leaf_array(p.b2v)
 
 
-def simple_forward(p: SimpleSetParams, elems, set_size: Optional[int] = None) -> DiffValue:
+def simple_forward(p: SimpleSetParams, x, set_size: Optional[int] = None) -> DiffValue:
     """Two attention applications: self-attention over the set, then
     pooling attention queried by the seed row. A singleton reduces to the
     value path h W1v W2v plus biases."""
-    h1 = _stack(elems)
+    h1 = ad._lift(x)
     n, sets = _split(h1.shape[0], set_size)
     if n == 1:  # both attention weights are 1
         v1 = ad.affine(h1, p.w1v, p.b1v)
@@ -339,14 +327,14 @@ def make_full_masks(p: FullSetTransformerParams, n_rows: int, rng: np.random.Gen
     return m2.astype(np.float64), m3.astype(np.float64)
 
 
-def full_forward(p: FullSetTransformerParams, elems, masks=None,
+def full_forward(p: FullSetTransformerParams, x, masks=None,
                  set_size: Optional[int] = None) -> DiffValue:
     """Encoder blocks, attention pooling from the seed, output affine.
 
     masks is the (site-2, site-3) pair from `make_full_masks`; omit it for
     the deterministic eval path.
     """
-    x = _stack(elems)
+    x = ad._lift(x)
     n, sets = _split(x.shape[0], set_size)
     one = n == 1
     g1 = _block_mix(p.block1, _attend(p.block1, x, x, sets, one), first_block=True)
@@ -371,7 +359,6 @@ class DeepSetsParams:
 
     pre: list = field(default_factory=list)   # list of (w, b)
     post: list = field(default_factory=list)  # list of (w, b); last is affine-only
-    slope: float = 0.01
 
 
 def init_deepsets(d: int, widths, rng: np.random.Generator) -> DeepSetsParams:
@@ -386,22 +373,13 @@ def init_deepsets(d: int, widths, rng: np.random.Generator) -> DeepSetsParams:
     return DeepSetsParams(pre=pre, post=post)
 
 
-def _run_stack(stack, x, slope, activate_last: bool) -> DiffValue:
-    n = len(stack)
-    for i, (w, b) in enumerate(stack):
-        x = ad.affine(x, w, b)
-        if activate_last or i < n - 1:
-            x = ad.leaky_relu(x, slope)
-    return x
-
-
-def deepsets_forward(p: DeepSetsParams, elems, set_size: Optional[int] = None) -> DiffValue:
-    x = _stack(elems)
+def deepsets_forward(p: DeepSetsParams, x, set_size: Optional[int] = None) -> DiffValue:
+    x = ad._lift(x)
     n, sets = _split(x.shape[0], set_size)
-    x = _run_stack(p.pre, x, p.slope, activate_last=True)
+    x = ad.affine_stack(x, p.pre)
     if n > 1:  # the mean of each set's n consecutive rows
         x = ad.scale(ad.scatter_rows(x, np.repeat(np.arange(sets), n), sets), 1.0 / n)
-    return _run_stack(p.post, x, p.slope, activate_last=False)
+    return ad.affine_stack(x, p.post, activate_last=False)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +420,10 @@ def build(kind: str, d: int, rng: np.random.Generator, hidden: Optional[int] = N
 
 
 @singledispatch
-def set_forward(params, elems, masks=None, set_size=None) -> DiffValue:
+def set_forward(params, x, masks=None, set_size=None) -> DiffValue:
     """Apply the set function to every set of `set_size` consecutive rows of
-    elems (default: all rows are one set); returns one row per set.
+    the (N, d) matrix x (default: all rows are one set); returns one row
+    per set.
 
     masks is the dropout pair from `make_masks` for the same rows and sets,
     or None for the deterministic eval path.
@@ -453,23 +432,23 @@ def set_forward(params, elems, masks=None, set_size=None) -> DiffValue:
 
 
 @set_forward.register
-def _(params: SimpleSetParams, elems, masks=None, set_size=None):
-    return simple_forward(params, elems, set_size)
+def _(params: SimpleSetParams, x, masks=None, set_size=None):
+    return simple_forward(params, x, set_size)
 
 
 @set_forward.register
-def _(params: FullSetTransformerParams, elems, masks=None, set_size=None):
-    return full_forward(params, elems, masks, set_size)
+def _(params: FullSetTransformerParams, x, masks=None, set_size=None):
+    return full_forward(params, x, masks, set_size)
 
 
 @set_forward.register
-def _(params: DeepSetsParams, elems, masks=None, set_size=None):
-    return deepsets_forward(params, elems, set_size)
+def _(params: DeepSetsParams, x, masks=None, set_size=None):
+    return deepsets_forward(params, x, set_size)
 
 
 @set_forward.register
-def _(params: IdentitySet, elems, masks=None, set_size=None):
-    x = _stack(elems)
+def _(params: IdentitySet, x, masks=None, set_size=None):
+    x = ad._lift(x)
     if _split(x.shape[0], set_size)[0] != 1:
         raise CardinalityError("identity set function only accepts singletons")
     return x

@@ -396,10 +396,10 @@ def check_closedform(seed):
             setattr(p, name, rng.standard_normal((1, d)) * 0.3)
         h, hp = rng.standard_normal((1, d)), rng.standard_normal((1, d))
         M, b = setfunc.effective_affine(p)
-        single = setfunc.simple_forward(p, [h]).data
+        single = setfunc.simple_forward(p, h).data
         worst_single = max(worst_single, float(np.max(np.abs(single - (h @ M + b)))))
         alpha, *_ = setfunc.alpha_pair(p, h, hp)
-        pair = setfunc.simple_forward(p, [h, hp]).data
+        pair = setfunc.simple_forward(p, np.vstack([h, hp])).data
         want = (h + alpha * (hp - h)) @ M + b
         worst_pair = max(worst_pair, float(np.max(np.abs(pair - want))))
     return {

@@ -37,7 +37,3 @@ def plain_protonet_loss(theta, task, metric="sqeuclidean"):
         logp = logits - np.log(np.sum(np.exp(logits)))
         total -= logp[label - 1]
     return total / len(task.yq)
-
-
-def logistic(z):
-    return np.exp(z) / (1.0 + np.exp(z))

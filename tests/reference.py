@@ -260,11 +260,11 @@ def _full(p, x, masks, n, sets):
 
 
 def _deepsets(p, x, n, sets):
-    x = sf._run_stack(p.pre, x, p.slope, activate_last=True)
+    x = ad.affine_stack(x, p.pre)
     if n > 1:
         member = DiffValue(np.kron(np.eye(sets), np.ones((1, n))))
         x = ad.scale(ad.matmul(member, x), 1.0 / n)
-    return sf._run_stack(p.post, x, p.slope, activate_last=False)
+    return ad.affine_stack(x, p.post, activate_last=False)
 
 
 def masked_set_forward(p, x, masks=None, set_size=None):

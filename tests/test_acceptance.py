@@ -42,10 +42,10 @@ def test_c1_closed_form_set_function():
             setattr(p, name, rng.standard_normal((1, d)) * 0.3)
         h, hp = rng.standard_normal((1, d)), rng.standard_normal((1, d))
         M, b = sf.effective_affine(p)
-        single = sf.simple_forward(p, [h]).data
+        single = sf.simple_forward(p, h).data
         worst_single = max(worst_single, float(np.max(np.abs(single - (h @ M + b)))))
         alpha, *_ = sf.alpha_pair(p, h, hp)
-        pair = sf.simple_forward(p, [h, hp]).data
+        pair = sf.simple_forward(p, np.vstack([h, hp])).data
         want = (h + alpha * (hp - h)) @ M + b
         worst_pair = max(worst_pair, float(np.max(np.abs(pair - want))))
     ok = worst_single <= 1e-12 and worst_pair <= 1e-9

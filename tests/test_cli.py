@@ -47,6 +47,16 @@ def _narrow_tasks(tmp, cfg):
     return narrow
 
 
+def _holed_tasks(tmp, tasks):
+    """The workspace's task file with no meta-train query of class 2."""
+    ds = ep.load_tasks(tasks)
+    ds.meta_train = [ep.Task(t.xs, t.ys, t.xq[t.yq != 2], t.yq[t.yq != 2], t.way)
+                     for t in ds.meta_train]
+    holed = tmp / "holed.txt"
+    ep.save_tasks(ds, holed)
+    return holed
+
+
 @pytest.fixture
 def workspace(tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -136,6 +146,24 @@ class TestTrain:
                          "--resume", str(paused / "final.ckpt")]) == 0
         for name in ("metrics.csv", "final.ckpt"):
             assert (paused / name).read_bytes() == (full / name).read_bytes()
+
+    def test_resumed_run_reports_the_whole_run(self, workspace):
+        # the resumed invocation evaluates only at 40, but metrics.csv
+        # holds the evaluation at 20 too
+        tmp, cfg, tasks = workspace
+        full, paused = tmp / "full", tmp / "paused"
+        run = ["train", "--config", str(cfg), "--tasks", str(tasks), "--seed", "2"]
+        assert cli.main([*run, "--out-dir", str(full)]) == 0
+        assert cli.main([*run, "--out-dir", str(paused), "--stop-after", "20"]) == 0
+        assert cli.main([*run, "--out-dir", str(paused),
+                         "--resume", str(paused / "final.ckpt")]) == 0
+
+        def observed(out):
+            return json.loads((out / "run_report.json").read_text())["loss_observation"]
+
+        assert observed(paused) == observed(full)
+        rows = (full / "metrics.csv").read_text().splitlines()[1:]
+        assert observed(full)["mean_train_loss"] == np.mean([float(r.split(",")[1]) for r in rows])
 
     def test_resume_after_crash_at_new_best_matches(self, workspace, monkeypatch):
         # a crash right after the evaluation-time final.ckpt of a new best
@@ -390,16 +418,47 @@ class TestTrain:
         # no meta-train task keeps a query of class 2, so a manifold-mixup
         # pair that needs a class-2 partner from task2 cannot be built
         tmp, cfg, tasks = workspace
-        ds = ep.load_tasks(tasks)
-        ds.meta_train = [ep.Task(t.xs, t.ys, t.xq[t.yq != 2], t.yq[t.yq != 2], t.way)
-                         for t in ds.meta_train]
-        holed = tmp / "holed.txt"
-        ep.save_tasks(ds, holed)
-        rc = cli.main(["train", "--config", str(cfg), "--tasks", str(holed),
+        rc = cli.main(["train", "--config", str(cfg), "--tasks", str(_holed_tasks(tmp, tasks)),
                        "--out-dir", str(tmp / "run"), "--seed", "1", "--method", "mlti"])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: task2 has no queries of class 2"]
+        assert err == ["error: meta-train task 0 has no queries of class 2, "
+                       "which method mlti needs"]
+        assert not (tmp / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("method,strategy,rc", [
+        ("meta-interp", "query", 1), ("meta-interp", "support_and_query", 1),
+        ("meta-interp", "support", 0), ("protonet", "query", 0)])
+    def test_query_classes_checked_where_queries_are_paired(self, workspace, capsys,
+                                                            method, strategy, rc):
+        # only the strategies that fuse task1's queries with task2 queries
+        # need every class among every meta-train task's queries
+        tmp, cfg, tasks = workspace
+        out = tmp / "run"
+        assert cli.main(["train", "--config", str(cfg), "--tasks", str(_holed_tasks(tmp, tasks)),
+                         "--out-dir", str(out), "--seed", "1", "--method", method,
+                         "--set", f"strategy={strategy}"]) == rc
+        err = capsys.readouterr().err.strip().splitlines()
+        if rc:
+            assert err == ["error: meta-train task 0 has no queries of class 2, "
+                           f"which strategy {strategy} needs"]
+            assert not out.exists()
+        else:
+            assert err == [] and (out / "run_report.json").exists()
+
+    def test_resume_checks_query_classes(self, workspace, capsys):
+        tmp, cfg, tasks = workspace
+        out = tmp / "run"
+        run = ["train", "--config", str(cfg), "--seed", "1", "--out-dir", str(out),
+               "--method", "mlti"]
+        assert cli.main([*run, "--tasks", str(tasks), "--stop-after", "20"]) == 0
+        before = (out / "metrics.csv").read_bytes()
+        assert cli.main([*run, "--tasks", str(_holed_tasks(tmp, tasks)),
+                         "--resume", str(out / "final.ckpt")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: meta-train task 0 has no queries of class 2, "
+                       "which method mlti needs"]
+        assert (out / "metrics.csv").read_bytes() == before
 
     def test_prototypes_csv_has_both_sources(self, workspace):
         tmp, cfg, tasks = workspace

@@ -180,7 +180,7 @@ class TestInterpolatedPrototypes:
             acc = []
             for hi in hs:
                 for hj in hs:
-                    z = sf.simple_forward(lam, [hi, hj]).data
+                    z = sf.simple_forward(lam, np.vstack([hi, hj])).data
                     acc.append(pn.encode_upper(theta, z).data)
             want = np.mean(acc, axis=0)
             np.testing.assert_allclose(got[k - 1], want[0], atol=1e-12)
@@ -229,7 +229,7 @@ def per_set_prototypes(lam, theta, task1, task2, pairing, n, rng):
         for rows in sets:
             m2 = (rng.random((n, lam.hidden)) < keep).astype(np.float64)
             m3 = (rng.random((1, lam.hidden)) < keep).astype(np.float64)
-            z = sf.full_forward(lam, [r.reshape(1, -1) for r in rows], (m2, m3))
+            z = sf.full_forward(lam, np.vstack(rows), (m2, m3))
             lifted.append(pn.encode_upper(theta, z).data)
         protos.append(np.mean(lifted, axis=0))
     return np.vstack(protos)

@@ -29,7 +29,7 @@ class TestSimpleForm:
             p = random_simple(d, rng)
             h = rng.standard_normal((1, d))
             M, b = sf.effective_affine(p)
-            got = sf.simple_forward(p, [h]).data
+            got = sf.simple_forward(p, h).data
             assert np.max(np.abs(got - (h @ M + b))) <= 1e-12
 
     def test_pair_uniform_attention_with_zero_qk(self, rng):
@@ -39,7 +39,7 @@ class TestSimpleForm:
         alpha, p1, p1t, p2 = sf.alpha_pair(p, h, hp)
         assert (alpha, p1, p1t, p2) == (0.5, 0.5, 0.5, 0.5)
         M, b = sf.effective_affine(p)
-        got = sf.simple_forward(p, [h, hp]).data
+        got = sf.simple_forward(p, np.vstack([h, hp])).data
         np.testing.assert_allclose(got, (h + hp) / 2 @ M + b, atol=1e-12)
 
     def test_pair_closed_form_100_draws(self, rng):
@@ -51,7 +51,7 @@ class TestSimpleForm:
             alpha, *_ = sf.alpha_pair(p, h, hp)
             M, b = sf.effective_affine(p)
             want = (h + alpha * (hp - h)) @ M + b
-            got = sf.simple_forward(p, [h, hp]).data
+            got = sf.simple_forward(p, np.vstack([h, hp])).data
             assert np.max(np.abs(got - want)) <= 1e-9
 
     def test_alpha_identical_elements(self, rng):
@@ -82,23 +82,23 @@ class TestSimpleForm:
         rng = np.random.default_rng(seed)
         d = 4
         p = random_simple(d, rng)
-        elems = [rng.standard_normal((1, d)) for _ in range(n)]
+        elems = rng.standard_normal((n, d))
         perm = rng.permutation(n)
         a = sf.simple_forward(p, elems).data
-        b = sf.simple_forward(p, [elems[i] for i in perm]).data
+        b = sf.simple_forward(p, elems[perm]).data
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_empty_set_rejected(self, rng):
         p = random_simple(3, rng)
         with pytest.raises(sf.CardinalityError):
-            sf.simple_forward(p, [])
+            sf.simple_forward(p, np.zeros((0, 3)))
 
     def test_singleton_batch_matches_per_element(self, rng):
         d = 5
         p = random_simple(d, rng)
         H = rng.standard_normal((7, d))
         batch = sf.singleton_batch(p, H).data
-        per = np.vstack([sf.simple_forward(p, [H[i : i + 1]]).data for i in range(7)])
+        per = np.vstack([sf.simple_forward(p, H[i : i + 1]).data for i in range(7)])
         # same arithmetic, but BLAS vectorizes the batch differently
         np.testing.assert_allclose(batch, per, atol=1e-12)
 
@@ -109,14 +109,14 @@ class TestFullSetTransformer:
 
     def test_permutation_invariance(self, rng):
         p = self.params(rng)
-        elems = [rng.standard_normal((1, 6)) for _ in range(2)]
+        elems = rng.standard_normal((2, 6))
         a = sf.full_forward(p, elems).data
         b = sf.full_forward(p, elems[::-1]).data
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_eval_mode_deterministic(self, rng):
         p = self.params(rng)
-        elems = [rng.standard_normal((1, 6)) for _ in range(3)]
+        elems = rng.standard_normal((3, 6))
         a = sf.full_forward(p, elems).data
         b = sf.full_forward(p, elems).data
         np.testing.assert_array_equal(a, b)
@@ -124,7 +124,7 @@ class TestFullSetTransformer:
     def test_mask_draws_give_distinct_outputs(self, rng):
         # 20 independent mask draws: at least 19 distinct outputs
         p = self.params(rng)
-        elems = [rng.standard_normal((1, 6)) for _ in range(2)]
+        elems = rng.standard_normal((2, 6))
         outs = set()
         for t in range(20):
             masks = sf.make_full_masks(p, 2, np.random.default_rng([3, t]))
@@ -133,21 +133,21 @@ class TestFullSetTransformer:
 
     def test_mask_shape_mismatch_rejected(self, rng):
         p = self.params(rng)
-        elems = [rng.standard_normal((1, 6)) for _ in range(2)]
+        elems = rng.standard_normal((2, 6))
         bad = (np.ones((1, p.hidden)), np.ones((1, p.hidden)))
         with pytest.raises(ad.ShapeError):
             sf.full_forward(p, elems, bad)
 
     def test_output_width_matches_input(self, rng):
         p = self.params(rng)
-        out = sf.full_forward(p, [rng.standard_normal((1, 6))])
+        out = sf.full_forward(p, rng.standard_normal((1, 6)))
         assert out.shape == (1, 6)
 
     def test_singleton_batch_matches_per_element(self, rng):
         p = self.params(rng)
         H = rng.standard_normal((4, 6))
         batch = sf.singleton_batch(p, H).data
-        per = np.vstack([sf.full_forward(p, [H[i : i + 1]]).data for i in range(4)])
+        per = np.vstack([sf.full_forward(p, H[i : i + 1]).data for i in range(4)])
         np.testing.assert_allclose(batch, per, atol=1e-12)
 
     def test_singleton_batch_with_masks(self, rng):
@@ -157,7 +157,7 @@ class TestFullSetTransformer:
         batch = sf.singleton_batch(p, H, (m2, m3)).data
         per = np.vstack(
             [
-                sf.full_forward(p, [H[i : i + 1]], (m2[i : i + 1], m3[i : i + 1])).data
+                sf.full_forward(p, H[i : i + 1], (m2[i : i + 1], m3[i : i + 1])).data
                 for i in range(4)
             ]
         )
@@ -174,26 +174,26 @@ class TestDeepSets:
     def test_identity_stacks_mean_pool(self, rng):
         p = sf.DeepSetsParams(pre=[], post=[])
         a, b = rng.standard_normal((1, 5)), rng.standard_normal((1, 5))
-        out = sf.deepsets_forward(p, [a, b]).data
+        out = sf.deepsets_forward(p, np.vstack([a, b])).data
         np.testing.assert_array_equal(out, (a + b) / 2)
 
     def test_permutation_invariance(self, rng):
         p = sf.init_deepsets(5, (7,), rng)
-        elems = [rng.standard_normal((1, 5)) for _ in range(4)]
+        elems = rng.standard_normal((4, 5))
         a = sf.deepsets_forward(p, elems).data
-        b = sf.deepsets_forward(p, [elems[i] for i in (2, 0, 3, 1)]).data
+        b = sf.deepsets_forward(p, elems[[2, 0, 3, 1]]).data
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_duplicate_equals_singleton(self, rng):
         p = sf.init_deepsets(5, (7,), rng)
         h = rng.standard_normal((1, 5))
-        a = sf.deepsets_forward(p, [h, h]).data
-        b = sf.deepsets_forward(p, [h]).data
+        a = sf.deepsets_forward(p, np.vstack([h, h])).data
+        b = sf.deepsets_forward(p, h).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_empty_set_rejected(self):
         with pytest.raises(sf.CardinalityError):
-            sf.deepsets_forward(sf.DeepSetsParams([], []), [])
+            sf.deepsets_forward(sf.DeepSetsParams([], []), np.zeros((0, 5)))
 
 
 class TestKinds:
@@ -230,10 +230,17 @@ class TestKinds:
 class TestDispatch:
     def test_identity_singleton_only(self, rng):
         h = rng.standard_normal((1, 3))
-        out = sf.set_forward(sf.IdentitySet(), [h])
+        out = sf.set_forward(sf.IdentitySet(), h)
         np.testing.assert_array_equal(out.data, h)
         with pytest.raises(sf.CardinalityError):
-            sf.set_forward(sf.IdentitySet(), [h, h])
+            sf.set_forward(sf.IdentitySet(), np.vstack([h, h]))
+
+    @pytest.mark.parametrize("kind", list(sf.KINDS))
+    @pytest.mark.parametrize("set_size", [None, 1, 2])
+    def test_no_rows_rejected_at_every_set_size(self, kind, set_size):
+        lam = sf.build(kind, 4, np.random.default_rng(0), hidden=8)
+        with pytest.raises(sf.CardinalityError):
+            sf.set_forward(lam, np.zeros((0, 4)), set_size=set_size)
 
     def test_gradients_flow_through_simple(self, rng):
         from conftest import fd_grad, rel_err
@@ -244,11 +251,11 @@ class TestDispatch:
 
         def loss_given(w1q):
             q = sf.SimpleSetParams(**{**p.__dict__, "w1q": w1q})
-            return ad.sum_all(sf.simple_forward(q, [h, hp])).item()
+            return ad.sum_all(sf.simple_forward(q, np.vstack([h, hp]))).item()
 
         tape = ad.Tape()
         live = sf.SimpleSetParams(**{**p.__dict__, "w1q": tape.param(p.w1q)})
-        out = ad.sum_all(sf.simple_forward(live, [h, hp]))
+        out = ad.sum_all(sf.simple_forward(live, np.vstack([h, hp])))
         (g,) = ad.grad(out, [live.w1q])
         want = fd_grad(loss_given, p.w1q)
         assert rel_err(g.data, want) <= 1e-5
