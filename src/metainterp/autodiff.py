@@ -65,7 +65,10 @@ set-function weights' in a backward for the encoder only, a dropout
 mask's, a one-hot target's) are never built. The plan of such a sweep
 (which nodes, with which marks) depends only on the outputs and inputs,
 so the tape keeps it: the Neumann series' q sweeps over one gradient
-graph, each with new cotangents, plan once.
+graph, each with new cotangents, plan once. A sweep drops each node's
+cotangent once its VJP has run, keeping only the requested inputs', so
+a sweep without a graph holds a few cotangents at a time, not one per
+swept node.
 """
 
 from __future__ import annotations
@@ -836,7 +839,9 @@ def grad(
     depend on which other inputs are asked for, and asking for fewer
     builds less. The tape keeps the sweep plan, so a later call with the
     same outputs and inputs (the Neumann series' HVPs, each with new
-    grad_outputs) reuses it.
+    grad_outputs) reuses it. Each node's cotangent is dropped once its
+    VJP has run; an input's is kept for the result, even when the input
+    is an intermediate node the sweep passes through to a leaf below.
     """
     outs = [outputs] if isinstance(outputs, DiffValue) else list(outputs)
     ins = list(inputs)
@@ -880,11 +885,12 @@ def grad(
         prev = adjoint.get(o._idx)
         adjoint[o._idx] = s if prev is None else ops.add(prev, s)
 
+    keep = {i._idx for i in ins}  # cotangents the result needs; the rest go once used
     for idx, need in plan:
-        g = adjoint.get(idx)
+        g = adjoint.get(idx) if idx in keep else adjoint.pop(idx, None)
         if g is None:
             continue
-        node = nodes[idx]
+        node = nodes.pop(idx)
         if create_graph:
             parent_grads = node._vjp(ops, g, need, node, *node._parents)
         else:

@@ -225,6 +225,22 @@ def neumann_hypergrad(dltr_dtheta, theta_leaves, lam_leaves,
     return [gl - g2.data for gl, g2 in zip(dlv_dlam, v2)]
 
 
+def _validation_grads(theta, lam_live, val_tasks, bprime: int, rng: np.random.Generator,
+                      tape: Tape, metric: str) -> tuple:
+    """dL_V/dθ and dL_V/dλ as two lists of arrays. The validation loss
+    is one eval-mode batch of B' tasks drawn from val_tasks; its graph
+    goes when this returns."""
+    theta_val = _params.bind(theta, tape)
+    batch = pn.Batch(lam_live, theta_val, "eval")
+    for _ in range(bprime):
+        batch.add_singleton(val_tasks[int(rng.integers(len(val_tasks)))], 1.0 / bprime)
+    lv = batch.forward(metric).loss()
+    theta_val_leaves = _params.leaves(theta_val)
+    gv = ad.grad(lv, theta_val_leaves + _params.leaves(lam_live))
+    nt = len(theta_val_leaves)
+    return [g.data for g in gv[:nt]], [g.data for g in gv[nt:]]
+
+
 def hypergrad(theta, lam_live, theta_leaves, dltr_dtheta, val_tasks,
               alpha: float, bprime: int, q: int, rng: np.random.Generator,
               tape: Tape, metric: str = "sqeuclidean"):
@@ -234,23 +250,14 @@ def hypergrad(theta, lam_live, theta_leaves, dltr_dtheta, val_tasks,
     second-order terms reuse the retained training-loss graph through
     theta_leaves / dltr_dtheta. The validation loss is evaluated in eval
     mode, so it is deterministic given the sampled tasks, and as one
-    batch of the B' drawn tasks.
+    batch of the B' drawn tasks. Its graph is freed before the Neumann
+    series runs, which keeps only the gradient arrays.
     """
     if not val_tasks:
         raise ValueError("no validation tasks")
-    theta_val = _params.bind(theta, tape)
-    batch = pn.Batch(lam_live, theta_val, "eval")
-    for _ in range(bprime):
-        batch.add_singleton(val_tasks[int(rng.integers(len(val_tasks)))], 1.0 / bprime)
-    lv = batch.forward(metric).loss()
-
-    theta_val_leaves = _params.leaves(theta_val)
-    lam_leaves = _params.leaves(lam_live)
-    gv = ad.grad(lv, theta_val_leaves + lam_leaves)
-    nt = len(theta_val_leaves)
-    dlv_dtheta = [g.data for g in gv[:nt]]
-    dlv_dlam = [g.data for g in gv[nt:]]
-    return neumann_hypergrad(dltr_dtheta, theta_leaves, lam_leaves,
+    dlv_dtheta, dlv_dlam = _validation_grads(theta, lam_live, val_tasks, bprime, rng,
+                                             tape, metric)
+    return neumann_hypergrad(dltr_dtheta, theta_leaves, _params.leaves(lam_live),
                              dlv_dtheta, dlv_dlam, alpha, q)
 
 
@@ -303,15 +310,17 @@ def check_query_classes(dataset: ep.TaskDataset, cfg: TrainConfig, method: str) 
     """ValueError unless every meta-train task has a query of every class,
     when the method draws query partners by class (its `mlti` term, or its
     `mix` term under a query strategy), rather than failing at the first
-    step whose pairing needs a missing class."""
+    step whose pairing needs a missing class. The error names the task by
+    its id in the task file."""
     terms, strategy = METHODS[method][0], cfg.interp.strategy
     if "mlti" not in terms and not ("mix" in terms and strategy in ("query", "support_and_query")):
         return
     who = f"method {method}" if "mlti" in terms else f"strategy {strategy}"
-    for i, task in enumerate(dataset.meta_train):
+    ids = dataset.meta_train_ids or range(len(dataset.meta_train))
+    for tid, task in zip(ids, dataset.meta_train):
         empty = np.flatnonzero(task.query_by_class[2] == 0)
         if empty.size:
-            raise ValueError(f"meta-train task {i} has no queries of class {empty[0] + 1}, "
+            raise ValueError(f"meta-train task {tid} has no queries of class {empty[0] + 1}, "
                              f"which {who} needs")
 
 

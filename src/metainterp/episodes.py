@@ -9,14 +9,14 @@ transforms (rotation / scale / offset) of a Gaussian cluster layout, which
 gives a controllable "few distinct tasks" axis without any real dataset.
 The reader parses a task file in one pass: every line's key fields one by
 one, all feature text in one float conversion, then each task's rows by
-index.
+index. A fault found in a task names the file's split and task id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -114,6 +114,9 @@ class TaskDataset:
     meta_val: list
     meta_test: list
     dim: int
+    # the task file's id of each meta-train task; None numbers them by
+    # position, as generated datasets and the files gen-tasks writes do
+    meta_train_ids: Optional[tuple] = None
 
     def __post_init__(self):
         for t in (*self.meta_train, *self.meta_val, *self.meta_test):
@@ -324,9 +327,18 @@ def load_tasks(path) -> TaskDataset:
     blocks.append(_features(pending, dim))
 
     x, y = np.concatenate(blocks), np.array(labels, dtype=np.int64)
-    splits = [[Task(x[s], y[s], x[q], y[q], way)
-               for s, q in (rows[key] for key in sorted(k for k in rows if k[0] == split))]
-              for split in _SPLITS]
+    keys = [sorted(k for k in rows if k[0] == split) for split in _SPLITS]
+    splits = [[_task(x, y, rows[k], way, k) for k in split_keys] for split_keys in keys]
     if not splits[0]:
         raise ParseError("no tasks", len(lines))
-    return TaskDataset(*splits, dim=dim)
+    return TaskDataset(*splits, dim=dim, meta_train_ids=tuple(tid for _, tid in keys[0]))
+
+
+def _task(x, y, rows, way: int, key) -> Task:
+    """The task of a file's (split, task id) key from its support and
+    query row numbers; a fault is reported with the key."""
+    s, q = rows
+    try:
+        return Task(x[s], y[s], x[q], y[q], way)
+    except TaskError as e:
+        raise TaskError("%s task %d: %s" % (*key, e)) from None

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,23 @@ def analytic_grad(build, x0):
     out = build(x)
     (g,) = ad.grad(out, [x])
     return g.data
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of tracemalloc's traced bytes while it
+    ran, above the bytes traced when it started. Tracing starts and stops
+    here unless it is already on; the traced peak is reset either way."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def fused_prototypes(lam, theta, task1, task2, pairing, cfg, mode="eval", rng=None):

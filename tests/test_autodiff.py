@@ -7,7 +7,7 @@ import pytest
 from metainterp import autodiff as ad
 from metainterp.autodiff import DiffValue, Tape
 
-from conftest import analytic_grad, fd_grad, rel_err
+from conftest import analytic_grad, fd_grad, rel_err, traced_peak
 
 
 class TestForwardValues:
@@ -643,6 +643,40 @@ class TestPrunedSweep:
         gx, gy = ad.grad(loss, [x, y])
         np.testing.assert_allclose(gy.data, 2.0 * y.data, rtol=1e-15)
         np.testing.assert_allclose(gx.data, 2.0 * y.data * y.data, rtol=1e-15)
+
+
+class TestSweepMemory:
+    SHAPE = (256, 256)  # 512 KiB a cotangent
+
+    def _chain(self, n):
+        tape = Tape()
+        x = tape.param(np.random.default_rng(0).standard_normal(self.SHAPE))
+        y = x
+        for _ in range(n):
+            y = ad.scale(y, 0.5)
+        return x, ad.sum_all(y)
+
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_raw_sweep_drops_each_cotangent_once_used(self, n):
+        # a sweep down a chain holds a few arrays at a time, not one per
+        # node: each node's cotangent goes once its VJP has run
+        x, loss = self._chain(n)
+        (g,), peak = traced_peak(lambda: ad.grad(loss, [x]))
+        assert np.array_equal(g.data, np.full(self.SHAPE, 0.5 ** n))
+        assert peak <= 4 * x.data.nbytes
+
+    def test_requested_nodes_keep_their_cotangents(self):
+        # an output and an intermediate node asked for beside their leaf
+        # keep their cotangents, and the sweep still passes through them
+        tape = Tape()
+        x = tape.param(np.random.default_rng(1).standard_normal((3, 4)))
+        mid = ad.scale(ad.exp(x), 2.0)
+        loss = ad.sum_all(ad.mul(mid, mid))
+        for create_graph in (False, True):
+            gx, gmid, gloss = ad.grad(loss, [x, mid, loss], create_graph=create_graph)
+            assert gloss.data.tobytes() == np.ones((1, 1)).tobytes()
+            assert gmid.data.tobytes() == (2.0 * mid.data).tobytes()
+            assert gx.data.tobytes() == ad.grad(loss, [x])[0].data.tobytes()
 
 
 class TestDeterminism:

@@ -426,6 +426,31 @@ class TestTrain:
                        "which method mlti needs"]
         assert not (tmp / "run" / "metrics.csv").exists()
 
+    def test_query_class_error_names_the_files_task_id(self, workspace, capsys):
+        # the file numbers its meta-train tasks 1, 3, 5, 7 and 9, and the
+        # task of id 3 (the second) has no query of class 2
+        tmp, cfg, _ = workspace
+        tasks = tmp / "odd_ids.txt"
+        assert cli.main(["gen-tasks", "--config", str(cfg), "--out", str(tasks),
+                         "--seed", "7", "--set", "train_tasks=5"]) == 0
+        lines = tasks.read_text().splitlines()
+        kept = lines[:2]
+        for line in lines[2:]:
+            tid, split, label, role, feats = line.split(",", 4)
+            if split == "train":
+                tid = str(2 * int(tid) + 1)
+                if (tid, label, role) == ("3", "2", "query"):
+                    continue
+            kept.append(",".join([tid, split, label, role, feats]))
+        tasks.write_text("\n".join(kept) + "\n")
+        assert ep.load_tasks(tasks).meta_train_ids == (1, 3, 5, 7, 9)
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
+                       "--out-dir", str(tmp / "run"), "--seed", "1", "--method", "mlti"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: meta-train task 3 has no queries of class 2, which method mlti needs"]
+
     @pytest.mark.parametrize("method,strategy,rc", [
         ("meta-interp", "query", 1), ("meta-interp", "support_and_query", 1),
         ("meta-interp", "support", 0), ("protonet", "query", 0)])

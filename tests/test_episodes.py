@@ -225,12 +225,12 @@ MALFORMED = [
     ("bad_float", {6: put(5, "1.2.3")}, ep.ParseError,
      "line 7: could not convert string to float: '1.2.3'"),
     ("nan_feature", {6: put(5, "nan")}, ep.TaskError, "non-finite feature"),
-    ("label_zero", {10: put(2, "0")}, ep.TaskError, "label 0 outside 1..3"),
-    ("label_way_plus_one", {10: put(2, "4")}, ep.TaskError, "label 4 outside 1..3"),
+    ("label_zero", {10: put(2, "0")}, ep.TaskError, "train task 0: label 0 outside 1..3"),
+    ("label_way_plus_one", {10: put(2, "4")}, ep.TaskError, "train task 0: label 4 outside 1..3"),
     ("unknown_split", {12: put(1, "warmup")}, ep.ParseError, "line 13: unknown split 'warmup'"),
     ("unknown_role", {12: put(3, "anchor")}, ep.ParseError, "line 13: unknown role 'anchor'"),
     ("class_without_support", {4: None, 5: None}, ep.TaskError,
-     "class 2 has no support examples"),
+     "train task 0: class 2 has no support examples"),
     # the first fault in file order wins, and on one line a bad number
     # comes before a bad split, a non-finite one after it
     ("inf_before_bad_split", {6: put(5, "inf"), 12: put(1, "warmup")}, ep.TaskError,
@@ -247,12 +247,12 @@ MALFORMED = [
     # test task 1 at 107, every test task (at 92, 107, 122); eval used to
     # print a NaN accuracy or a traceback, train a NaN validation accuracy
     ("val_task_without_queries", dict.fromkeys(range(68, 77)), ep.TaskError,
-     "task has no query rows"),
+     "val task 0: task has no query rows"),
     ("test_task_without_queries", dict.fromkeys(range(113, 122)), ep.TaskError,
-     "task has no query rows"),
+     "test task 1: task has no query rows"),
     ("no_test_task_with_queries", dict.fromkeys(i for s in (92, 107, 122)
                                                 for i in range(s + 6, s + 15)),
-     ep.TaskError, "task has no query rows"),
+     ep.TaskError, "test task 0: task has no query rows"),
 ]
 
 
