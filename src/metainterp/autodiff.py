@@ -22,9 +22,12 @@ equal bit for bit.
 Elementwise ops (`add`, `sub`, `mul`, `div`) take operands of one shape.
 The only broadcast inside an op is the (1, n) row that the fused `affine`
 and `scale_shift` apply to every row; every other shape change is an
-explicit op. The broadcasts `tile_rows`, `tile_cols` and `fill_like` are
-primitives (`np.repeat` forward, a row, column or full sum backward), not
-matmuls with a ones matrix.
+explicit op. The broadcasts are one adjoint pair: `broadcast_to` repeats
+a (1, n) row, an (m, 1) column or a (1, 1) scalar to (m, n), `sum_to`
+sums an (m, n) matrix back to such a shape, and each is the other's VJP.
+So the gradient of any broadcast operand b, the bias and gain of
+`affine` and `scale_shift` included, is `sum_to(g, b.shape)`, and
+`sum_all` is `sum_to(x, (1, 1))`.
 
 Rows are picked and pooled by index, never by a product with a
 selection matrix: `take_rows` gathers rows (an index of -1 gives a zero
@@ -62,10 +65,7 @@ and a tape is freed by reference counting as soon as its last value goes.
 outputs. need holds one flag per parent, and a VJP returns None for a
 parent that is constant or unmarked, so gradients nobody asked for (the
 set-function weights' in a backward for the encoder only, a dropout
-mask's, a one-hot target's) are never built. The plan of such a sweep
-(which nodes, with which marks) depends only on the outputs and inputs,
-so the tape keeps it: the Neumann series' q sweeps over one gradient
-graph, each with new cotangents, plan once. A sweep drops each node's
+mask's, a one-hot target's) are never built. A sweep drops each node's
 cotangent once its VJP has run, keeping only the requested inputs', so
 a sweep without a graph holds a few cotangents at a time, not one per
 swept node.
@@ -113,13 +113,11 @@ class Tape:
     Node order (the creation index) is a topological order of the graph,
     which backward replays in reverse. `op_count` is a deterministic work
     meter: it counts recorded primitives; a sweep without a graph records
-    none. `grad` keeps each sweep plan it makes here, as node numbers and
-    marks only, so the plans hold no value alive.
+    none.
     """
 
     def __init__(self):
         self.op_count = 0
-        self._plans = {}  # (output nodes, input nodes) -> grad's sweep plan
 
     def _index(self) -> int:
         self.op_count += 1
@@ -266,28 +264,18 @@ class raw:
         return a ** p
 
     @staticmethod
-    def sum_all(a):
-        return a.sum().reshape(1, 1)
+    def broadcast_to(x, shape):
+        out = np.empty(shape)
+        out[...] = x
+        return out
 
     @staticmethod
-    def row_sum(a):
-        return a.sum(axis=1, keepdims=True)
-
-    @staticmethod
-    def col_sum(a):
-        return a.sum(axis=0, keepdims=True)
-
-    @staticmethod
-    def tile_rows(row, m):
-        return np.repeat(row, m, axis=0)
-
-    @staticmethod
-    def tile_cols(col, n):
-        return np.repeat(col, n, axis=1)
-
-    @staticmethod
-    def fill_like(scalar, shape):
-        return np.full(shape, scalar[0, 0])
+    def sum_to(x, shape):
+        if x.shape == shape:
+            return x
+        if shape == (1, 1):
+            return x.sum().reshape(1, 1)
+        return x.sum(axis=1 if shape[1] == 1 else 0, keepdims=True)
 
     @staticmethod
     def take_rows(x, index):
@@ -318,10 +306,6 @@ class raw:
     def scale_shift(y, gain, bias=None):
         out = y * gain
         return out if bias is None else out + bias
-
-    @staticmethod
-    def _row_total(g):
-        return g if g.shape[0] == 1 else g.sum(axis=0, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -492,67 +476,36 @@ def leaky_relu(a, slope: float = 0.01) -> DiffValue:
     return _make(out, (a,), vjp)
 
 
-def _sum_all_vjp(ops, g, need, y, a):
-    return (ops.fill_like(g, a.shape),)
+def _one_broadcast(small, big, op: str) -> None:
+    """small repeats to big: it is big, a row or column of it, or (1, 1)."""
+    if len(big) != 2 or min(big) < 0 or small not in (big, (1, big[1]), (big[0], 1), (1, 1)):
+        raise ShapeError(f"{op}: {small} and {big} are not one broadcast apart")
 
 
-def sum_all(a) -> DiffValue:
-    a = _lift(a)
-    return _make(raw.sum_all(a.data), (a,), _sum_all_vjp)
+def _broadcast_to_vjp(ops, g, need, y, x):
+    return (ops.sum_to(g, x.shape),)
 
 
-def _row_sum_vjp(ops, g, need, y, a):
-    return (ops.tile_cols(g, a.shape[1]),)
+def broadcast_to(x, shape) -> DiffValue:
+    """x repeated to shape (m, n): a (1, n) row down the rows, an (m, 1)
+    column across the columns, a (1, 1) scalar everywhere."""
+    x, shape = _lift(x), tuple(shape)
+    _one_broadcast(x.shape, shape, "broadcast_to")
+    return _make(raw.broadcast_to(x.data, shape), (x,), _broadcast_to_vjp)
 
 
-def row_sum(a) -> DiffValue:
-    a = _lift(a)
-    return _make(raw.row_sum(a.data), (a,), _row_sum_vjp)
+def _sum_to_vjp(ops, g, need, y, x):
+    return (ops.broadcast_to(g, x.shape),)
 
 
-def _col_sum_vjp(ops, g, need, y, a):
-    return (ops.tile_rows(g, a.shape[0]),)
-
-
-def col_sum(a) -> DiffValue:
-    a = _lift(a)
-    return _make(raw.col_sum(a.data), (a,), _col_sum_vjp)
-
-
-def _tile_rows_vjp(ops, g, need, y, row):
-    return (ops.col_sum(g),)
-
-
-def tile_rows(row, m: int) -> DiffValue:
-    """(1,n) -> (m,n) by repetition."""
-    row = _lift(row)
-    if row.shape[0] != 1:
-        raise ShapeError(f"tile_rows expects a row vector, got {row.shape}")
-    return _make(raw.tile_rows(row.data, m), (row,), _tile_rows_vjp)
-
-
-def _tile_cols_vjp(ops, g, need, y, col):
-    return (ops.row_sum(g),)
-
-
-def tile_cols(col, n: int) -> DiffValue:
-    """(m,1) -> (m,n) by repetition."""
-    col = _lift(col)
-    if col.shape[1] != 1:
-        raise ShapeError(f"tile_cols expects a column vector, got {col.shape}")
-    return _make(raw.tile_cols(col.data, n), (col,), _tile_cols_vjp)
-
-
-def _fill_like_vjp(ops, g, need, y, scalar):
-    return (ops.sum_all(g),)
-
-
-def fill_like(scalar, shape) -> DiffValue:
-    """(1,1) -> arbitrary (m,n) by repetition."""
-    scalar = _lift(scalar)
-    if scalar.shape != (1, 1):
-        raise ShapeError(f"fill_like expects 1x1, got {scalar.shape}")
-    return _make(raw.fill_like(scalar.data, shape), (scalar,), _fill_like_vjp)
+def sum_to(x, shape) -> DiffValue:
+    """x summed over each side where shape is 1: to (m, 1), (1, n) or
+    (1, 1); x itself, with no node, when it has that shape already."""
+    x, shape = _lift(x), tuple(shape)
+    _one_broadcast(shape, x.shape, "sum_to")
+    if x.shape == shape:
+        return x
+    return _make(raw.sum_to(x.data, shape), (x,), _sum_to_vjp)
 
 
 def _concat_rows_vjp(ops, g, need, y, a, b):
@@ -628,7 +581,8 @@ def scatter_rows(x, index, m: int) -> DiffValue:
 
 
 def _softmax_rows_vjp(ops, g, need, s, a):
-    return (ops.mul(s, ops.sub(g, ops.tile_cols(ops.row_sum(ops.mul(g, s)), a.shape[1]))),)
+    total = ops.sum_to(ops.mul(g, s), (a.shape[0], 1))
+    return (ops.mul(s, ops.sub(g, ops.broadcast_to(total, a.shape))),)
 
 
 def softmax_rows(a) -> DiffValue:
@@ -643,7 +597,8 @@ def softmax_rows(a) -> DiffValue:
 
 
 def _log_softmax_rows_vjp(ops, g, need, logp, a):
-    return (ops.sub(g, ops.mul(ops.exp(logp), ops.tile_cols(ops.row_sum(g), a.shape[1]))),)
+    total = ops.sum_to(g, (a.shape[0], 1))
+    return (ops.sub(g, ops.mul(ops.exp(logp), ops.broadcast_to(total, a.shape))),)
 
 
 def log_softmax_rows(a) -> DiffValue:
@@ -661,11 +616,11 @@ def normalize_rows(x, eps: float = 1e-12) -> DiffValue:
 
     def vjp(ops, g, need, y, x):
         # inv * (g - mean(g) - y * mean(g * y)), row by row
-        n = x.shape[1]
-        mean_g = ops.tile_cols(ops.scale(ops.row_sum(g), 1.0 / n), n)
-        mean_gy = ops.tile_cols(ops.scale(ops.row_sum(ops.mul(g, y)), 1.0 / n), n)
+        m, n = x.shape
+        mean_g = ops.broadcast_to(ops.scale(ops.sum_to(g, (m, 1)), 1.0 / n), (m, n))
+        mean_gy = ops.broadcast_to(ops.scale(ops.sum_to(ops.mul(g, y), (m, 1)), 1.0 / n), (m, n))
         inner = ops.sub(ops.sub(g, mean_g), ops.mul(y, mean_gy))
-        return (ops.mul(ops.tile_cols(ops._inv_std_rows(x, eps, inv), n), inner),)
+        return (ops.mul(ops.broadcast_to(ops._inv_std_rows(x, eps, inv), (m, n)), inner),)
 
     return _make(xc * inv, (x,), vjp)
 
@@ -677,9 +632,8 @@ def _inv_std_rows(x, eps: float, inv: np.ndarray) -> DiffValue:
 
     def vjp(ops, g, need, r, x):
         # d r / dx = -r^2 / n * normalize_rows(x)
-        n = x.shape[1]
-        coef = ops.scale(ops.mul(g, ops.mul(r, r)), -1.0 / n)
-        return (ops.mul(ops.normalize_rows(x, eps), ops.tile_cols(coef, n)),)
+        coef = ops.scale(ops.mul(g, ops.mul(r, r)), -1.0 / x.shape[1])
+        return (ops.mul(ops.normalize_rows(x, eps), ops.broadcast_to(coef, x.shape)),)
 
     return _make(raw._inv_std_rows(x.data, eps, inv), (x,), vjp)
 
@@ -698,14 +652,14 @@ def block_sq_dists(a, b, h: int) -> DiffValue:
 
     def vjp(ops, g, need, y, a, b):
         # per block: 2 (rowsum(g) a - g b) and 2 (colsum(g)^T b - g^T a)
-        d = a.shape[1]
         ga = gb = None
         if need[0]:
-            ga = ops.scale(ops.sub(ops.mul(ops.tile_cols(ops.row_sum(g), d), a),
+            row = ops.sum_to(g, (g.shape[0], 1))
+            ga = ops.scale(ops.sub(ops.mul(ops.broadcast_to(row, a.shape), a),
                                    ops.matmul(g, b, h)), 2.0)
         if need[1]:
             col = ops.matmul_tn(g, np.ones((g.shape[0], 1)), h)  # blocks' colsum(g)^T
-            gb = ops.scale(ops.sub(ops.mul(ops.tile_cols(col, d), b),
+            gb = ops.scale(ops.sub(ops.mul(ops.broadcast_to(col, b.shape), b),
                                    ops.matmul_tn(g, a, h)), 2.0)
         return ga, gb
 
@@ -715,7 +669,7 @@ def block_sq_dists(a, b, h: int) -> DiffValue:
 def _affine_vjp(ops, g, need, y, x, w, b):
     return (ops.matmul_nt(g, w) if need[0] else None,
             ops.matmul_tn(x, g) if need[1] else None,
-            ops._row_total(g) if need[2] else None)
+            ops.sum_to(g, b.shape) if need[2] else None)
 
 
 def affine(x, w, b) -> DiffValue:
@@ -730,10 +684,10 @@ def affine(x, w, b) -> DiffValue:
 
 def _scale_shift_vjp(ops, g, need, out, y, gain, bias=None):
     gy = ops.scale_shift(g, gain) if need[0] else None
-    g_gain = ops._row_total(ops.mul(g, y)) if need[1] else None
+    g_gain = ops.sum_to(ops.mul(g, y), gain.shape) if need[1] else None
     if bias is None:
         return gy, g_gain
-    return gy, g_gain, ops._row_total(g) if need[2] else None
+    return gy, g_gain, ops.sum_to(g, bias.shape) if need[2] else None
 
 
 def scale_shift(y, gain, bias=None) -> DiffValue:
@@ -752,13 +706,13 @@ def scale_shift(y, gain, bias=None) -> DiffValue:
                  _scale_shift_vjp)
 
 
-def _row_total(g) -> DiffValue:
-    """The gradient of a (1, n) row broadcast over the rows of g."""
-    return g if g.shape[0] == 1 else col_sum(g)
-
-
 # ---------------------------------------------------------------------------
 # composite (differentiable through the primitives above)
+
+
+def sum_all(a) -> DiffValue:
+    """The sum of a's entries, as a (1, 1) matrix."""
+    return sum_to(a, (1, 1))
 
 
 def dropout(x, rate: float, mask) -> DiffValue:
@@ -837,11 +791,9 @@ def grad(
     do not influence the outputs get zero gradients. Only the nodes
     between the inputs and the outputs are swept, so the result does not
     depend on which other inputs are asked for, and asking for fewer
-    builds less. The tape keeps the sweep plan, so a later call with the
-    same outputs and inputs (the Neumann series' HVPs, each with new
-    grad_outputs) reuses it. Each node's cotangent is dropped once its
-    VJP has run; an input's is kept for the result, even when the input
-    is an intermediate node the sweep passes through to a leaf below.
+    builds less. Each node's cotangent is dropped once its VJP has run;
+    an input's is kept for the result, even when the input is an
+    intermediate node the sweep passes through to a leaf below.
     """
     outs = [outputs] if isinstance(outputs, DiffValue) else list(outputs)
     ins = list(inputs)
@@ -870,11 +822,6 @@ def grad(
             raise GraphError("input not on the tape of the differentiated output")
 
     on_tape = [o for o in outs if o.tape is tape]
-    key = (tuple([o._idx for o in on_tape]), tuple([i._idx for i in ins]))
-    plan = tape._plans.get(key)
-    if plan is None:
-        plan = tape._plans[key] = _sweep_plan(on_tape, ins)
-
     ops = _graph_ops if create_graph else raw
     adjoint: dict = {}  # node number -> cotangent, in the backend of ops
     nodes = {o._idx: o for o in on_tape}  # the swept nodes, met on the way down
@@ -886,7 +833,7 @@ def grad(
         adjoint[o._idx] = s if prev is None else ops.add(prev, s)
 
     keep = {i._idx for i in ins}  # cotangents the result needs; the rest go once used
-    for idx, need in plan:
+    for idx, need in _sweep_plan(on_tape, ins):
         g = adjoint.get(idx) if idx in keep else adjoint.pop(idx, None)
         if g is None:
             continue

@@ -96,6 +96,8 @@ class TrainConfig:
             raise ValueError(f"unknown set kind {self.set_kind!r}")
         if self.set_kind == "full" and self.set_hidden is not None:
             setfunc.check_hidden(self.set_hidden)
+        if any(w < 1 for w in self.encoder_widths):
+            raise ValueError(f"encoder_widths {self.encoder_widths} has a width below 1")
         if not 0 <= self.interp.layer < len(self.encoder_widths):
             raise ValueError("interpolation layer outside encoder depth")
         if not 0 <= self.dropout_rate < 1:
@@ -205,8 +207,6 @@ def neumann_hypergrad(dltr_dtheta, theta_leaves, lam_leaves,
     same tape as theta_leaves / lam_leaves. dlv_dtheta and dlv_dlam are
     plain arrays. Returns arrays aligned with lam_leaves:
     dL_V/dlam - d2L_tr/(dlam dtheta) . alpha * sum_{j<=q} (I - alpha H)^j . dL_V/dtheta
-    The q θ sweeps ask `ad.grad` for the same outputs and inputs, so they
-    share one sweep plan, which the tape keeps; the λ sweep has its own.
     """
     v1 = [np.array(v, dtype=np.float64) for v in dlv_dtheta]
     p = [v.copy() for v in v1]

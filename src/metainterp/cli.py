@@ -63,9 +63,10 @@ def _metric_row(row) -> str:
 
 
 def _write_prototypes(path, theta, lam, dataset, method, seed) -> None:
-    """Raw prototype dump per (task, class, source); the embedding-space
-    record that replaces plots. One batch scores every meta-train task
-    and, for a method with a set function, each task fused with the next."""
+    """Raw prototype dump per (task, class, source), tasks named by the
+    file's id; the embedding-space record that replaces plots. One batch
+    scores every meta-train task and, for a method with a set function,
+    each task fused with the next."""
     rng = np.random.default_rng([seed, 0x9907])
     tasks = dataset.meta_train
     batch = pn.Batch(lam, theta)
@@ -79,8 +80,9 @@ def _write_prototypes(path, theta, lam, dataset, method, seed) -> None:
                         itp.pair_classes(task.way, rng), itp.InterpConfig(strategy="support"))
     protos = batch.forward().protos.data
     way, n = tasks[0].way, len(tasks)
+    ids = dataset.meta_train_ids or range(n)
     # row r is class r % way + 1 of episode r // way: the originals, then the fusions
-    lines = [f"{r // way % n},{r % way + 1},{sources[r // way // n]},"
+    lines = [f"{ids[r // way % n]},{r % way + 1},{sources[r // way // n]},"
              + ",".join(_fmt(v) for v in row) for r, row in enumerate(protos)]
     header = "task_id,class,source," + ",".join(f"f{i + 1}" for i in range(protos.shape[1]))
     Path(path).write_text(header + "\n" + "\n".join(lines) + "\n", encoding="utf-8")

@@ -150,6 +150,12 @@ class GenConfig:
         for name in ("way", "shots", "queries", "dim", "train_tasks", "val_tasks", "test_tasks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("angles", "scales", "offsets"):
+            values = getattr(self, name)
+            if not len(values) or not np.isfinite(values).all():
+                raise ValueError(f"{name} must list at least one value, all finite")
+        if not 0 <= self.spread < np.inf:  # NaN fails too
+            raise ValueError(f"spread {self.spread} is not a finite number >= 0")
 
 
 def _rotation(dim: int, angle: float) -> np.ndarray:

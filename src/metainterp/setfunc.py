@@ -140,7 +140,7 @@ def simple_forward(p: SimpleSetParams, x, set_size: Optional[int] = None) -> Dif
     h2 = ad.matmul(_weights(q1, k1, sets), v1, sets)
 
     # one seed query per set: 1-row blocks against the set's n-row blocks
-    q2 = ad.affine(ad.tile_rows(p.seed, sets), p.w2q, p.b2q)
+    q2 = ad.affine(ad.broadcast_to(p.seed, (sets, p.seed.shape[1])), p.w2q, p.b2q)
     k2 = ad.affine(h2, p.w2k, p.b2k)
     v2 = ad.affine(h2, p.w2v, p.b2v)
     return ad.matmul(_weights(q2, k2, sets), v2, sets)
@@ -342,7 +342,8 @@ def full_forward(p: FullSetTransformerParams, x, masks=None,
     if masks is not None:
         m2, m3 = masks
         h2 = ad.dropout(h2, p.dropout_rate, m2)
-    pooled = _attend(p.block3, ad.tile_rows(p.seed, sets), h2, sets, one)
+    seeds = ad.broadcast_to(p.seed, (sets, p.seed.shape[1]))  # one pooling query per set
+    pooled = _attend(p.block3, seeds, h2, sets, one)
     h3 = _block_mix(p.block3, pooled, first_block=False)
     if masks is not None:
         h3 = ad.dropout(h3, p.dropout_rate, m3)

@@ -141,7 +141,7 @@ def taylor_mix(problem: TheoryProblem, J: int, eps: float = 1.0) -> float:
 
     tape = Tape()
     gamma = tape.param([[0.0]])
-    offset = ad.mul(ad.fill_like(gamma, direction.shape), DiffValue.const(direction))
+    offset = ad.mul(ad.broadcast_to(gamma, direction.shape), DiffValue.const(direction))
     protos_dv = ad.add(DiffValue.const(protos), offset)
     dists = pn.pairwise_dists(DiffValue.const(_embed(problem, problem.task_t.xq)), protos_dv)
     loss = pn.cross_entropy_to_prototypes(dists, problem.task_t.yq)
@@ -257,7 +257,7 @@ def second_order_mix(case: LogisticSpecialCase, task_tp: ep.Task, sigma) -> floa
     tape = Tape()
     gamma = tape.param([[0.0]])
     z_dv = DiffValue.const(z.reshape(1, -1))
-    move = ad.scale(ad.fill_like(gamma, z_dv.shape), -shift / 2.0)
+    move = ad.scale(ad.broadcast_to(gamma, z_dv.shape), -shift / 2.0)
     zp = ad.add(z_dv, move)
     ones = DiffValue.const(np.ones_like(z).reshape(1, -1))
     loss = ad.scale(ad.sum_all(ad.div(ones, ad.add(ones, ad.exp(zp)))), 1.0 / z.size)

@@ -225,7 +225,7 @@ def _simple(p, x, n, sets):
     q1, k1, v1 = (ad.affine(x, w, b) for w, b in
                   ((p.w1q, p.b1q), (p.w1k, p.b1k), (p.w1v, p.b1v)))
     h2 = ad.matmul(_weights(q1, k1, within), v1)
-    q2 = ad.affine(ad.tile_rows(p.seed, sets), p.w2q, p.b2q)
+    q2 = ad.affine(ad.broadcast_to(p.seed, (sets, p.seed.shape[1])), p.w2q, p.b2q)
     k2 = ad.affine(h2, p.w2k, p.b2k)
     v2 = ad.affine(h2, p.w2v, p.b2v)
     return ad.matmul(_weights(q2, k2, pool), v2)
@@ -252,7 +252,8 @@ def _full(p, x, masks, n, sets):
     h2 = sf._block_mix(p.block2, _attend(p.block2, g1, g1, within, one), first_block=False)
     if masks is not None:
         h2 = ad.dropout(h2, p.dropout_rate, masks[0])
-    pooled = _attend(p.block3, ad.tile_rows(p.seed, sets), h2, pool, one)
+    seeds = ad.broadcast_to(p.seed, (sets, p.seed.shape[1]))
+    pooled = _attend(p.block3, seeds, h2, pool, one)
     h3 = sf._block_mix(p.block3, pooled, first_block=False)
     if masks is not None:
         h3 = ad.dropout(h3, p.dropout_rate, masks[1])

@@ -215,8 +215,8 @@ class TestGradients:
         ("exp", (2, 3), lambda x, c: ad.sum_all(ad.exp(x))),
         ("powf", (2, 2), lambda x, c: ad.sum_all(ad.powf(ad.add(ad.mul(x, x), ad.DiffValue.const(np.full((2, 2), 1.0))), 1.5))),
         ("leaky", (2, 3), lambda x, c: ad.sum_all(ad.leaky_relu(x, 0.1))),
-        ("row_sum", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.tile_cols(ad.row_sum(x), 2), x))),
-        ("col_sum", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.tile_rows(ad.col_sum(x), 3), x))),
+        ("row_sum", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.broadcast_to(ad.sum_to(x, (3, 1)), (3, 2)), x))),
+        ("col_sum", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.broadcast_to(ad.sum_to(x, (1, 2)), (3, 2)), x))),
         ("concat", (2, 2), lambda x, c: ad.sum_all(ad.exp(ad.concat_cols(x, ad.mul(x, x))))),
         ("slice", (3, 3), lambda x, c: ad.sum_all(ad.mul(ad.take_rows(x, np.arange(1, 3)), c[:6].reshape(2, 3)))),
         ("concat_rows", (2, 3), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.concat_rows(x, ad.mul(x, x))), c[:12].reshape(4, 3)))),
@@ -228,9 +228,9 @@ class TestGradients:
         ("sq_dists_l", (2, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(x, c[:6].reshape(3, 2), 1), c[6:12].reshape(2, 3)))),
         ("sq_dists_r", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(c[:4].reshape(2, 2), x, 1), c[4:10].reshape(2, 3)))),
         ("sq_dists_self", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(x, x, 1), c[:9].reshape(3, 3)))),
-        ("tile_rows", (1, 3), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.tile_rows(x, 2)), c[:6].reshape(2, 3)))),
-        ("tile_cols", (2, 1), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.tile_cols(x, 3)), c[:6].reshape(2, 3)))),
-        ("fill_like", (1, 1), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.fill_like(x, (2, 3))), c[:6].reshape(2, 3)))),
+        ("tile_rows", (1, 3), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.broadcast_to(x, (2, 3))), c[:6].reshape(2, 3)))),
+        ("tile_cols", (2, 1), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.broadcast_to(x, (2, 3))), c[:6].reshape(2, 3)))),
+        ("fill_like", (1, 1), lambda x, c: ad.sum_all(ad.mul(ad.exp(ad.broadcast_to(x, (2, 3))), c[:6].reshape(2, 3)))),
         ("matmul_nt_l", (2, 3), lambda x, c: ad.sum_all(ad.exp(ad.matmul_nt(x, c[:9].reshape(3, 3))))),
         ("matmul_nt_r", (3, 2), lambda x, c: ad.sum_all(ad.exp(ad.matmul_nt(c[:4].reshape(2, 2), x)))),
         ("matmul_nt_self", (2, 3), lambda x, c: ad.sum_all(ad.mul(ad.matmul_nt(x, x), c[:4].reshape(2, 2)))),
@@ -311,6 +311,77 @@ class TestGradients:
         np.testing.assert_allclose(g.data, np.exp(a0) * v, atol=1e-12)
 
 
+class TestBroadcastPair:
+    # (operand shape, op): the three broadcasts to (3, 4), and the sums
+    # back to each of their shapes, from (3, 4) and from a row or column
+    PAIRS = {
+        "broadcast_row": ((1, 4), lambda x: ad.broadcast_to(x, (3, 4))),
+        "broadcast_col": ((3, 1), lambda x: ad.broadcast_to(x, (3, 4))),
+        "broadcast_scalar": ((1, 1), lambda x: ad.broadcast_to(x, (3, 4))),
+        "sum_to_row": ((3, 4), lambda x: ad.sum_to(x, (1, 4))),
+        "sum_to_col": ((3, 4), lambda x: ad.sum_to(x, (3, 1))),
+        "sum_to_scalar": ((3, 4), lambda x: ad.sum_to(x, (1, 1))),
+        "col_to_scalar": ((3, 1), lambda x: ad.sum_to(x, (1, 1))),
+        "row_to_scalar": ((1, 4), lambda x: ad.sum_to(x, (1, 1))),
+    }
+
+    @pytest.mark.parametrize("create_graph", [False, True], ids=["raw", "graph"])
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_vjp_matches_finite_differences(self, name, create_graph, rng):
+        shape, op = self.PAIRS[name]
+        x0 = rng.standard_normal(shape)
+        u = rng.standard_normal(op(x0).shape)
+        tape = Tape()
+        x = tape.param(x0)
+        (got,) = ad.grad(op(x), [x], u, create_graph=create_graph)
+        want = fd_grad(lambda v: float(np.sum(op(v).data * u)), x0)
+        assert rel_err(got.data, want) <= 1e-8
+
+    @pytest.mark.parametrize("op,shape,target", [
+        ("broadcast_to", (2, 3), (4, 3)),
+        ("broadcast_to", (1, 3), (2, 4)),
+        ("broadcast_to", (2, 1), (3, 5)),
+        ("broadcast_to", (1, 3), (-1, 3)),
+        ("broadcast_to", (1, 3), (3,)),
+        ("sum_to", (3, 4), (2, 1)),
+        ("sum_to", (3, 4), (3, 2)),
+        ("sum_to", (3, 4), (6, 4)),
+        ("sum_to", (1, 4), (3, 4)),
+        ("sum_to", (3, 4), (1, 1, 1)),
+    ])
+    def test_shapes_not_one_broadcast_apart(self, op, shape, target):
+        with pytest.raises(ad.ShapeError):
+            getattr(ad, op)(np.ones(shape), target)
+
+    def test_bits_match_the_numpy_calls(self):
+        # the sums and repeats as numpy's axis sums, total and repeats give
+        # them, from every shape the pair meets
+        rng = np.random.default_rng(11)
+        for n in [*range(1, 70), 127, 128, 129, 1000, 4097]:
+            col, row = rng.standard_normal((n, 1)), rng.standard_normal((1, n))
+            x = rng.standard_normal((3, n))
+            pairs = [
+                (ad.sum_to(x, (3, 1)), x.sum(axis=1, keepdims=True)),
+                (ad.sum_to(x, (1, n)), x.sum(axis=0, keepdims=True)),
+                (ad.sum_to(x, (1, 1)), x.sum().reshape(1, 1)),
+                (ad.sum_to(col, (1, 1)), col.sum(axis=0, keepdims=True)),
+                (ad.sum_to(row, (1, 1)), row.sum(axis=1, keepdims=True)),
+                (ad.broadcast_to(row, (3, n)), np.repeat(row, 3, axis=0)),
+                (ad.broadcast_to(col, (n, 3)), np.repeat(col, 3, axis=1)),
+                (ad.broadcast_to(row[:, :1], (2, n)), np.full((2, n), row[0, 0])),
+            ]
+            for got, want in pairs:
+                assert got.data.tobytes() == want.tobytes(), n
+
+    def test_sum_to_its_own_shape_records_no_node(self, rng):
+        tape = Tape()
+        x = tape.param(rng.standard_normal((3, 4)))
+        before = tape.op_count
+        assert ad.sum_to(x, (3, 4)) is x
+        assert tape.op_count == before
+        assert ad.raw.sum_to(x.data, (3, 4)) is x.data
+
+
 class TestBackends:
     def test_raw_namespace_mirrors_the_ops(self):
         # every op a VJP calls has a raw twin of the same name
@@ -318,9 +389,8 @@ class TestBackends:
         assert names == {
             "matmul", "matmul_nt", "matmul_tn", "heads_to_rows", "rows_to_heads",
             "add", "sub", "mul", "div", "scale", "exp", "powf",
-            "sum_all", "row_sum", "col_sum", "tile_rows", "tile_cols", "fill_like",
-            "take_rows", "scatter_rows", "normalize_rows", "_inv_std_rows",
-            "scale_shift", "_row_total"}
+            "broadcast_to", "sum_to", "take_rows", "scatter_rows",
+            "normalize_rows", "_inv_std_rows", "scale_shift"}
         for name in names:
             assert callable(getattr(ad, name)), name
 
@@ -421,7 +491,7 @@ class TestSecondOrder:
 
             def build(x):
                 out = self.BLOCK_HVP[case](
-                    lambda n: ad.mul(ad.tile_rows(x, n), DiffValue.const(cs[0, :n])),
+                    lambda n: ad.mul(ad.broadcast_to(x, (n, 4)), DiffValue.const(cs[0, :n])),
                     lambda n: DiffValue.const(cs[1, :n]))
                 w = DiffValue.const(np.resize(cs, out.shape))
                 return ad.sum_all(ad.mul(ad.exp(ad.scale(out, 0.3)), w))
@@ -439,12 +509,12 @@ class TestSecondOrder:
                 return ad.sum_all(ad.exp(ad.scale(ad.affine(x, ad.matmul_tn(x, x), x), 0.3)))
         elif case == "affine_rows":
             def build(x):
-                rows = ad.mul(ad.tile_rows(x, 3), DiffValue.const(c[:3]))
+                rows = ad.mul(ad.broadcast_to(x, (3, 4)), DiffValue.const(c[:3]))
                 out = ad.affine(rows, ad.matmul_tn(x, x), x)
                 return ad.sum_all(ad.mul(ad.exp(ad.scale(out, 0.3)), DiffValue.const(c[1:])))
         elif case == "scale_shift":
             def build(x):
-                rows = ad.mul(ad.tile_rows(x, 3), DiffValue.const(c[:3]))
+                rows = ad.mul(ad.broadcast_to(x, (3, 4)), DiffValue.const(c[:3]))
                 out = ad.scale_shift(rows, x, ad.mul(x, x))
                 return ad.sum_all(ad.mul(ad.exp(out), DiffValue.const(c[1:])))
         elif case == "exp_quad":
@@ -609,10 +679,9 @@ class TestPrunedSweep:
             for i, g in zip(subset, part):
                 assert g.data.tobytes() == everything[i].data.tobytes()
 
-    def test_repeated_sweeps_plan_once(self, monkeypatch):
-        # HVP sweeps over one gradient graph, each with new cotangents, share
-        # one plan and give the bits of sweeps that each plan on a graph of
-        # their own; a sweep to other inputs plans anew
+    def test_repeated_sweeps_match_fresh_graphs(self):
+        # HVP sweeps over one gradient graph, each with new cotangents, give
+        # the bits of sweeps that each run on a graph of their own
         def gradient_graph():
             loss, ins = self._graph(np.random.default_rng(5))
             return ad.grad(loss, ins[:2], create_graph=True), ins
@@ -625,13 +694,8 @@ class TestPrunedSweep:
             grads, ins = gradient_graph()
             fresh.append([h.data.tobytes() for h in ad.grad(grads, ins[:2], c)])
         grads, ins = gradient_graph()
-        plans = []
-        real = ad._sweep_plan
-        monkeypatch.setattr(ad, "_sweep_plan", lambda o, i: plans.append(1) or real(o, i))
         again = [[h.data.tobytes() for h in ad.grad(grads, ins[:2], c)] for c in cotangents]
-        assert again == fresh and len(plans) == 1
-        ad.grad(grads, ins[2:], cotangents[0])
-        assert len(plans) == 2
+        assert again == fresh
 
     def test_input_downstream_of_another(self, rng):
         # an intermediate node as input: its own gradient, and the sweep
@@ -703,9 +767,12 @@ class TestDeterminism:
         assert tape.op_count == before + 1
 
     FUSED = [
-        ("tile_rows", (1, 4), lambda x: ad.tile_rows(x, 3)),
-        ("tile_cols", (3, 1), lambda x: ad.tile_cols(x, 4)),
-        ("fill_like", (1, 1), lambda x: ad.fill_like(x, (2, 3))),
+        ("tile_rows", (1, 4), lambda x: ad.broadcast_to(x, (3, 4))),
+        ("tile_cols", (3, 1), lambda x: ad.broadcast_to(x, (3, 4))),
+        ("fill_like", (1, 1), lambda x: ad.broadcast_to(x, (2, 3))),
+        ("row_sum", (3, 4), lambda x: ad.sum_to(x, (3, 1))),
+        ("col_sum", (3, 4), lambda x: ad.sum_to(x, (1, 4))),
+        ("sum_all", (3, 4), ad.sum_all),
         ("softmax_rows", (3, 4), ad.softmax_rows),
         ("log_softmax_rows", (3, 4), ad.log_softmax_rows),
         ("normalize_rows", (3, 4), ad.normalize_rows),

@@ -95,6 +95,17 @@ class TestGenTasks:
                       "--out", str(tmp_path / "t.txt")])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("bad", ["scales=", "angles=", "offsets=", "scales=1,nan",
+                                     "angles=inf", "spread=nan", "spread=inf", "spread=-1"])
+    def test_bad_generator_setting_is_usage_error(self, workspace, capsys, bad):
+        tmp, cfg, _ = workspace
+        out = tmp / "bad.txt"
+        with pytest.raises(SystemExit) as e:
+            cli.main(["gen-tasks", "--config", str(cfg), "--out", str(out), "--set", bad])
+        assert e.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("metainterp: error:") and not out.exists()
+
     def test_override_beats_config_file(self, tmp_path, workspace):
         _, cfg, _ = workspace
         out = tmp_path / "wide.txt"
@@ -375,6 +386,8 @@ class TestTrain:
         ["--set", "strategy=support_noise", "--set", "noise_std=-1"],
         ["--set", "noise_std=nan"],
         ["--set", "patience=-3"],
+        ["--set", "encoder_widths=32,0"],
+        ["--set", "encoder_widths=-4,8"],
     ])
     def test_bad_config_value_is_usage_error_before_training(self, workspace,
                                                              capsys, bad):
@@ -492,6 +505,24 @@ class TestTrain:
                   "--out-dir", str(out), "--seed", "1"])
         text = (out / "prototypes.csv").read_text()
         assert ",original," in text and ",interpolated," in text
+
+    def test_prototypes_csv_names_tasks_by_the_files_ids(self, workspace):
+        # the file numbers its three 3-way meta-train tasks 10, 11 and 12
+        tmp, cfg, tasks = workspace
+        lines = tasks.read_text().splitlines()
+        renumbered = tmp / "ids_from_10.txt"
+        rows = []
+        for line in lines[2:]:
+            tid, split, rest = line.split(",", 2)
+            rows.append(",".join([str(int(tid) + 10) if split == "train" else tid, split, rest]))
+        renumbered.write_text("\n".join(lines[:2] + rows) + "\n")
+        out = tmp / "protos"
+        assert cli.main(["train", "--config", str(cfg), "--tasks", str(renumbered),
+                         "--out-dir", str(out), "--seed", "1"]) == 0
+        table = (out / "prototypes.csv").read_text().splitlines()[1:]
+        ids = ["10"] * 3 + ["11"] * 3 + ["12"] * 3
+        assert [row.split(",")[0] for row in table] == ids + ids
+        assert [row.split(",")[2] for row in table] == ["original"] * 9 + ["interpolated"] * 9
 
 
 class TestEval:
