@@ -45,7 +45,10 @@ The hot composites are fused: `softmax_rows`, `log_softmax_rows`,
 `scale_shift` (a row gain and bias; layer norm is
 `scale_shift(normalize_rows(x), gain, bias)`) each record one tape node,
 computing the forward in numpy and writing the VJP in primitives, so their
-gradients stay differentiable.
+gradients stay differentiable. Row normalization's VJP is itself one such
+node, `normalize_rows_vjp`, whose own VJP is written in primitives, so a
+gradient graph keeps one (m, n) array per layer norm, not one per mean,
+broadcast, difference and product of that VJP.
 
 The product trio `matmul` (a_j b_j), `matmul_nt` (a_j b_j^T) and
 `matmul_tn` (a_j^T b_j) multiplies row block j of a by row block j of b
@@ -297,6 +300,13 @@ class raw:
     def normalize_rows(x, eps=1e-12):
         xc, inv = _centered(x, eps)
         return xc * inv
+
+    @staticmethod
+    def normalize_rows_vjp(g, y, x, eps, inv):
+        n = g.shape[1]
+        mean_g = g.sum(axis=1, keepdims=True) * (1.0 / n)
+        mean_gy = (g * y).sum(axis=1, keepdims=True) * (1.0 / n)
+        return inv * ((g - mean_g) - y * mean_gy)
 
     @staticmethod
     def _inv_std_rows(x, eps, inv):
@@ -610,25 +620,52 @@ def log_softmax_rows(a) -> DiffValue:
 
 
 def normalize_rows(x, eps: float = 1e-12) -> DiffValue:
-    """Each row to zero mean and unit variance: (x - mean) / sqrt(var + eps)."""
+    """Each row to zero mean and unit variance: (x - mean) / sqrt(var + eps).
+    Its VJP is the one node `normalize_rows_vjp`."""
     x = _lift(x)
     xc, inv = _centered(x.data, eps)
 
     def vjp(ops, g, need, y, x):
-        # inv * (g - mean(g) - y * mean(g * y)), row by row
-        m, n = x.shape
-        mean_g = ops.broadcast_to(ops.scale(ops.sum_to(g, (m, 1)), 1.0 / n), (m, n))
-        mean_gy = ops.broadcast_to(ops.scale(ops.sum_to(ops.mul(g, y), (m, 1)), 1.0 / n), (m, n))
-        inner = ops.sub(ops.sub(g, mean_g), ops.mul(y, mean_gy))
-        return (ops.mul(ops.broadcast_to(ops._inv_std_rows(x, eps, inv), (m, n)), inner),)
+        return (ops.normalize_rows_vjp(g, y, x, eps, inv),)
 
     return _make(xc * inv, (x,), vjp)
 
 
+def normalize_rows_vjp(g, y, x, eps: float, inv: np.ndarray) -> DiffValue:
+    """The VJP of y = normalize_rows(x, eps) at cotangent g in one node:
+    inv * ((g - mean(g)) - y * mean(g * y)), row by row, where inv is the
+    (m, 1) 1 / sqrt(var + eps) of x's rows that the caller has computed.
+    Its own VJP is written in primitives, so it stays differentiable; x
+    enters through inv alone, and y must be normalize_rows(x)."""
+    g, y, x = _lift(g), _lift(y), _lift(x)
+    if not g.shape == y.shape == x.shape:
+        raise ShapeError(f"normalize_rows_vjp: shapes differ {g.shape}, {y.shape}, {x.shape}")
+
+    def vjp(ops, h, need, out, g, y, x):
+        m, n = x.shape
+        gg = gy = gx = None
+        if need[0]:  # the row-normalization Jacobian is symmetric
+            gg = ops.normalize_rows_vjp(h, y, x, eps, inv)
+        if need[1] or need[2]:
+            r = ops._inv_std_rows(x, eps, inv)
+        if need[1]:  # -r (mean(g y) h + mean(h y) g)
+            mean_gy = ops.scale(ops.sum_to(ops.mul(g, y), (m, 1)), 1.0 / n)
+            mean_hy = ops.scale(ops.sum_to(ops.mul(h, y), (m, 1)), 1.0 / n)
+            both = ops.add(ops.mul(ops.broadcast_to(mean_gy, (m, n)), h),
+                           ops.mul(ops.broadcast_to(mean_hy, (m, n)), g))
+            gy = ops.scale(ops.mul(ops.broadcast_to(r, (m, n)), both), -1.0)
+        if need[2]:  # through r alone: -(r / n) rowsum(h out) y
+            coef = ops.scale(ops.mul(ops.sum_to(ops.mul(h, out), (m, 1)), r), -1.0 / n)
+            gx = ops.mul(ops.broadcast_to(coef, (m, n)), y)
+        return gg, gy, gx
+
+    return _make(raw.normalize_rows_vjp(g.data, y.data, x.data, eps, inv), (g, y, x), vjp)
+
+
 def _inv_std_rows(x, eps: float, inv: np.ndarray) -> DiffValue:
     """(m,1) node 1 / sqrt(var + eps) of the rows of x, whose value inv the
-    caller has computed; it carries the x-dependence of normalize_rows's
-    VJP."""
+    caller has computed; it carries the x-dependence of the VJP of
+    `normalize_rows_vjp`."""
 
     def vjp(ops, g, need, r, x):
         # d r / dx = -r^2 / n * normalize_rows(x)

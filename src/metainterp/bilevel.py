@@ -94,7 +94,9 @@ class TrainConfig:
                 raise ValueError(f"unknown optimizer {getattr(self, name)!r} for {name}")
         if self.set_kind not in setfunc.KINDS or self.set_kind == "identity":
             raise ValueError(f"unknown set kind {self.set_kind!r}")
-        if self.set_kind == "full" and self.set_hidden is not None:
+        if self.set_hidden is not None:
+            if self.set_kind != "full":
+                raise ValueError(f"set_hidden applies only to set_kind full, not {self.set_kind!r}")
             setfunc.check_hidden(self.set_hidden)
         if any(w < 1 for w in self.encoder_widths):
             raise ValueError(f"encoder_widths {self.encoder_widths} has a width below 1")

@@ -299,13 +299,17 @@ _ABLATE_AXES = {
 
 def cmd_ablate(args, parser) -> int:
     seeds = _seed_list(args.seeds, parser)
-    cfg = load_run_config(args.config, args.set)
     key, settings = _ABLATE_AXES[args.axis]
     if settings is None:
-        settings = range(len(cfg.train.encoder_widths))
-    rows = []
+        settings = range(len(load_run_config(args.config, args.set).train.encoder_widths))
+    runs = []  # every setting's config, checked before any training
     for setting in settings:
-        varied = load_run_config(args.config, [*args.set, f"{key}={setting}"])
+        varied = [*args.set, f"{key}={setting}"]
+        if key == "set_kind" and setting != "full":
+            varied.append("set_hidden=none")  # only the full form has a hidden width
+        runs.append((setting, load_run_config(args.config, varied)))
+    rows = []
+    for setting, varied in runs:
         ds = ep.gen_gaussian_tasks(varied.gen)
         for seed in seeds:
             train_cfg = replace(varied.train, seed=seed)

@@ -7,6 +7,8 @@
 * The masked set functions: all sets of a call attend in one (N, N)
   score matrix, and a constant -1e30 on the scores between two sets
   keeps attention inside each set.
+* The row normalization whose VJP records 13 nodes: every mean, its
+  broadcast, each difference and each product is a node of its own.
 
 Both draw from the random stream exactly as the program does.
 """
@@ -279,3 +281,24 @@ def masked_set_forward(p, x, masks=None, set_size=None):
     if isinstance(p, sf.FullSetTransformerParams):
         return _full(p, x, masks, n, sets)
     return _deepsets(p, x, n, sets)
+
+
+# ---------------------------------------------------------------------------
+# the row normalization with its VJP written out in primitives
+
+
+def normalize_rows(x, eps=1e-12):
+    """`autodiff.normalize_rows` with the VJP it had before
+    `normalize_rows_vjp` fused it into one node."""
+    x = ad._lift(x)
+    xc, inv = ad._centered(x.data, eps)
+
+    def vjp(ops, g, need, y, x):
+        # inv * (g - mean(g) - y * mean(g * y)), row by row
+        m, n = x.shape
+        mean_g = ops.broadcast_to(ops.scale(ops.sum_to(g, (m, 1)), 1.0 / n), (m, n))
+        mean_gy = ops.broadcast_to(ops.scale(ops.sum_to(ops.mul(g, y), (m, 1)), 1.0 / n), (m, n))
+        inner = ops.sub(ops.sub(g, mean_g), ops.mul(y, mean_gy))
+        return (ops.mul(ops.broadcast_to(ops._inv_std_rows(x, eps, inv), (m, n)), inner),)
+
+    return ad._make(xc * inv, (x,), vjp)

@@ -7,7 +7,16 @@ import pytest
 from metainterp import autodiff as ad
 from metainterp.autodiff import DiffValue, Tape
 
+import reference
 from conftest import analytic_grad, fd_grad, rel_err, traced_peak
+
+
+def norm_vjp(g, x, y=None, eps=1e-12):
+    """`normalize_rows_vjp` at cotangent g and input x, on
+    y = normalize_rows(x) unless y is given."""
+    x = ad._lift(x)
+    inv = ad._centered(x.data, eps)[1]
+    return ad.normalize_rows_vjp(g, ad.normalize_rows(x, eps) if y is None else y, x, eps, inv)
 
 
 class TestForwardValues:
@@ -225,6 +234,13 @@ class TestGradients:
         ("dropout", (2, 4), lambda x, c: ad.sum_all(ad.dropout(ad.mul(x, x), 0.25, np.array([[1.0, 0, 1, 1], [0, 1, 1, 0]])))),
         ("log_softmax", (2, 4), lambda x, c: ad.sum_all(ad.mul(ad.log_softmax_rows(x), c[:8].reshape(2, 4)))),
         ("normalize_rows", (3, 4), lambda x, c: ad.sum_all(ad.mul(ad.normalize_rows(x), c[:12].reshape(3, 4)))),
+        # the row-normalization VJP in each of its operands: the cotangent,
+        # the normalized rows (free here), the input (through the rows and
+        # 1 / std both), and all three
+        ("normalize_rows_vjp_g", (3, 4), lambda x, c: ad.sum_all(ad.exp(norm_vjp(x, c[:12].reshape(3, 4))))),
+        ("normalize_rows_vjp_y", (3, 4), lambda x, c: ad.sum_all(ad.exp(norm_vjp(c[:12].reshape(3, 4), c[4:16].reshape(3, 4), y=x)))),
+        ("normalize_rows_vjp_x", (3, 4), lambda x, c: ad.sum_all(ad.exp(norm_vjp(c[:12].reshape(3, 4), x)))),
+        ("normalize_rows_vjp_gx", (3, 4), lambda x, c: ad.sum_all(ad.mul(norm_vjp(ad.mul(x, x), x), c[4:16].reshape(3, 4)))),
         ("sq_dists_l", (2, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(x, c[:6].reshape(3, 2), 1), c[6:12].reshape(2, 3)))),
         ("sq_dists_r", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(c[:4].reshape(2, 2), x, 1), c[4:10].reshape(2, 3)))),
         ("sq_dists_self", (3, 2), lambda x, c: ad.sum_all(ad.mul(ad.block_sq_dists(x, x, 1), c[:9].reshape(3, 3)))),
@@ -390,7 +406,7 @@ class TestBackends:
             "matmul", "matmul_nt", "matmul_tn", "heads_to_rows", "rows_to_heads",
             "add", "sub", "mul", "div", "scale", "exp", "powf",
             "broadcast_to", "sum_to", "take_rows", "scatter_rows",
-            "normalize_rows", "_inv_std_rows", "scale_shift"}
+            "normalize_rows", "normalize_rows_vjp", "_inv_std_rows", "scale_shift"}
         for name in names:
             assert callable(getattr(ad, name)), name
 
@@ -658,6 +674,53 @@ class TestSecondOrder:
         assert abs(got - want) <= 1e-4 * max(abs(want), 1.0)
 
 
+class TestRowNormVJP:
+    # the fused row-normalization VJP against the 13-node one it replaced,
+    # through a layer norm: gain and bias on the normalized rows
+    SHAPES = [(3, 4), (5, 8), (1, 7), (12, 16)]
+
+    @staticmethod
+    def _layer_norm(norm, shape, seed):
+        rng = np.random.default_rng(seed)
+        tape = Tape()
+        ins = [tape.param(rng.standard_normal(s)) for s in (shape, (1, shape[1]), (1, shape[1]))]
+        out = ad.scale_shift(norm(ins[0]), ins[1], ins[2])
+        c = DiffValue.const(rng.standard_normal(shape))
+        return tape, ins, ad.sum_all(ad.mul(ad.exp(ad.scale(out, 0.5)), c))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_first_order_bits_match_the_primitive_vjp(self, shape):
+        grads = []
+        for norm in (ad.normalize_rows, reference.normalize_rows):
+            _, ins, loss = self._layer_norm(norm, shape, 5)
+            grads.append([g.data for create_graph in (False, True)
+                          for g in ad.grad(loss, ins, create_graph=create_graph)])
+        for got, want in zip(*grads):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_hvp_matches_the_primitive_vjp(self, shape):
+        hvps = []
+        for norm in (ad.normalize_rows, reference.normalize_rows):
+            _, ins, loss = self._layer_norm(norm, shape, 6)
+            v = [np.random.default_rng(7).standard_normal(x.shape) for x in ins]
+            hvps.append([h.data for h in ad.grad(ad.grad(loss, ins, create_graph=True), ins, v)])
+        for got, want in zip(*hvps):
+            assert rel_err(got, want) <= 1e-12
+
+    def test_create_graph_backward_records_one_node_for_the_row_norm(self):
+        # the layer norm's gradient graph: 6 nodes around the row
+        # normalization's one, or its 13 when the VJP is written in
+        # primitives
+        counts = []
+        for norm in (ad.normalize_rows, reference.normalize_rows):
+            tape, ins, loss = self._layer_norm(norm, (3, 4), 8)
+            before = tape.op_count
+            ad.grad(loss, ins, create_graph=True)
+            counts.append(tape.op_count - before)
+        assert counts == [7, 19]
+
+
 class TestPrunedSweep:
     def _graph(self, rng):
         tape = Tape()
@@ -776,6 +839,7 @@ class TestDeterminism:
         ("softmax_rows", (3, 4), ad.softmax_rows),
         ("log_softmax_rows", (3, 4), ad.log_softmax_rows),
         ("normalize_rows", (3, 4), ad.normalize_rows),
+        ("normalize_rows_vjp", (3, 4), lambda x: norm_vjp(x, np.arange(12.0).reshape(3, 4))),
         ("pairwise_sq_dists", (3, 4), lambda x: ad.block_sq_dists(x, x, 1)),
         ("matmul_nt", (3, 4), lambda x: ad.matmul_nt(x, x)),
         ("matmul_tn", (3, 4), lambda x: ad.matmul_tn(x, x)),
@@ -818,7 +882,7 @@ class TestDeterminism:
 
 class TestLifetime:
     @pytest.mark.parametrize("op", ["exp", "div", "softmax_rows", "log_softmax_rows",
-                                    "normalize_rows"])
+                                    "normalize_rows", "normalize_rows_vjp"])
     def test_self_referencing_vjp_freed_without_collector(self, op, rng):
         # a node whose VJP needs its own output must not form a cycle
         gc.disable()
@@ -827,6 +891,8 @@ class TestLifetime:
             x = tape.param(rng.standard_normal((2, 3)) + 3.0)
             if op == "div":
                 out = ad.div(x, x)
+            elif op == "normalize_rows_vjp":
+                out = norm_vjp(x, x)
             else:
                 out = getattr(ad, op)(x)
             (g,) = ad.grad(ad.sum_all(ad.mul(out, out)), [x], create_graph=True)

@@ -14,6 +14,7 @@ from metainterp import protonet as pn
 from metainterp import setfunc as sf
 from metainterp.autodiff import DiffValue, Tape
 
+import reference
 from conftest import traced_peak
 
 
@@ -373,20 +374,84 @@ class TestMetaTrain:
                   dict(max_iters=10, update_period=10, batch_size=2, set_kind="full",
                        interp=itp.InterpConfig(cardinality=3)))]
 
-    @pytest.mark.parametrize("gen,train,work", [(*WORKLOADS[0], 5215), (*WORKLOADS[1], 2896)],
+    @pytest.mark.parametrize("gen,train,work", [(*WORKLOADS[0], 5215), (*WORKLOADS[1], 2752)],
                              ids=["c8", "full-set-2shot"])
     def test_work_meter_pinned(self, gen, train, work):
         # Tape.op_count is deterministic: a change to how a step is laid out
-        # must not grow its graph (52.15 and 289.6 nodes per iteration)
+        # must not grow its graph (52.15 and 275.2 nodes per iteration)
         ds = ep.gen_gaussian_tasks(ep.GenConfig(**{**self.C8_GEN, **gen}))
         res = bl.meta_train(ds, bl.TrainConfig(**{**self.C8_TRAIN, **train}), "meta-interp")
         assert res.work == work
 
+    def test_update_step_gradient_graph_size_pinned(self, monkeypatch):
+        # the create-graph backward of the full-set update step, which the
+        # Neumann series sweeps q times: its nodes and their arrays' bytes
+        # follow from the shapes alone, so the check is exact on any
+        # machine. It reads 148 nodes of 3,417,920 bytes
+        gen, train = self.WORKLOADS[1]
+        ds = ep.gen_gaussian_tasks(ep.GenConfig(**{**self.C8_GEN, **gen}))
+        cfg = bl.TrainConfig(**{**self.C8_TRAIN, **train})
+        state = bl.init_state(ds, cfg, "meta-interp")
+        state.iteration = cfg.update_period - 1
+        seen = []
+        real = ad.grad
+
+        def spy(outputs, inputs, grad_outputs=None, create_graph=False):
+            if not create_graph:
+                return real(outputs, inputs, grad_outputs)
+            tape = outputs.tape
+            before = tape.op_count
+            out = real(outputs, inputs, grad_outputs, create_graph)
+            nodes, stack = {}, list(out)
+            while stack:
+                v = stack.pop()
+                if v.tape is tape and v._idx >= before and v._idx not in nodes:
+                    nodes[v._idx] = v
+                    stack.extend(v._parents)
+            assert len(nodes) == tape.op_count - before  # the result holds them all
+            seen.append((len(nodes), sum(v.data.nbytes for v in nodes.values())))
+            return out
+
+        monkeypatch.setattr(ad, "grad", spy)
+        bl.train_step(state, ds, cfg, "meta-interp")
+        ((nodes, held),) = seen
+        assert nodes <= 150 and held <= 3_500_000
+
+    def test_fused_row_norm_vjp_keeps_the_step_bits(self, monkeypatch):
+        # a full-set update step against one whose row-normalization VJP
+        # records 13 nodes: every first-order gradient, raw or recorded,
+        # has the same bits; the hypergradient sums its second-order terms
+        # in another order and agrees to 1e-12 of its largest entry
+        gen, train = self.WORKLOADS[1]
+        ds = ep.gen_gaussian_tasks(ep.GenConfig(**{**self.C8_GEN, **gen}))
+        cfg = bl.TrainConfig(**{**self.C8_TRAIN, **train})
+
+        def step():
+            state = bl.init_state(ds, cfg, "meta-interp")
+            rng = np.random.default_rng([cfg.seed, 5])
+            tape = Tape()
+            theta_live, lam_live = _params.bind(state.theta, tape), _params.bind(state.lam, tape)
+            ltr = bl.inner_loss(lam_live, theta_live, bl._sample_batch(ds, cfg, rng), cfg,
+                                "train", rng)
+            theta, lam = _params.leaves(theta_live), _params.leaves(lam_live)
+            dltr = ad.grad(ltr, theta, create_graph=True)
+            first = [g.data for g in (*ad.grad(ltr, theta + lam), *dltr)]
+            return first, bl.hypergrad(state.theta, lam_live, theta, dltr, ds.meta_val,
+                                       cfg.inner_lr, cfg.bprime, cfg.neumann_iters, rng,
+                                       tape, cfg.metric)
+
+        first, hyper = step()
+        monkeypatch.setattr(ad, "normalize_rows", reference.normalize_rows)
+        first_ref, hyper_ref = step()
+        assert [g.tobytes() for g in first] == [g.tobytes() for g in first_ref]
+        top = max(np.abs(g).max() for g in hyper_ref)
+        assert all(np.abs(g - w).max() <= 1e-12 * top for g, w in zip(hyper, hyper_ref, strict=True))
+
     @pytest.mark.parametrize("gen,train", WORKLOADS, ids=["c8", "full-set-2shot"])
     def test_hypergrad_peak_near_the_bytes_it_starts_with(self, gen, train, monkeypatch):
         # the step's graphs are held when the hyper step starts; its sweeps
-        # and the validation graph add little on top: the peak reads 1.31x
-        # (c8) and 1.20x (full set) of the held bytes, and 1.96x on both
+        # and the validation graph add little on top: the peak reads 1.30x
+        # (c8) and 1.26x (full set) of the held bytes, and 1.96x on both
         # when each sweep kept every cotangent to its end and the
         # validation graph lived through the series
         ds = ep.gen_gaussian_tasks(ep.GenConfig(**{**self.C8_GEN, **gen}))

@@ -377,6 +377,8 @@ class TestTrain:
         ["--set", "lam_opt=rmsprop"],
         ["--set", "set_kind=full", "--set", "set_hidden=3"],
         ["--set", "set_kind=full", "--set", "set_hidden=0"],
+        ["--set", "set_kind=simple", "--set", "set_hidden=8"],
+        ["--set", "set_kind=deepsets", "--set", "set_hidden=8"],
         ["--set", "inner_lr=nan"],
         ["--set", "hyper_lr=nan"],
         ["--set", "set_kind=identity"],
@@ -747,6 +749,44 @@ class TestAblate:
                          "--set", "eval_episodes=10"]) == 0
         rows = out.read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["simple", "full", "deepsets"]
+
+    def test_setfunc_axis_gives_set_hidden_to_the_full_form_only(self, workspace, tmp_path,
+                                                                monkeypatch):
+        # the other kinds have no hidden width: their runs drop the setting
+        _, cfg, _ = workspace
+        seen, real = [], bl.meta_train
+
+        def spy(ds, train_cfg, method):
+            seen.append((train_cfg.set_kind, train_cfg.set_hidden))
+            return real(ds, train_cfg, method)
+
+        monkeypatch.setattr(bl, "meta_train", spy)
+        out = tmp_path / "kinds.csv"
+        assert cli.main(["ablate", "--axis", "setfunc", "--config", str(cfg),
+                         "--out", str(out), "--seeds", "0", "--set", "set_hidden=8",
+                         "--set", "max_iters=4", "--set", "update_period=2",
+                         "--set", "eval_episodes=10"]) == 0
+        assert seen == [("simple", None), ("full", 8), ("deepsets", None)]
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["simple", "full", "deepsets"]
+
+    @pytest.mark.parametrize("axis,bad", [("setfunc", "set_hidden=3"),
+                                          ("strategy", "set_hidden=8")])
+    def test_bad_setting_of_any_run_is_usage_error_before_training(
+            self, workspace, tmp_path, monkeypatch, axis, bad):
+        # set_hidden=3 fits no full form; set_hidden=8 fits no simple one
+        _, cfg, _ = workspace
+
+        def boom(*a, **k):
+            raise AssertionError("meta_train called")
+
+        monkeypatch.setattr(bl, "meta_train", boom)
+        out = tmp_path / "ablate.csv"
+        with pytest.raises(SystemExit) as e:
+            cli.main(["ablate", "--axis", axis, "--config", str(cfg),
+                      "--out", str(out), "--set", bad])
+        assert e.value.code == 2
+        assert not out.exists()
 
     def test_threads_flag_is_usage_error(self, workspace, tmp_path):
         _, cfg, _ = workspace

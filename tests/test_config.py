@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from metainterp import config
 
 DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
@@ -12,3 +14,11 @@ def test_default_cfg_is_the_code_defaults():
 def test_default_cfg_lists_every_key():
     settings = config.parse_config_text(DEFAULT_CFG.read_text(encoding="utf-8"))
     assert list(settings) == list(config._KEYS)
+
+
+@pytest.mark.parametrize("kind", ["simple", "deepsets"])
+def test_set_hidden_only_with_the_full_form(kind):
+    with pytest.raises(config.ConfigError, match="^set_hidden applies only to set_kind full"):
+        config.load_run_config(None, [f"set_kind={kind}", "set_hidden=8"])
+    assert config.load_run_config(None, [f"set_kind={kind}", "set_hidden=none"]).train.set_hidden is None
+    assert config.load_run_config(None, ["set_kind=full", "set_hidden=8"]).train.set_hidden == 8
