@@ -19,15 +19,17 @@ written once, against the ops namespace that `grad` hands it:
 Both backends run the same numpy expressions, so their gradients are
 equal bit for bit.
 
-Elementwise ops (`add`, `sub`, `mul`, `div`) take operands of one shape.
-The only broadcast inside an op is the (1, n) row that the fused `affine`
-and `scale_shift` apply to every row; every other shape change is an
-explicit op. The broadcasts are one adjoint pair: `broadcast_to` repeats
-a (1, n) row, an (m, 1) column or a (1, 1) scalar to (m, n), `sum_to`
-sums an (m, n) matrix back to such a shape, and each is the other's VJP.
-So the gradient of any broadcast operand b, the bias and gain of
-`affine` and `scale_shift` included, is `sum_to(g, b.shape)`, and
-`sum_all` is `sum_to(x, (1, 1))`.
+One broadcast rule serves every op. The elementwise ops (`add`, `sub`,
+`mul`, `div`) take a second operand b of the first's (m, n) shape, or a
+(1, n) row, an (m, 1) column or a (1, 1) scalar of it (a Python float is
+(1, 1)), which numpy repeats without a copy; a first operand smaller than
+the second is a `ShapeError`. The fused `affine` and `scale_shift` apply
+their (1, n) rows the same way. The gradient of any such operand b is
+`sum_to(g, b.shape)`, which sums g back to b's shape, so no VJP repeats a
+value by hand and a scaling is `mul(x, c)`. `sum_to`'s adjoint,
+`broadcast_to`, repeats a row, column or scalar to (m, n) as an array of
+its own, for the values that need one: `sum_to`'s VJP, `setfunc`'s seed
+tilings and `theory.second_order_mix`. `sum_all` is `sum_to(x, (1, 1))`.
 
 Rows are picked and pooled by index, never by a product with a
 selection matrix: `take_rows` gathers rows (an index of -1 gives a zero
@@ -255,10 +257,6 @@ class raw:
         return a / b
 
     @staticmethod
-    def scale(a, c):
-        return a * c
-
-    @staticmethod
     def exp(a):
         return np.exp(a)
 
@@ -396,61 +394,56 @@ def rows_to_heads(x, h: int) -> DiffValue:
     return _make(raw.rows_to_heads(x.data, h), (x,), vjp)
 
 
-def _same_shape(a, b, op: str) -> tuple:
-    """The two operands of an elementwise op, lifted; their shapes must be
-    equal."""
+def _one_broadcast(small, big, op: str) -> None:
+    """small repeats to big: it is big, a row or column of it, or (1, 1)."""
+    if len(big) != 2 or min(big) < 0 or small not in (big, (1, big[1]), (big[0], 1), (1, 1)):
+        raise ShapeError(f"{op}: {small} and {big} are not one broadcast apart")
+
+
+def _operands(a, b, op: str) -> tuple:
+    """The two operands of an elementwise op, lifted: b is a's shape, or a
+    row, column or (1, 1) scalar of it, which repeats to a's shape."""
     a, b = _lift(a), _lift(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes differ {a.shape} vs {b.shape}")
+    _one_broadcast(b.shape, a.shape, op)
     return a, b
 
 
 def _add_vjp(ops, g, need, y, a, b):
-    return g, g
+    return g, ops.sum_to(g, b.shape) if need[1] else None
 
 
 def add(a, b) -> DiffValue:
-    a, b = _same_shape(a, b, "add")
+    a, b = _operands(a, b, "add")
     return _make(raw.add(a.data, b.data), (a, b), _add_vjp)
 
 
 def _sub_vjp(ops, g, need, y, a, b):
-    return g, ops.scale(g, -1.0) if need[1] else None
+    return g, ops.sum_to(ops.mul(g, -1.0), b.shape) if need[1] else None
 
 
 def sub(a, b) -> DiffValue:
-    a, b = _same_shape(a, b, "sub")
+    a, b = _operands(a, b, "sub")
     return _make(raw.sub(a.data, b.data), (a, b), _sub_vjp)
 
 
 def _mul_vjp(ops, g, need, y, a, b):
     return (ops.mul(g, b) if need[0] else None,
-            ops.mul(g, a) if need[1] else None)
+            ops.sum_to(ops.mul(g, a), b.shape) if need[1] else None)
 
 
 def mul(a, b) -> DiffValue:
-    a, b = _same_shape(a, b, "mul")
+    a, b = _operands(a, b, "mul")
     return _make(raw.mul(a.data, b.data), (a, b), _mul_vjp)
 
 
 def _div_vjp(ops, g, need, res, a, b):
     return (ops.div(g, b) if need[0] else None,
-            ops.scale(ops.mul(g, ops.div(res, b)), -1.0) if need[1] else None)
+            ops.sum_to(ops.mul(ops.mul(g, ops.div(res, b)), -1.0), b.shape) if need[1] else None)
 
 
 def div(a, b) -> DiffValue:
-    a, b = _same_shape(a, b, "div")
+    a, b = _operands(a, b, "div")
     return _make(raw.div(a.data, b.data), (a, b), _div_vjp)
-
-
-def scale(a, c: float) -> DiffValue:
-    a = _lift(a)
-    c = float(c)
-
-    def vjp(ops, g, need, y, a):
-        return (ops.scale(g, c),)
-
-    return _make(raw.scale(a.data, c), (a,), vjp)
 
 
 def _exp_vjp(ops, g, need, res, a):
@@ -469,7 +462,7 @@ def powf(a, p: float) -> DiffValue:
         raise DomainError("powf: negative base with non-integer exponent")
 
     def vjp(ops, g, need, y, a):
-        return (ops.mul(g, ops.scale(ops.powf(a, p - 1.0), p)),)
+        return (ops.mul(g, ops.mul(ops.powf(a, p - 1.0), p)),)
 
     return _make(raw.powf(a.data, p), (a,), vjp)
 
@@ -484,12 +477,6 @@ def leaky_relu(a, slope: float = 0.01) -> DiffValue:
         return (ops.mul(g, mask),)
 
     return _make(out, (a,), vjp)
-
-
-def _one_broadcast(small, big, op: str) -> None:
-    """small repeats to big: it is big, a row or column of it, or (1, 1)."""
-    if len(big) != 2 or min(big) < 0 or small not in (big, (1, big[1]), (big[0], 1), (1, 1)):
-        raise ShapeError(f"{op}: {small} and {big} are not one broadcast apart")
 
 
 def _broadcast_to_vjp(ops, g, need, y, x):
@@ -592,7 +579,7 @@ def scatter_rows(x, index, m: int) -> DiffValue:
 
 def _softmax_rows_vjp(ops, g, need, s, a):
     total = ops.sum_to(ops.mul(g, s), (a.shape[0], 1))
-    return (ops.mul(s, ops.sub(g, ops.broadcast_to(total, a.shape))),)
+    return (ops.mul(s, ops.sub(g, total)),)
 
 
 def softmax_rows(a) -> DiffValue:
@@ -608,7 +595,7 @@ def softmax_rows(a) -> DiffValue:
 
 def _log_softmax_rows_vjp(ops, g, need, logp, a):
     total = ops.sum_to(g, (a.shape[0], 1))
-    return (ops.sub(g, ops.mul(ops.exp(logp), ops.broadcast_to(total, a.shape))),)
+    return (ops.sub(g, ops.mul(ops.exp(logp), total)),)
 
 
 def log_softmax_rows(a) -> DiffValue:
@@ -649,14 +636,13 @@ def normalize_rows_vjp(g, y, x, eps: float, inv: np.ndarray) -> DiffValue:
         if need[1] or need[2]:
             r = ops._inv_std_rows(x, eps, inv)
         if need[1]:  # -r (mean(g y) h + mean(h y) g)
-            mean_gy = ops.scale(ops.sum_to(ops.mul(g, y), (m, 1)), 1.0 / n)
-            mean_hy = ops.scale(ops.sum_to(ops.mul(h, y), (m, 1)), 1.0 / n)
-            both = ops.add(ops.mul(ops.broadcast_to(mean_gy, (m, n)), h),
-                           ops.mul(ops.broadcast_to(mean_hy, (m, n)), g))
-            gy = ops.scale(ops.mul(ops.broadcast_to(r, (m, n)), both), -1.0)
+            mean_gy = ops.mul(ops.sum_to(ops.mul(g, y), (m, 1)), 1.0 / n)
+            mean_hy = ops.mul(ops.sum_to(ops.mul(h, y), (m, 1)), 1.0 / n)
+            both = ops.add(ops.mul(h, mean_gy), ops.mul(g, mean_hy))
+            gy = ops.mul(ops.mul(both, r), -1.0)
         if need[2]:  # through r alone: -(r / n) rowsum(h out) y
-            coef = ops.scale(ops.mul(ops.sum_to(ops.mul(h, out), (m, 1)), r), -1.0 / n)
-            gx = ops.mul(ops.broadcast_to(coef, (m, n)), y)
+            coef = ops.mul(ops.mul(ops.sum_to(ops.mul(h, out), (m, 1)), r), -1.0 / n)
+            gx = ops.mul(y, coef)
         return gg, gy, gx
 
     return _make(raw.normalize_rows_vjp(g.data, y.data, x.data, eps, inv), (g, y, x), vjp)
@@ -669,8 +655,8 @@ def _inv_std_rows(x, eps: float, inv: np.ndarray) -> DiffValue:
 
     def vjp(ops, g, need, r, x):
         # d r / dx = -r^2 / n * normalize_rows(x)
-        coef = ops.scale(ops.mul(g, ops.mul(r, r)), -1.0 / x.shape[1])
-        return (ops.mul(ops.normalize_rows(x, eps), ops.broadcast_to(coef, x.shape)),)
+        coef = ops.mul(ops.mul(g, ops.mul(r, r)), -1.0 / x.shape[1])
+        return (ops.mul(ops.normalize_rows(x, eps), coef),)
 
     return _make(raw._inv_std_rows(x.data, eps, inv), (x,), vjp)
 
@@ -692,12 +678,10 @@ def block_sq_dists(a, b, h: int) -> DiffValue:
         ga = gb = None
         if need[0]:
             row = ops.sum_to(g, (g.shape[0], 1))
-            ga = ops.scale(ops.sub(ops.mul(ops.broadcast_to(row, a.shape), a),
-                                   ops.matmul(g, b, h)), 2.0)
+            ga = ops.mul(ops.sub(ops.mul(a, row), ops.matmul(g, b, h)), 2.0)
         if need[1]:
             col = ops.matmul_tn(g, np.ones((g.shape[0], 1)), h)  # blocks' colsum(g)^T
-            gb = ops.scale(ops.sub(ops.mul(ops.broadcast_to(col, b.shape), b),
-                                   ops.matmul_tn(g, a, h)), 2.0)
+            gb = ops.mul(ops.sub(ops.mul(b, col), ops.matmul_tn(g, a, h)), 2.0)
         return ga, gb
 
     return _make(out, (a, b), vjp)

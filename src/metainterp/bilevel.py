@@ -70,8 +70,8 @@ class TrainConfig:
     eval_episodes: int = 3000
     encoder_widths: tuple = (32, 16)
     set_kind: str = "simple"      # a setfunc.KINDS name but identity
-    set_hidden: Optional[int] = None
-    dropout_rate: float = 0.1
+    set_hidden: Optional[int] = None      # the full form's; None is its default
+    dropout_rate: Optional[float] = None  # the full form's; None is its default
     metric: str = "sqeuclidean"
     mlti_beta: tuple = (2.0, 2.0)
 
@@ -94,15 +94,16 @@ class TrainConfig:
                 raise ValueError(f"unknown optimizer {getattr(self, name)!r} for {name}")
         if self.set_kind not in setfunc.KINDS or self.set_kind == "identity":
             raise ValueError(f"unknown set kind {self.set_kind!r}")
+        for name in ("set_hidden", "dropout_rate"):
+            if getattr(self, name) is not None and self.set_kind != "full":
+                raise ValueError(f"{name} applies only to set_kind full, not {self.set_kind!r}")
         if self.set_hidden is not None:
-            if self.set_kind != "full":
-                raise ValueError(f"set_hidden applies only to set_kind full, not {self.set_kind!r}")
             setfunc.check_hidden(self.set_hidden)
         if any(w < 1 for w in self.encoder_widths):
             raise ValueError(f"encoder_widths {self.encoder_widths} has a width below 1")
         if not 0 <= self.interp.layer < len(self.encoder_widths):
             raise ValueError("interpolation layer outside encoder depth")
-        if not 0 <= self.dropout_rate < 1:
+        if self.dropout_rate is not None and not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
         if self.metric not in pn.METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
@@ -547,8 +548,8 @@ def model_to_named(theta: pn.EncoderParams, lam, cfg: TrainConfig) -> dict:
     named["meta.split"] = np.array([[float(theta.split)]])
     named["meta.slope"] = np.array([[theta.slope]])
     named["meta.set_kind"] = np.array([[float(list(setfunc.KINDS).index(setfunc.kind_of(lam)))]])
-    # the rate a full form holds, which a resume keeps; else the configured one
-    named["meta.dropout_rate"] = np.array([[getattr(lam, "dropout_rate", cfg.dropout_rate)]])
+    # the rate a full form holds, which a resume keeps; else the full form's default
+    named["meta.dropout_rate"] = np.array([[getattr(lam, "dropout_rate", setfunc.DROPOUT_RATE)]])
     named["meta.metric"] = np.array([[float(pn.METRICS.index(cfg.metric))]])
     return named
 

@@ -138,6 +138,8 @@ def cmd_train(args) -> int:
                   file=sys.stderr)
             return 1
     bl.check_query_classes(dataset, train_cfg, method)
+    if not dataset.meta_val:
+        raise ValueError(f"{args.tasks}: no tasks in split val, which training validates on")
     out_dir.mkdir(parents=True, exist_ok=True)
     resumed = state is not None and metrics_path.exists()
     if resumed:
@@ -306,7 +308,7 @@ def cmd_ablate(args, parser) -> int:
     for setting in settings:
         varied = [*args.set, f"{key}={setting}"]
         if key == "set_kind" and setting != "full":
-            varied.append("set_hidden=none")  # only the full form has a hidden width
+            varied += ["set_hidden=none", "dropout_rate=none"]  # full-form settings
         runs.append((setting, load_run_config(args.config, varied)))
     rows = []
     for setting, varied in runs:

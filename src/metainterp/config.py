@@ -26,9 +26,9 @@ def _parse_float_list(s: str) -> tuple:
     return tuple(float(v) for v in s.split(",") if v.strip())
 
 
-def _opt_int(s: str):
-    low = s.strip().lower()
-    return None if low in ("none", "auto") else int(s)
+def _optional(parse):
+    """parse, with none (or auto) read as None, the code's default."""
+    return lambda s: None if s.strip().lower() in ("none", "auto") else parse(s)
 
 
 # key -> (section, field name, parser)
@@ -51,7 +51,7 @@ _KEYS = {
     "hyper_lr": ("train", "hyper_lr", float),
     "update_period": ("train", "update_period", int),
     "batch_size": ("train", "batch_size", int),
-    "val_batch_size": ("train", "val_batch_size", _opt_int),
+    "val_batch_size": ("train", "val_batch_size", _optional(int)),
     "neumann_iters": ("train", "neumann_iters", int),
     "max_iters": ("train", "max_iters", int),
     "theta_opt": ("train", "theta_opt", str),
@@ -62,8 +62,8 @@ _KEYS = {
     "eval_episodes": ("train", "eval_episodes", int),
     "encoder_widths": ("train", "encoder_widths", _parse_int_list),
     "set_kind": ("train", "set_kind", str),
-    "set_hidden": ("train", "set_hidden", _opt_int),
-    "dropout_rate": ("train", "dropout_rate", float),
+    "set_hidden": ("train", "set_hidden", _optional(int)),
+    "dropout_rate": ("train", "dropout_rate", _optional(float)),
     "metric": ("train", "metric", str),
     "mlti_beta": ("train", "mlti_beta", _parse_float_list),
     # interpolation

@@ -101,8 +101,7 @@ def prototypes_from_matrix(embeddings, labels, way: int) -> DiffValue:
     missing = np.flatnonzero(counts == 0)
     if len(missing):
         raise MissingClassError(int(missing[0]) + 1)
-    inverse = np.repeat(1.0 / counts[:, None], embeddings.shape[1], axis=1)
-    return ad.mul(ad.scatter_rows(embeddings, labels, way), DiffValue.const(inverse))
+    return ad.mul(ad.scatter_rows(embeddings, labels, way), 1.0 / counts[:, None])
 
 
 METRICS = ("sqeuclidean", "euclidean")  # in checkpoint-code order
@@ -112,7 +111,7 @@ def _apply_metric(d2, metric: str) -> DiffValue:
     if metric == "sqeuclidean":
         return d2
     if metric == "euclidean":
-        return ad.powf(ad.add(d2, DiffValue(np.full(d2.shape, 1e-12))), 0.5)
+        return ad.powf(ad.add(d2, 1e-12), 0.5)
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -124,7 +123,7 @@ def pairwise_dists(queries, protos, metric: str = "sqeuclidean") -> DiffValue:
 def _cross_entropy_terms(dists, weights: np.ndarray) -> DiffValue:
     """weights * (-log softmax(-dists)), row by row: summed, the cross-
     entropy of every row at the columns its nonnegative weights mark."""
-    logp = ad.log_softmax_rows(ad.scale(dists, -1.0))
+    logp = ad.log_softmax_rows(ad.mul(dists, -1.0))
     return ad.mul(logp, DiffValue.const(-weights))
 
 
@@ -295,8 +294,7 @@ class Batch:
         """The set outputs of one group, in the order the sets were added."""
         index = np.concatenate(g.index).reshape(-1)
         if size == 0:
-            coef = np.repeat(np.concatenate(g.coef).reshape(-1, 1), h.shape[1], axis=1)
-            mixed = ad.mul(ad.take_rows(h, index), DiffValue.const(coef))
+            mixed = ad.mul(ad.take_rows(h, index), np.concatenate(g.coef).reshape(-1, 1))
             return ad.scatter_rows(mixed, np.repeat(np.arange(g.count), 2), g.count)
         identity = len(index) == h.shape[0] and np.array_equal(index, np.arange(len(index)))
         x = h if identity else ad.take_rows(h, index)

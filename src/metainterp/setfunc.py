@@ -62,7 +62,7 @@ def _weights(q, k, blocks: int) -> DiffValue:
     each of the `blocks` row blocks j of q and k: every set (and, for the
     full form, every head of every set) is one block, so attention never
     crosses a set."""
-    scores = ad.scale(ad.matmul_nt(q, k, blocks), 1.0 / math.sqrt(q.shape[1]))
+    scores = ad.mul(ad.matmul_nt(q, k, blocks), 1.0 / math.sqrt(q.shape[1]))
     return ad.softmax_rows(scores)
 
 
@@ -179,6 +179,7 @@ def alpha_pair(p: SimpleSetParams, h, h_prime):
 
 
 N_HEADS = 4
+DROPOUT_RATE = 0.1  # the default rate of the full form's two dropout sites
 
 
 @dataclass
@@ -222,7 +223,7 @@ class FullSetTransformerParams:
     seed: np.ndarray   # (1, d_h)
     w4: np.ndarray     # (d_h, d)
     b4: np.ndarray     # (1, d)
-    dropout_rate: float = 0.1
+    dropout_rate: float = DROPOUT_RATE
 
     @property
     def hidden(self) -> int:
@@ -261,7 +262,7 @@ def check_hidden(d_h: int) -> None:
 
 
 def init_full(d: int, d_h: Optional[int], rng: np.random.Generator,
-              dropout_rate: float = 0.1) -> FullSetTransformerParams:
+              dropout_rate: Optional[float] = None) -> FullSetTransformerParams:
     if d_h is None:
         d_h = N_HEADS * max(2, (d + 1) // 2)
     check_hidden(d_h)
@@ -272,7 +273,7 @@ def init_full(d: int, d_h: Optional[int], rng: np.random.Generator,
         seed=rng.standard_normal((1, d_h)) / math.sqrt(d_h),
         w4=rng.standard_normal((d_h, d)) / math.sqrt(d_h),
         b4=np.zeros((1, d)),
-        dropout_rate=dropout_rate,
+        dropout_rate=DROPOUT_RATE if dropout_rate is None else dropout_rate,
     )
 
 
@@ -379,7 +380,7 @@ def deepsets_forward(p: DeepSetsParams, x, set_size: Optional[int] = None) -> Di
     n, sets = _split(x.shape[0], set_size)
     x = ad.affine_stack(x, p.pre)
     if n > 1:  # the mean of each set's n consecutive rows
-        x = ad.scale(ad.scatter_rows(x, np.repeat(np.arange(sets), n), sets), 1.0 / n)
+        x = ad.mul(ad.scatter_rows(x, np.repeat(np.arange(sets), n), sets), 1.0 / n)
     return ad.affine_stack(x, p.post, activate_last=False)
 
 
@@ -402,9 +403,9 @@ def kind_of(params) -> str:
 
 
 def build(kind: str, d: int, rng: np.random.Generator, hidden: Optional[int] = None,
-          dropout_rate: float = 0.1):
+          dropout_rate: Optional[float] = None):
     """A new set function of `kind` on width d; hidden and dropout_rate are
-    the full form's. The identity draws nothing from rng."""
+    the full form's, None its defaults. The identity draws nothing from rng."""
     if kind == "simple":
         return init_simple(d, rng)
     if kind == "full":

@@ -141,7 +141,7 @@ def taylor_mix(problem: TheoryProblem, J: int, eps: float = 1.0) -> float:
 
     tape = Tape()
     gamma = tape.param([[0.0]])
-    offset = ad.mul(ad.broadcast_to(gamma, direction.shape), DiffValue.const(direction))
+    offset = ad.mul(DiffValue.const(direction), gamma)
     protos_dv = ad.add(DiffValue.const(protos), offset)
     dists = pn.pairwise_dists(DiffValue.const(_embed(problem, problem.task_t.xq)), protos_dv)
     loss = pn.cross_entropy_to_prototypes(dists, problem.task_t.yq)
@@ -257,10 +257,10 @@ def second_order_mix(case: LogisticSpecialCase, task_tp: ep.Task, sigma) -> floa
     tape = Tape()
     gamma = tape.param([[0.0]])
     z_dv = DiffValue.const(z.reshape(1, -1))
-    move = ad.scale(ad.broadcast_to(gamma, z_dv.shape), -shift / 2.0)
+    move = ad.mul(ad.broadcast_to(gamma, z_dv.shape), -shift / 2.0)
     zp = ad.add(z_dv, move)
     ones = DiffValue.const(np.ones_like(z).reshape(1, -1))
-    loss = ad.scale(ad.sum_all(ad.div(ones, ad.add(ones, ad.exp(zp)))), 1.0 / z.size)
+    loss = ad.mul(ad.sum_all(ad.div(ones, ad.add(ones, ad.exp(zp)))), 1.0 / z.size)
     (g1,) = ad.grad(loss, [gamma], create_graph=True)
     (g2,) = ad.grad(g1, [gamma], create_graph=True)
     return loss.item() + g1.item() + 0.5 * g2.item()
@@ -515,7 +515,7 @@ def check_neumann(seed):
     theta = tape.param([[1.0]])
     lam = tape.param([[1.0]])
     diff = ad.sub(theta, lam)
-    ltr = ad.scale(ad.mul(diff, diff), 0.5)
+    ltr = ad.mul(ad.mul(diff, diff), 0.5)
     (dltr,) = ad.grad(ltr, [theta], create_graph=True)
     g = bl.neumann_hypergrad([dltr], [theta], [lam], [np.array([[1.0]])],
                              [np.array([[0.0]])], alpha=0.5, q=10)
@@ -534,7 +534,7 @@ def check_neumann(seed):
         tape = Tape()
         theta = tape.param(th0.reshape(1, -1))
         lam = tape.param(np.zeros((1, 2)))
-        quad = ad.scale(ad.sum_all(ad.mul(theta, ad.matmul(theta, DiffValue.const(H)))), 0.5)
+        quad = ad.mul(ad.sum_all(ad.mul(theta, ad.matmul(theta, DiffValue.const(H)))), 0.5)
         cross = ad.sum_all(ad.mul(theta, ad.matmul(lam, DiffValue.const(C.T))))
         (dltr,) = ad.grad(ad.add(quad, cross), [theta], create_graph=True)
         g = bl.neumann_hypergrad([dltr], [theta], [lam],
@@ -569,7 +569,7 @@ def check_hvp(seed):
         v = rng.standard_normal((1, 4))
 
         def f(x):
-            return ad.sum_all(ad.exp(ad.scale(ad.matmul(x, DiffValue.const(c)), 0.5)))
+            return ad.sum_all(ad.exp(ad.mul(ad.matmul(x, DiffValue.const(c)), 0.5)))
 
         def grad_at(x0_):
             tape = Tape()

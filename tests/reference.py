@@ -50,12 +50,12 @@ def pairwise_dists(queries, protos, metric):
 
 def cross_entropy(dists, labels):
     n, way = dists.shape
-    logp = ad.log_softmax_rows(ad.scale(dists, -1.0))
+    logp = ad.log_softmax_rows(ad.mul(dists, -1.0))
     onehot = np.zeros((n, way))
     for i, y in enumerate(labels):
         onehot[i, y - 1] = 1.0
     picked = ad.sum_all(ad.mul(logp, DiffValue.const(onehot)))
-    return ad.scale(ad.scale(picked, 1.0 / n), -1.0)
+    return ad.mul(ad.mul(picked, 1.0 / n), -1.0)
 
 
 def embed_batch(lam, theta, x, mode, rng):
@@ -192,9 +192,9 @@ def inner_loss(lam, theta, pairs, cfg, mode="train", rng=None, method="meta-inte
             else:
                 parts.append(mlti_loss(theta, task1, task2, pairing, cfg.mlti_beta,
                                        rng, cfg.metric))
-        term = parts[0] if len(parts) == 1 else ad.scale(ad.add(*parts), 0.5)
+        term = parts[0] if len(parts) == 1 else ad.mul(ad.add(*parts), 0.5)
         total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / len(pairs))
+    return ad.mul(total, 1.0 / len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def _set_masks(n, sets, heads=1):
 
 def _weights(q, k, mask, heads=1):
     qk = ad.matmul_nt(q, k, heads)
-    scores = ad.scale(qk, 1.0 / math.sqrt(q.shape[1]))
+    scores = ad.mul(qk, 1.0 / math.sqrt(q.shape[1]))
     if mask is not None:
         scores = ad.add(scores, mask)
     return ad.softmax_rows(scores)
@@ -266,7 +266,7 @@ def _deepsets(p, x, n, sets):
     x = ad.affine_stack(x, p.pre)
     if n > 1:
         member = DiffValue(np.kron(np.eye(sets), np.ones((1, n))))
-        x = ad.scale(ad.matmul(member, x), 1.0 / n)
+        x = ad.mul(ad.matmul(member, x), 1.0 / n)
     return ad.affine_stack(x, p.post, activate_last=False)
 
 
@@ -296,8 +296,8 @@ def normalize_rows(x, eps=1e-12):
     def vjp(ops, g, need, y, x):
         # inv * (g - mean(g) - y * mean(g * y)), row by row
         m, n = x.shape
-        mean_g = ops.broadcast_to(ops.scale(ops.sum_to(g, (m, 1)), 1.0 / n), (m, n))
-        mean_gy = ops.broadcast_to(ops.scale(ops.sum_to(ops.mul(g, y), (m, 1)), 1.0 / n), (m, n))
+        mean_g = ops.broadcast_to(ops.mul(ops.sum_to(g, (m, 1)), 1.0 / n), (m, n))
+        mean_gy = ops.broadcast_to(ops.mul(ops.sum_to(ops.mul(g, y), (m, 1)), 1.0 / n), (m, n))
         inner = ops.sub(ops.sub(g, mean_g), ops.mul(y, mean_gy))
         return (ops.mul(ops.broadcast_to(ops._inv_std_rows(x, eps, inv), (m, n)), inner),)
 

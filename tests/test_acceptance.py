@@ -182,7 +182,7 @@ def test_c3_hypergradient_oracle():
     theta = tape.param([[1.0]])
     lam = tape.param([[1.0]])
     diff = ad.sub(theta, lam)
-    (dltr,) = ad.grad(ad.scale(ad.mul(diff, diff), 0.5), [theta], create_graph=True)
+    (dltr,) = ad.grad(ad.mul(ad.mul(diff, diff), 0.5), [theta], create_graph=True)
     g = bl.neumann_hypergrad([dltr], [theta], [lam], [np.array([[1.0]])],
                              [np.array([[0.0]])], alpha=0.5, q=10)
     scalar_err = abs(g[0][0, 0] - 0.99951171875)
@@ -205,7 +205,7 @@ def test_c3_hypergradient_oracle():
             tape = Tape()
             theta = tape.param(th0.reshape(1, -1))
             lam = tape.param(np.zeros((1, 2)))
-            quad = ad.scale(ad.sum_all(ad.mul(theta, ad.matmul(theta, DiffValue.const(H)))), 0.5)
+            quad = ad.mul(ad.sum_all(ad.mul(theta, ad.matmul(theta, DiffValue.const(H)))), 0.5)
             cross = ad.sum_all(ad.mul(theta, ad.matmul(lam, DiffValue.const(C.T))))
             (d,) = ad.grad(ad.add(quad, cross), [theta], create_graph=True)
             g = bl.neumann_hypergrad([d], [theta], [lam],

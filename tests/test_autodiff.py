@@ -103,14 +103,6 @@ class TestForwardValues:
         with pytest.raises(ad.ShapeError):
             ad.concat_cols(np.ones((3, 2)), np.ones((2, 2)))
 
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
-    def test_elementwise_ops_do_not_broadcast(self, op):
-        # a (1, n) row is added to every row only inside affine and scale_shift
-        with pytest.raises(ad.ShapeError):
-            getattr(ad, op)(np.ones((2, 3)), np.ones((1, 3)))
-        with pytest.raises(ad.ShapeError):
-            getattr(ad, op)(np.ones((1, 3)), np.ones((2, 3)))
-
     def test_block_products_match_per_block(self, rng):
         # row block j of a with row block j of b, for h = 3 blocks; one
         # block is the plain product, self-products included
@@ -201,7 +193,7 @@ class TestForwardValues:
             ad.heads_to_rows(x, 3)
 
     def test_scalar_helpers(self):
-        assert ad.scale(ad.sum_all([[1.0, 2.0], [3.0, 4.0]]), 0.25).item() == 2.5
+        assert ad.mul(ad.sum_all([[1.0, 2.0], [3.0, 4.0]]), 0.25).item() == 2.5
         assert ad.sum_all([[1.0, 2.0]]).item() == 3.0
 
 
@@ -219,8 +211,8 @@ class TestGradients:
         ("sub", (2, 3), lambda x, c: ad.sum_all(ad.mul(ad.sub(c[:6].reshape(2, 3), x), x))),
         ("mul", (2, 2), lambda x, c: ad.sum_all(ad.mul(x, ad.mul(x, c[:4].reshape(2, 2)))),),
         ("div", (2, 2), lambda x, c: ad.sum_all(ad.div(c[:4].reshape(2, 2), ad.add(ad.mul(x, x), ad.DiffValue.const(np.full((2, 2), 2.0)))))),
-        ("scale", (2, 2), lambda x, c: ad.sum_all(ad.scale(ad.mul(x, x), -1.7))),
-        ("neg", (2, 2), lambda x, c: ad.sum_all(ad.scale(ad.mul(x, x), -1.0))),
+        ("scale", (2, 2), lambda x, c: ad.sum_all(ad.mul(ad.mul(x, x), -1.7))),
+        ("neg", (2, 2), lambda x, c: ad.sum_all(ad.mul(ad.mul(x, x), -1.0))),
         ("exp", (2, 3), lambda x, c: ad.sum_all(ad.exp(x))),
         ("powf", (2, 2), lambda x, c: ad.sum_all(ad.powf(ad.add(ad.mul(x, x), ad.DiffValue.const(np.full((2, 2), 1.0))), 1.5))),
         ("leaky", (2, 3), lambda x, c: ad.sum_all(ad.leaky_relu(x, 0.1))),
@@ -398,13 +390,107 @@ class TestBroadcastPair:
         assert ad.raw.sum_to(x.data, (3, 4)) is x.data
 
 
+class TestBroadcastRule:
+    # add, sub, mul and div with a second operand of the first's (3, 4)
+    # shape, or a row, column or (1, 1) scalar of it, or a Python float
+    SECOND = {"full": (3, 4), "row": (1, 4), "col": (3, 1), "scalar": (1, 1), "float": None}
+    CASES = [(op, kind) for op in ("add", "sub", "mul", "div")
+             for kind in ("full", "row", "col", "scalar", "float")]
+    IDS = [f"{op}-{kind}" for op, kind in CASES]
+    UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+
+    @staticmethod
+    def _loss(op, a, b, c):
+        # smooth in both operands, with a Hessian that is not zero
+        return ad.sum_all(ad.mul(ad.exp(ad.mul(getattr(ad, op)(a, b), 0.3)), c))
+
+    def _operands(self, kind, rng):
+        """a, and b away from zero: a float, or an array of its shape."""
+        shape = self.SECOND[kind]
+        if shape is None:
+            return rng.standard_normal((3, 4)), -1.3
+        return rng.standard_normal((3, 4)), rng.uniform(0.5, 1.5, shape) * rng.choice([-1, 1], shape)
+
+    def _grads(self, op, kind, a0, b0, c, create_graph):
+        """The inputs (a, and b unless it is a float) and their gradients."""
+        tape = Tape()
+        ins = [tape.param(a0)] if kind == "float" else [tape.param(a0), tape.param(b0)]
+        b = b0 if kind == "float" else ins[1]
+        return ins, ad.grad(self._loss(op, ins[0], b, c), ins, create_graph=create_graph)
+
+    @pytest.mark.parametrize("create_graph", [False, True], ids=["raw", "graph"])
+    @pytest.mark.parametrize("op,kind", CASES, ids=IDS)
+    def test_gradients_match_central_differences(self, op, kind, create_graph, rng):
+        a0, b0 = self._operands(kind, rng)
+        c = rng.standard_normal((3, 4))
+        _, got = self._grads(op, kind, a0, b0, c, create_graph)
+        want = [fd_grad(lambda a: self._loss(op, a, b0, c).item(), a0)]
+        if kind != "float":
+            want.append(fd_grad(lambda b: self._loss(op, a0, b, c).item(), b0))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert rel_err(g.data, w) <= 1e-7
+
+    @pytest.mark.parametrize("create_graph", [False, True], ids=["raw", "graph"])
+    @pytest.mark.parametrize("op,kind", CASES, ids=IDS)
+    def test_hvps_match_central_differences(self, op, kind, create_graph, rng):
+        # H v through the gradient graph, against a central difference of
+        # the gradient along v
+        a0, b0 = self._operands(kind, rng)
+        c = rng.standard_normal((3, 4))
+        ins, grads = self._grads(op, kind, a0, b0, c, True)
+        v = [rng.standard_normal(x.shape) for x in ins]
+        got = ad.grad(grads, ins, v, create_graph=create_graph)
+
+        def grads_at(t):
+            b = b0 if kind == "float" else b0 + t * v[1]
+            return [g.data for g in self._grads(op, kind, a0 + t * v[0], b, c, False)[1]]
+
+        h = 1e-4
+        want = [(p - m) / (2 * h) for p, m in zip(grads_at(h), grads_at(-h))]
+        for g, w in zip(got, want):
+            assert rel_err(g.data, w) <= 1e-6
+
+    @pytest.mark.parametrize("op", UFUNCS)
+    def test_forward_bits_are_numpys_broadcast(self, op, rng):
+        a = rng.standard_normal((5, 7))
+        for b in (rng.standard_normal((5, 7)), rng.standard_normal((1, 7)),
+                  rng.standard_normal((5, 1)), rng.standard_normal((1, 1)), -1.7):
+            assert getattr(ad, op)(a, b).data.tobytes() == self.UFUNCS[op](a, b).tobytes()
+
+    @pytest.mark.parametrize("op", UFUNCS)
+    def test_only_the_second_operand_broadcasts(self, op):
+        # a first operand smaller than the second, and shapes that are not
+        # one broadcast apart, even where numpy would broadcast them
+        for a, b in [((1, 3), (2, 3)), ((2, 1), (2, 3)), ((1, 1), (2, 3)), ((1, 3), (2, 1)),
+                     ((2, 3), (3, 3)), ((2, 3), (2, 2)), ((2, 3), (3, 1)), ((2, 3), (1, 2))]:
+            with pytest.raises(ad.ShapeError):
+                getattr(ad, op)(np.ones(a), np.ones(b))
+        with pytest.raises(ad.ShapeError):
+            getattr(ad, op)(2.0, np.ones((2, 3)))
+
+    def test_mul_by_a_float_is_the_scaling(self, rng):
+        # one node, x * c forward and u * c backward, in both backends
+        x, u = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        for c in (0.5, -1.0, 1.0 / 3.0, 1e-300):
+            tape = Tape()
+            leaf = tape.param(x)
+            out = ad.mul(leaf, c)
+            assert tape.op_count == 2
+            assert out.data.tobytes() == (x * c).tobytes()
+            for create_graph in (False, True):
+                (g,) = ad.grad(out, [leaf], u, create_graph=create_graph)
+                assert g.data.tobytes() == (u * c).tobytes()
+
+
 class TestBackends:
     def test_raw_namespace_mirrors_the_ops(self):
         # every op a VJP calls has a raw twin of the same name
         names = {n for n in vars(ad.raw) if not n.startswith("__")}
         assert names == {
             "matmul", "matmul_nt", "matmul_tn", "heads_to_rows", "rows_to_heads",
-            "add", "sub", "mul", "div", "scale", "exp", "powf",
+            "add", "sub", "mul", "div", "exp", "powf",
             "broadcast_to", "sum_to", "take_rows", "scatter_rows",
             "normalize_rows", "normalize_rows_vjp", "_inv_std_rows", "scale_shift"}
         for name in names:
@@ -454,7 +540,7 @@ class TestSecondOrder:
         tape = Tape()
         x = tape.param([[1.0, 1.0]])
         A = DiffValue.const([[2.0, 0.0], [0.0, 4.0]])
-        f = ad.scale(ad.sum_all(ad.mul(x, ad.matmul(x, A))), 0.5)
+        f = ad.mul(ad.sum_all(ad.mul(x, ad.matmul(x, A))), 0.5)
         (gx,) = ad.grad(f, [x], create_graph=True)
         inner = ad.sum_all(ad.mul(gx, DiffValue.const([[1.0, 1.0]])))
         (hvp,) = ad.grad(inner, [x])
@@ -510,7 +596,7 @@ class TestSecondOrder:
                     lambda n: ad.mul(ad.broadcast_to(x, (n, 4)), DiffValue.const(cs[0, :n])),
                     lambda n: DiffValue.const(cs[1, :n]))
                 w = DiffValue.const(np.resize(cs, out.shape))
-                return ad.sum_all(ad.mul(ad.exp(ad.scale(out, 0.3)), w))
+                return ad.sum_all(ad.mul(ad.exp(ad.mul(out, 0.3)), w))
         elif case == "matmul_nt":
             # both operands depend on x, so both halves of the VJP count
             def build(x):
@@ -518,16 +604,16 @@ class TestSecondOrder:
         elif case == "matmul_tn":
             def build(x):
                 outer = ad.matmul_tn(x, ad.matmul(x, C))
-                return ad.sum_all(ad.mul(ad.exp(ad.scale(outer, 0.3)), C))
+                return ad.sum_all(ad.mul(ad.exp(ad.mul(outer, 0.3)), C))
         elif case == "affine":
             # one row: x (x^T x) + x
             def build(x):
-                return ad.sum_all(ad.exp(ad.scale(ad.affine(x, ad.matmul_tn(x, x), x), 0.3)))
+                return ad.sum_all(ad.exp(ad.mul(ad.affine(x, ad.matmul_tn(x, x), x), 0.3)))
         elif case == "affine_rows":
             def build(x):
                 rows = ad.mul(ad.broadcast_to(x, (3, 4)), DiffValue.const(c[:3]))
                 out = ad.affine(rows, ad.matmul_tn(x, x), x)
-                return ad.sum_all(ad.mul(ad.exp(ad.scale(out, 0.3)), DiffValue.const(c[1:])))
+                return ad.sum_all(ad.mul(ad.exp(ad.mul(out, 0.3)), DiffValue.const(c[1:])))
         elif case == "scale_shift":
             def build(x):
                 rows = ad.mul(ad.broadcast_to(x, (3, 4)), DiffValue.const(c[:3]))
@@ -551,7 +637,7 @@ class TestSecondOrder:
             def build(x):
                 d = ad.block_sq_dists(x, DiffValue.const(c[:3, :]), 1)
                 return ad.sum_all(
-                    ad.mul(ad.log_softmax_rows(ad.scale(d, -1.0)), DiffValue.const(c[3:4, :3]))
+                    ad.mul(ad.log_softmax_rows(ad.mul(d, -1.0)), DiffValue.const(c[3:4, :3]))
                 )
         else:
             def build(x):
@@ -615,7 +701,7 @@ class TestSecondOrder:
         def hvp_dot_w(x0, create_graph=False):
             tape = Tape()
             x = tape.param(x0)
-            f = ad.sum_all(ad.exp(ad.scale(ad.matmul_nt(x, ad.mul(x, DiffValue.const(c))), 0.5)))
+            f = ad.sum_all(ad.exp(ad.mul(ad.matmul_nt(x, ad.mul(x, DiffValue.const(c))), 0.5)))
             (g,) = ad.grad(f, [x], create_graph=True)
             (hv,) = ad.grad(ad.sum_all(ad.mul(g, DiffValue.const(v))), [x],
                             create_graph=create_graph)
@@ -640,7 +726,7 @@ class TestSecondOrder:
             rows = ad.take_rows(x, [3, 0, -1, 0, 1, 2])
             protos = ad.scatter_rows(ad.mul(x, DiffValue.const(c)), [1, 0, 2, 1], 4)
             d = ad.block_sq_dists(rows, protos, 2)
-            f = ad.sum_all(ad.exp(ad.scale(d, -0.2)))
+            f = ad.sum_all(ad.exp(ad.mul(d, -0.2)))
             (g,) = ad.grad(f, [x], create_graph=True)
             (hv,) = ad.grad(ad.sum_all(ad.mul(g, DiffValue.const(v))), [x],
                             create_graph=create_graph)
@@ -660,7 +746,7 @@ class TestSecondOrder:
         def hvp_dot_w(x0, create_graph=False):
             tape = Tape()
             x = tape.param(x0)
-            f = ad.sum_all(ad.exp(ad.scale(ad.matmul_nt(x, ad.mul(x, DiffValue.const(c)), 2), 0.5)))
+            f = ad.sum_all(ad.exp(ad.mul(ad.matmul_nt(x, ad.mul(x, DiffValue.const(c)), 2), 0.5)))
             (g,) = ad.grad(f, [x], create_graph=True)
             (hv,) = ad.grad(ad.sum_all(ad.mul(g, DiffValue.const(v))), [x],
                             create_graph=create_graph)
@@ -686,7 +772,7 @@ class TestRowNormVJP:
         ins = [tape.param(rng.standard_normal(s)) for s in (shape, (1, shape[1]), (1, shape[1]))]
         out = ad.scale_shift(norm(ins[0]), ins[1], ins[2])
         c = DiffValue.const(rng.standard_normal(shape))
-        return tape, ins, ad.sum_all(ad.mul(ad.exp(ad.scale(out, 0.5)), c))
+        return tape, ins, ad.sum_all(ad.mul(ad.exp(ad.mul(out, 0.5)), c))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_first_order_bits_match_the_primitive_vjp(self, shape):
@@ -780,7 +866,7 @@ class TestSweepMemory:
         x = tape.param(np.random.default_rng(0).standard_normal(self.SHAPE))
         y = x
         for _ in range(n):
-            y = ad.scale(y, 0.5)
+            y = ad.mul(y, 0.5)
         return x, ad.sum_all(y)
 
     @pytest.mark.parametrize("n", [8, 40])
@@ -797,7 +883,7 @@ class TestSweepMemory:
         # keep their cotangents, and the sweep still passes through them
         tape = Tape()
         x = tape.param(np.random.default_rng(1).standard_normal((3, 4)))
-        mid = ad.scale(ad.exp(x), 2.0)
+        mid = ad.mul(ad.exp(x), 2.0)
         loss = ad.sum_all(ad.mul(mid, mid))
         for create_graph in (False, True):
             gx, gmid, gloss = ad.grad(loss, [x, mid, loss], create_graph=create_graph)
@@ -816,7 +902,7 @@ class TestDeterminism:
             x = tape.param(x0)
             w = tape.param(w0)
             y = ad.softmax_rows(ad.matmul(ad.leaky_relu(ad.matmul(x, w)), w))
-            loss = ad.scale(ad.sum_all(ad.mul(y, y)), 1.0 / 16)
+            loss = ad.mul(ad.sum_all(ad.mul(y, y)), 1.0 / 16)
             gs = ad.grad(loss, [x, w])
             return loss.data.tobytes(), gs[0].data.tobytes(), gs[1].data.tobytes()
 

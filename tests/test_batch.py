@@ -70,7 +70,8 @@ DATASETS = {"uneven": uneven_dataset, "unequal_shots": unequal_shots_dataset,
 
 def config(set_kind, strategy, cardinality, metric="sqeuclidean"):
     return bl.TrainConfig(batch_size=4, seed=5, encoder_widths=(8, 6), set_kind=set_kind,
-                          set_hidden=8 if set_kind == "full" else None, dropout_rate=0.3,
+                          set_hidden=8 if set_kind == "full" else None,
+                          dropout_rate=0.3 if set_kind == "full" else None,
                           metric=metric, interp=itp.InterpConfig(
                               strategy=strategy, layer=1, cardinality=cardinality))
 

@@ -390,6 +390,9 @@ class TestTrain:
         ["--set", "patience=-3"],
         ["--set", "encoder_widths=32,0"],
         ["--set", "encoder_widths=-4,8"],
+        ["--set", "set_kind=simple", "--set", "dropout_rate=0.5"],
+        ["--set", "set_kind=deepsets", "--set", "dropout_rate=0.1"],
+        ["--set", "set_kind=full", "--set", "dropout_rate=nan"],
     ])
     def test_bad_config_value_is_usage_error_before_training(self, workspace,
                                                              capsys, bad):
@@ -499,6 +502,27 @@ class TestTrain:
         assert err == ["error: meta-train task 0 has no queries of class 2, "
                        "which method mlti needs"]
         assert (out / "metrics.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("method,stop", [("meta-interp", None), ("protonet", None),
+                                             ("protonet", "10")])
+    def test_no_val_tasks_one_line_error_before_writing(self, workspace, capsys, method, stop):
+        # every method validates on the val split, even a run that stops
+        # before its first evaluation
+        tmp, cfg, tasks = workspace
+        lines = tasks.read_text().splitlines()
+        no_val = tmp / "no_val.txt"
+        no_val.write_text("\n".join(lines[:2] + [l for l in lines[2:]
+                                                 if l.split(",")[1] != "val"]) + "\n")
+        assert ep.load_tasks(no_val).meta_val == []
+        capsys.readouterr()
+        out = tmp / "run"
+        rc = cli.main(["train", "--config", str(cfg), "--tasks", str(no_val),
+                       "--out-dir", str(out), "--method", method,
+                       *(["--stop-after", stop] if stop else [])])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {no_val}: no tasks in split val, which training validates on"]
+        assert not out.exists()
 
     def test_prototypes_csv_has_both_sources(self, workspace):
         tmp, cfg, tasks = workspace
@@ -752,21 +776,26 @@ class TestAblate:
 
     def test_setfunc_axis_gives_set_hidden_to_the_full_form_only(self, workspace, tmp_path,
                                                                 monkeypatch):
-        # the other kinds have no hidden width: their runs drop the setting
+        # the other kinds have no hidden width and no dropout: their runs
+        # drop both settings, which reach the full form's set function
         _, cfg, _ = workspace
         seen, real = [], bl.meta_train
 
         def spy(ds, train_cfg, method):
-            seen.append((train_cfg.set_kind, train_cfg.set_hidden))
-            return real(ds, train_cfg, method)
+            state = real(ds, train_cfg, method)
+            seen.append((train_cfg.set_kind, train_cfg.set_hidden, train_cfg.dropout_rate,
+                         getattr(state.lam, "dropout_rate", None)))
+            return state
 
         monkeypatch.setattr(bl, "meta_train", spy)
         out = tmp_path / "kinds.csv"
         assert cli.main(["ablate", "--axis", "setfunc", "--config", str(cfg),
                          "--out", str(out), "--seeds", "0", "--set", "set_hidden=8",
+                         "--set", "dropout_rate=0.3",
                          "--set", "max_iters=4", "--set", "update_period=2",
                          "--set", "eval_episodes=10"]) == 0
-        assert seen == [("simple", None), ("full", 8), ("deepsets", None)]
+        assert seen == [("simple", None, None, None), ("full", 8, 0.3, 0.3),
+                        ("deepsets", None, None, None)]
         rows = out.read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["simple", "full", "deepsets"]
 
