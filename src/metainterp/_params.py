@@ -2,8 +2,9 @@
 
 Containers hold float64 numpy leaves (or DiffValues after binding).
 `named_leaves` walks a container in a stable order — the order
-checkpoints and optimizer slots rely on — and `named_arrays` and `leaves`
-flatten it along that walk.
+checkpoints and optimizer slots rely on — and `named_arrays`, `leaves`
+and `flatten` (one vector) lay it out along that walk; `unflatten` is
+`flatten`'s inverse, with views.
 """
 
 from __future__ import annotations
@@ -46,11 +47,8 @@ def _map_leaves(obj, fn):
     if _is_leaf(obj):
         return fn(obj)
     if dataclasses.is_dataclass(obj):
-        kwargs = {
-            f.name: _map_leaves(getattr(obj, f.name), fn)
-            for f in dataclasses.fields(obj)
-        }
-        return type(obj)(**kwargs)
+        return type(obj)(**{f.name: _map_leaves(getattr(obj, f.name), fn)
+                            for f in dataclasses.fields(obj)})
     if isinstance(obj, list):
         return [_map_leaves(v, fn) for v in obj]
     if isinstance(obj, tuple):
@@ -64,13 +62,33 @@ def bind(obj, tape: Tape):
 
 
 def values(obj):
-    """Copy of obj with every DiffValue leaf replaced by its array."""
-    return _map_leaves(obj, lambda x: _leaf_array(x).copy())
+    """Copy of obj with every leaf an array: views of one new vector."""
+    return unflatten(obj, flatten(obj))
 
 
 def leaves(obj) -> list:
     """Ordered leaf list (DiffValues or arrays, as stored)."""
     return [x for _, x in named_leaves(obj)]
+
+
+def flatten(obj) -> np.ndarray:
+    """The leaves of obj (a container, or a list of arrays or DiffValues) in
+    `named_leaves` order, raveled into one new float64 vector."""
+    return np.concatenate([np.zeros(0), *(_leaf_array(x).ravel() for x in leaves(obj))])
+
+
+def unflatten(template, vec: np.ndarray):
+    """A copy of template whose leaves, in `named_leaves` order, are views
+    of consecutive slices of vec, reshaped to the template's leaves."""
+    end = 0
+
+    def view(x):
+        nonlocal end
+        a = _leaf_array(x)
+        end += a.size
+        return vec[end - a.size:end].reshape(a.shape)
+
+    return _map_leaves(template, view)
 
 
 def from_named_arrays(template, named: dict, prefix: str = ""):
@@ -83,5 +101,4 @@ def from_named_arrays(template, named: dict, prefix: str = ""):
     for n, a in pairs:
         if np.shape(named[n]) != a.shape:
             raise ValueError(f"checkpoint tensor {n} has shape {np.shape(named[n])}, expected {a.shape}")
-    it = iter(pairs)
-    return _map_leaves(template, lambda _x: np.array(named[next(it)[0]], dtype=np.float64))
+    return unflatten(template, flatten([named[n] for n, _ in pairs]))

@@ -126,38 +126,30 @@ class OptState:
     kind: str
     lr: float
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: Optional[np.ndarray] = None  # adaptive-moment's moments, each one vector
+    v: Optional[np.ndarray] = None  # as long as the parameter vector
 
 
-def opt_init(kind: str, lr: float, arrays) -> OptState:
+def opt_init(kind: str, lr: float, size: int) -> OptState:
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {kind!r}")
-    state = OptState(kind=kind, lr=lr)
-    if kind == "adam":
-        state.m = [np.zeros_like(a) for a in arrays]
-        state.v = [np.zeros_like(a) for a in arrays]
-    return state
+    moments = (np.zeros(size), np.zeros(size)) if kind == "adam" else (None, None)
+    return OptState(kind, lr, 0, *moments)
 
 
-def opt_step(state: OptState, arrays, grads, lr: Optional[float] = None) -> list:
-    """One update; adaptive-moment uses beta1=0.9, beta2=0.999, eps=1e-8."""
+def opt_step(state: OptState, vec, grad, lr: Optional[float] = None) -> np.ndarray:
+    """One update of vec; adaptive-moment uses beta1=0.9, beta2=0.999, eps=1e-8."""
     lr = state.lr if lr is None else lr
     state.step += 1
-    out = []
     if state.kind == "sgd":
-        for a, g in zip(arrays, grads):
-            out.append(a - lr * g)
-        return out
+        return vec - lr * grad
     b1, b2, eps = 0.9, 0.999, 1e-8
     t = state.step
-    for i, (a, g) in enumerate(zip(arrays, grads)):
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        mhat = state.m[i] / (1 - b1 ** t)
-        vhat = state.v[i] / (1 - b2 ** t)
-        out.append(a - lr * mhat / (np.sqrt(vhat) + eps))
-    return out
+    state.m = b1 * state.m + (1 - b1) * grad
+    state.v = b2 * state.v + (1 - b2) * grad * grad
+    mhat = state.m / (1 - b1 ** t)
+    vhat = state.v / (1 - b2 ** t)
+    return vec - lr * mhat / (np.sqrt(vhat) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +183,9 @@ def inner_loss(lam, theta, pairs, cfg: TrainConfig, mode: str = "train",
 
 
 def theta_step(opt: OptState, theta, grads, lr: Optional[float] = None):
-    """Optimizer step over a parameter container's flattened tensors."""
-    arrays = [a for _, a in _params.named_arrays(theta)]
-    new = opt_step(opt, arrays, [_params._leaf_array(g) for g in grads], lr)
-    it = iter(new)
-    return _params._map_leaves(theta, lambda _a: next(it))
+    """Optimizer step over a parameter container as one vector."""
+    return _params.unflatten(
+        theta, opt_step(opt, _params.flatten(theta), _params.flatten(grads), lr))
 
 
 # ---------------------------------------------------------------------------
@@ -208,29 +198,21 @@ def neumann_hypergrad(dltr_dtheta, theta_leaves, lam_leaves,
 
     dltr_dtheta must have been produced with create_graph=True on the
     same tape as theta_leaves / lam_leaves. dlv_dtheta and dlv_dlam are
-    plain arrays. Returns arrays aligned with lam_leaves:
+    arrays or DiffValues. Returns arrays aligned with lam_leaves:
     dL_V/dlam - d2L_tr/(dlam dtheta) . alpha * sum_{j<=q} (I - alpha H)^j . dL_V/dtheta
     """
-    v1 = [np.array(v, dtype=np.float64) for v in dlv_dtheta]
-    p = [v.copy() for v in v1]
+    v1 = p = _params.flatten(dlv_dtheta)  # each step makes new vectors
     for _ in range(q):
-        hvp = ad.grad(
-            dltr_dtheta, theta_leaves,
-            grad_outputs=[DiffValue.const(v) for v in v1],
-        )
-        v1 = [v - alpha * h.data for v, h in zip(v1, hvp)]
-        for i in range(len(p)):
-            p[i] = p[i] + v1[i]
-    v2 = ad.grad(
-        dltr_dtheta, lam_leaves,
-        grad_outputs=[DiffValue.const(alpha * pi) for pi in p],
-    )
-    return [gl - g2.data for gl, g2 in zip(dlv_dlam, v2)]
+        hvp = ad.grad(dltr_dtheta, theta_leaves, _params.unflatten(theta_leaves, v1))
+        v1 = v1 - alpha * _params.flatten(hvp)
+        p = p + v1
+    v2 = ad.grad(dltr_dtheta, lam_leaves, _params.unflatten(theta_leaves, alpha * p))
+    return _params.unflatten(dlv_dlam, _params.flatten(dlv_dlam) - _params.flatten(v2))
 
 
 def _validation_grads(theta, lam_live, val_tasks, bprime: int, rng: np.random.Generator,
                       tape: Tape, metric: str) -> tuple:
-    """dL_V/dθ and dL_V/dλ as two lists of arrays. The validation loss
+    """dL_V/dθ and dL_V/dλ as two lists of DiffValues. The validation loss
     is one eval-mode batch of B' tasks drawn from val_tasks; its graph
     goes when this returns."""
     theta_val = _params.bind(theta, tape)
@@ -240,8 +222,7 @@ def _validation_grads(theta, lam_live, val_tasks, bprime: int, rng: np.random.Ge
     lv = batch.forward(metric).loss()
     theta_val_leaves = _params.leaves(theta_val)
     gv = ad.grad(lv, theta_val_leaves + _params.leaves(lam_live))
-    nt = len(theta_val_leaves)
-    return [g.data for g in gv[:nt]], [g.data for g in gv[nt:]]
+    return gv[:len(theta_val_leaves)], gv[len(theta_val_leaves):]
 
 
 def hypergrad(theta, lam_live, theta_leaves, dltr_dtheta, val_tasks,
@@ -304,8 +285,8 @@ def init_state(dataset: ep.TaskDataset, cfg: TrainConfig,
     opt_lam = None
     if rule is not None:
         lr = cfg.inner_lr if rule == "joint" else cfg.hyper_lr
-        opt_lam = opt_init(cfg.lam_opt, lr, _params.leaves(lam))
-    opt_theta = opt_init(cfg.theta_opt, cfg.inner_lr, _params.leaves(theta))
+        opt_lam = opt_init(cfg.lam_opt, lr, _params.flatten(lam).size)
+    opt_theta = opt_init(cfg.theta_opt, cfg.inner_lr, _params.flatten(theta).size)
     return TrainState(theta=theta, lam=lam, opt_theta=opt_theta, opt_lam=opt_lam)
 
 
@@ -347,11 +328,9 @@ def evaluate_validation(lam, theta, val_tasks, metric: str):
 
 
 def _check_finite(values, what: str, i: int):
-    """values (a list of arrays or a parameter container), or
-    TrainingDiverged if any entry is NaN or infinite."""
-    for a in _params.leaves(values):
-        if not np.all(np.isfinite(a)):
-            raise TrainingDiverged(f"non-finite {what} at iteration {i}")
+    """values (a list of arrays or a container), or TrainingDiverged if any entry is not finite."""
+    if not np.all(np.isfinite(_params.flatten(values))):
+        raise TrainingDiverged(f"non-finite {what} at iteration {i}")
     return values
 
 
@@ -373,19 +352,13 @@ def train_step(state: TrainState, dataset: ep.TaskDataset, cfg: TrainConfig,
     ltr = inner_loss(lam_live, theta_live, pairs, cfg, "train", rng, method)
     loss_val = ltr.item()
     if not np.isfinite(loss_val):
-        raise TrainingDiverged(
-            f"non-finite training loss {loss_val} at iteration {i}"
-        )
+        raise TrainingDiverged(f"non-finite training loss {loss_val} at iteration {i}")
 
     hyper_due = rule == "hyper" and i % cfg.update_period == 0
     theta_leaves = _params.leaves(theta_live)
-    g_lam, eta = [], None
-    if rule == "joint":
-        grads = ad.grad(ltr, theta_leaves + _params.leaves(lam_live))
-        g_theta = grads[: len(theta_leaves)]
-        g_lam = [g.data for g in grads[len(theta_leaves) :]]
-    else:
-        g_theta = ad.grad(ltr, theta_leaves, create_graph=hyper_due)
+    grads = ad.grad(ltr, theta_leaves + (_params.leaves(lam_live) if rule == "joint" else []),
+                    create_graph=hyper_due)
+    g_theta, g_lam, eta = grads[:len(theta_leaves)], grads[len(theta_leaves):], None
 
     state.theta = _check_finite(
         theta_step(state.opt_theta, state.theta, g_theta), "encoder update", i)
@@ -399,6 +372,7 @@ def train_step(state: TrainState, dataset: ep.TaskDataset, cfg: TrainConfig,
         eta = cfg.hyper_lr
         if cfg.hyper_schedule == "linear":
             eta = cfg.hyper_lr * max(0.0, 1.0 - i / cfg.max_iters)
+    del ltr, grads, g_theta, theta_leaves, theta_live, lam_live  # free the graph before λ's step
     if g_lam:
         state.lam = _check_finite(
             theta_step(state.opt_lam, state.lam, g_lam, eta), "set-function update", i)
@@ -408,6 +382,7 @@ def train_step(state: TrainState, dataset: ep.TaskDataset, cfg: TrainConfig,
     return loss_val
 
 
+@np.errstate(all="ignore")  # each loss and update is checked for non-finite values
 def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
                method: str = "meta-interp",
                state: Optional[TrainState] = None,
@@ -434,9 +409,10 @@ def meta_train(dataset: ep.TaskDataset, cfg: TrainConfig,
         state.loss_window.append(train_step(state, dataset, cfg, method))
         i = state.iteration
         if i % cfg.update_period == 0 or i == cfg.max_iters:
-            val_loss, val_acc = evaluate_validation(
-                state.lam, state.theta, dataset.meta_val, cfg.metric
-            )
+            val_loss, val_acc = evaluate_validation(state.lam, state.theta, dataset.meta_val,
+                                                    cfg.metric)
+            if not np.isfinite(val_loss):
+                raise TrainingDiverged(f"non-finite validation loss at iteration {i}")
             row = {
                 "iter": i,
                 "train_loss": float(np.mean(state.loss_window)),
@@ -560,11 +536,14 @@ def _tensor(named: dict, name: str) -> np.ndarray:
     return named[name]
 
 
-def _code(named: dict, name: str, names) -> str:
-    code = int(_tensor(named, name)[0, 0])
-    if not 0 <= code < len(names):
-        raise ValueError(f"checkpoint tensor {name!r} holds unknown code {code}")
-    return names[code]
+def _integer(named: dict, name: str, col: int = 0, names=None):
+    """Entry col of tensor name's first row: a non-negative integer, or,
+    given names, the one of names that it indexes."""
+    x = float(_tensor(named, name)[0, col])
+    if not (x >= 0 and x.is_integer() and (names is None or x < len(names))):
+        want = "a non-negative integer" if names is None else f"an integer in 0..{len(names) - 1}"
+        raise ValueError(f"checkpoint tensor {name!r} holds {x:g}, not {want}")
+    return int(x) if names is None else names[int(x)]
 
 
 def _indexed(named: dict, fmt: str) -> list:
@@ -581,15 +560,15 @@ def model_from_named(named: dict):
     rng = np.random.default_rng(0)
     widths = [_tensor(named, "theta.layers[0].w").shape[0],
               *(w.shape[1] for w in _indexed(named, "theta.layers[{}].w"))]
-    theta = pn.init_encoder(widths, int(_tensor(named, "meta.split")[0, 0]), rng,
+    theta = pn.init_encoder(widths, _integer(named, "meta.split"), rng,
                             float(_tensor(named, "meta.slope")[0, 0]))
-    kind = _code(named, "meta.set_kind", list(setfunc.KINDS))
+    kind = _integer(named, "meta.set_kind", names=list(setfunc.KINDS))
     hidden = _tensor(named, "lam.w4").shape[0] if kind == "full" else None
     lam = setfunc.build(kind, theta.interp_width, rng, hidden,
                         float(_tensor(named, "meta.dropout_rate")[0, 0]))
     return (_params.from_named_arrays(theta, named, "theta"),
             _params.from_named_arrays(lam, named, "lam"),
-            _code(named, "meta.metric", pn.METRICS))
+            _integer(named, "meta.metric", names=pn.METRICS))
 
 
 def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
@@ -599,15 +578,18 @@ def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
     if state.best_iter != state.iteration:
         named.update(_params.named_arrays(state.best_theta, "best_theta"))
         named.update(_params.named_arrays(state.best_lam, "best_lam"))
-    for slot, opt in (("opt_theta", state.opt_theta), ("opt_lam", state.opt_lam)):
+    for slot, opt, model in (("opt_theta", state.opt_theta, state.theta),
+                             ("opt_lam", state.opt_lam, state.lam)):
         if opt is None:
             continue
         named[f"{slot}.meta"] = np.array(
             [[float(opt.step), float(opt.lr), 1.0 if opt.kind == "adam" else 0.0]]
         )
-        for i, (m, v) in enumerate(zip(opt.m, opt.v)):
-            named[f"{slot}.m[{i}]"] = m
-            named[f"{slot}.v[{i}]"] = v
+        if opt.kind == "adam":  # slots m[i] and v[i] are views shaped like leaf i
+            m, v = (_params.unflatten(_params.leaves(model), s) for s in (opt.m, opt.v))
+            for i, (mi, vi) in enumerate(zip(m, v)):
+                named[f"{slot}.m[{i}]"] = mi
+                named[f"{slot}.v[{i}]"] = vi
     for name, _kind in _COUNTERS:
         named[f"meta.{name}"] = np.array([[float(getattr(state, name))]])
     named["meta.method"] = np.array([[float(list(METHODS).index(method))]])
@@ -618,7 +600,8 @@ def state_to_named(state: TrainState, cfg: TrainConfig, method: str) -> dict:
 
 def state_from_named(named: dict):
     theta, lam, _metric = model_from_named(named)
-    counters = {name: kind(_tensor(named, f"meta.{name}")[0, 0]) for name, kind in _COUNTERS}
+    counters = {name: _integer(named, f"meta.{name}") if kind is int
+                else float(_tensor(named, f"meta.{name}")[0, 0]) for name, kind in _COUNTERS}
     # the best model is stored only when it is not the current one
     best_theta, best_lam = (
         _params.from_named_arrays(model, named, prefix)
@@ -629,11 +612,11 @@ def state_from_named(named: dict):
         key = f"{slot}.meta"
         if key not in named:
             return None
-        step, lr, is_adam = named[key][0]
-        opt = OptState(kind="adam" if is_adam else "sgd", lr=float(lr), step=int(step))
+        opt = OptState(kind=_integer(named, key, 2, ("sgd", "adam")),
+                       lr=float(named[key][0, 1]), step=_integer(named, key))
         if opt.kind == "adam":  # slots m[i] and v[i] are shaped like leaf i
-            opt.m = _params.from_named_arrays(_params.leaves(model), named, f"{slot}.m")
-            opt.v = _params.from_named_arrays(_params.leaves(model), named, f"{slot}.v")
+            opt.m, opt.v = (_params.flatten(_params.from_named_arrays(
+                _params.leaves(model), named, f"{slot}.{s}")) for s in "mv")
         return opt
 
     window = named.get("meta.loss_window")  # present after a stop between evaluations
@@ -647,7 +630,7 @@ def state_from_named(named: dict):
         loss_window=[] if window is None else window[0].tolist(),
         **counters,
     )
-    method = _code(named, "meta.method", list(METHODS))
+    method = _integer(named, "meta.method", names=list(METHODS))
     if (METHODS[method][1] is None) != isinstance(lam, setfunc.IdentitySet):
         raise ValueError(f"checkpoint's set function does not fit its method {method!r}")
     return state, method

@@ -9,8 +9,10 @@
   keeps attention inside each set.
 * The row normalization whose VJP records 13 nodes: every mean, its
   broadcast, each difference and each product is a node of its own.
+* The optimizer step and the Neumann series written per tensor, as loops
+  over a parameter set's leaves, where the program runs on one vector.
 
-Both draw from the random stream exactly as the program does.
+The first two draw from the random stream exactly as the program does.
 """
 
 import math
@@ -302,3 +304,41 @@ def normalize_rows(x, eps=1e-12):
         return (ops.mul(ops.broadcast_to(ops._inv_std_rows(x, eps, inv), (m, n)), inner),)
 
     return ad._make(xc * inv, (x,), vjp)
+
+
+# ---------------------------------------------------------------------------
+# the optimizer step and the Neumann series, tensor by tensor
+
+
+def opt_step(kind, moments, t, arrays, grads, lr):
+    """`bilevel.opt_step` as a loop over tensors: SGD, or adaptive moments
+    (beta1=0.9, beta2=0.999, eps=1e-8) at step t, with moments = (m, v) two
+    lists of per-tensor arrays that the step replaces in place."""
+    if kind == "sgd":
+        return [a - lr * g for a, g in zip(arrays, grads)]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m, v = moments
+    out = []
+    for i, (a, g) in enumerate(zip(arrays, grads)):
+        m[i] = b1 * m[i] + (1 - b1) * g
+        v[i] = b2 * v[i] + (1 - b2) * g * g
+        mhat = m[i] / (1 - b1 ** t)
+        vhat = v[i] / (1 - b2 ** t)
+        out.append(a - lr * mhat / (np.sqrt(vhat) + eps))
+    return out
+
+
+def neumann_hypergrad(dltr_dtheta, theta_leaves, lam_leaves, dlv_dtheta, dlv_dlam, alpha, q):
+    """`bilevel.neumann_hypergrad` with v1 and p held as lists of per-leaf
+    arrays, seeded one DiffValue per leaf."""
+    v1 = [np.array(v, dtype=np.float64) for v in dlv_dtheta]
+    p = [v.copy() for v in v1]
+    for _ in range(q):
+        hvp = ad.grad(dltr_dtheta, theta_leaves,
+                      grad_outputs=[DiffValue.const(v) for v in v1])
+        v1 = [v - alpha * h.data for v, h in zip(v1, hvp)]
+        for i in range(len(p)):
+            p[i] = p[i] + v1[i]
+    v2 = ad.grad(dltr_dtheta, lam_leaves,
+                 grad_outputs=[DiffValue.const(alpha * pi) for pi in p])
+    return [gl - g2.data for gl, g2 in zip(dlv_dlam, v2)]

@@ -34,15 +34,15 @@ def short_cfg(**kw):
 
 class TestOptimizers:
     def test_zero_gradient_no_move(self):
-        opt = bl.opt_init("adam", 0.1, [np.ones((2, 2))])
-        (new,) = bl.opt_step(opt, [np.ones((2, 2))], [np.zeros((2, 2))])
-        np.testing.assert_array_equal(new, np.ones((2, 2)))
+        opt = bl.opt_init("adam", 0.1, 4)
+        new = bl.opt_step(opt, np.ones(4), np.zeros(4))
+        np.testing.assert_array_equal(new, np.ones(4))
 
     def test_sgd_quadratic_hand_formula(self):
         # f = 0.5 x^2, grad = x; one step: x - lr*x
-        opt = bl.opt_init("sgd", 0.25, [np.array([[2.0]])])
-        (new,) = bl.opt_step(opt, [np.array([[2.0]])], [np.array([[2.0]])])
-        assert new[0, 0] == 2.0 - 0.25 * 2.0
+        opt = bl.opt_init("sgd", 0.25, 1)
+        (new,) = bl.opt_step(opt, np.array([2.0]), np.array([2.0]))
+        assert new == 2.0 - 0.25 * 2.0
 
     def test_adam_three_step_reference(self):
         # scalar reference recursion with beta1=.9, beta2=.999, eps=1e-8
@@ -50,20 +50,38 @@ class TestOptimizers:
         x = 1.0
         m = v = 0.0
         grads = [0.5, -0.2, 0.8]
-        opt = bl.opt_init("adam", lr, [np.array([[1.0]])])
-        arr = np.array([[1.0]])
+        opt = bl.opt_init("adam", lr, 1)
+        arr = np.array([1.0])
         for t, g in enumerate(grads, start=1):
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             mhat = m / (1 - b1 ** t)
             vhat = v / (1 - b2 ** t)
             x = x - lr * mhat / (np.sqrt(vhat) + eps)
-            (arr,) = bl.opt_step(opt, [arr], [np.array([[g]])])
-        assert arr[0, 0] == pytest.approx(x, abs=1e-15)
+            arr = bl.opt_step(opt, arr, np.array([g]))
+        assert arr[0] == pytest.approx(x, abs=1e-15)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            bl.opt_init("lion", 0.1, [])
+            bl.opt_init("lion", 0.1, 0)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_flat_step_has_the_per_tensor_bits(self, kind):
+        # four steps over tensors of mixed shapes, the last two at their own
+        # rates, as the schedule gives the set function's steps
+        rng = np.random.default_rng(8)
+        arrays = [rng.standard_normal(shape) for shape in ((3, 4), (1, 4), (4, 1), (1, 1), (2, 5))]
+        opt = bl.opt_init(kind, 1e-2, _params.flatten(arrays).size)
+        moments = ([np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays])
+        flat = arrays
+        for t, lr in enumerate((None, None, 3e-3, 0.5), start=1):
+            grads = [rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3) for a in arrays]
+            arrays = reference.opt_step(kind, moments, t, arrays, grads, 1e-2 if lr is None else lr)
+            flat = bl.theta_step(opt, flat, grads, lr)
+            assert [a.tobytes() for a in flat] == [a.tobytes() for a in arrays]
+        if kind == "adam":
+            for got, want in ((opt.m, moments[0]), (opt.v, moments[1])):
+                assert got.tobytes() == _params.flatten(want).tobytes()
 
 
 class TestInnerLoss:
@@ -293,6 +311,24 @@ class TestHypergrad:
         assert all(np.all(np.isfinite(x)) for x in g)
         assert any(np.any(x != 0) for x in g)
 
+
+    @pytest.mark.parametrize("set_kind", ["simple", "full"])
+    def test_flat_series_has_the_per_leaf_bits(self, set_kind):
+        ds = small_dataset()
+        cfg = short_cfg(set_kind=set_kind, set_hidden=8 if set_kind == "full" else None)
+        state = bl.init_state(ds, cfg, "meta-interp")
+        tape = Tape()
+        theta_live, lam_live = bl._params.bind(state.theta, tape), bl._params.bind(state.lam, tape)
+        rng = np.random.default_rng(0)
+        ltr = bl.inner_loss(lam_live, theta_live, bl._sample_batch(ds, cfg, rng), cfg, "train", rng)
+        theta, lam = bl._params.leaves(theta_live), bl._params.leaves(lam_live)
+        dltr = ad.grad(ltr, theta, create_graph=True)
+        dlv_dtheta = [rng.standard_normal(x.shape) for x in theta]
+        dlv_dlam = [rng.standard_normal(x.shape) for x in lam]
+        args = (dltr, theta, lam, dlv_dtheta, dlv_dlam, cfg.inner_lr, 3)
+        got, want = bl.neumann_hypergrad(*args), reference.neumann_hypergrad(*args)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+        assert [g.shape for g in got] == [x.shape for x in lam]
 
     def test_hypergrad_releases_validation_graph(self, monkeypatch):
         # the Neumann series runs without the validation loss's graph: only

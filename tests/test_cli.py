@@ -39,6 +39,14 @@ def _cut_last_column(lines, name):
     return lines[:i] + [f"tensor {name} {rows} {cols - 1}"] + body + lines[i + 1 + rows:]
 
 
+def _set_entry(lines, name, col, value):
+    """Checkpoint lines with entry col of tensor `name`'s first row set to value."""
+    i = next(i for i, l in enumerate(lines) if l.startswith(f"tensor {name} "))
+    row = lines[i + 1].split()
+    row[col] = value
+    return lines[:i + 1] + [" ".join(row)] + lines[i + 2:]
+
+
 def _narrow_tasks(tmp, cfg):
     """A task file like the workspace's with 4 features (dim 5 there)."""
     narrow = tmp / "narrow.txt"
@@ -369,6 +377,23 @@ class TestTrain:
         assert err == ["error: non-finite encoder update at iteration 1"]
         assert not (out / "best.ckpt").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_validation_loss_exits_one(self, workspace, capsys):
+        # an SGD step of 1e100 leaves the encoder finite, but its validation
+        # distances overflow: the run stops at that evaluation, with no
+        # metrics row, no checkpoint and no numpy warning
+        tmp, cfg, tasks = workspace
+        out = tmp / "nan"
+        rc = cli.main(["train", "--config", str(cfg), "--tasks", str(tasks),
+                       "--out-dir", str(out), "--seed", "2", "--method", "protonet",
+                       "--set", "theta_opt=sgd", "--set", "inner_lr=1e100",
+                       "--set", "max_iters=1", "--set", "update_period=1"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: non-finite validation loss at iteration 1"]
+        assert (out / "metrics.csv").read_text() == "iter,train_loss,val_loss,val_acc,wall_ms\n"
+        assert not (out / "best.ckpt").exists() and not (out / "final.ckpt").exists()
+
     @pytest.mark.parametrize("bad", [
         ["--set", "set_kind=full", "--set", "dropout_rate=1.0"],
         ["--set", "set_kind=full", "--set", "dropout_rate=-0.5"],
@@ -406,19 +431,45 @@ class TestTrain:
             "metainterp: error:")
         assert not out.exists()
 
-    def test_resume_adam_slot_of_wrong_shape_one_line_error(self, workspace, capsys):
+    def _resume_broken_ckpt(self, workspace, capsys, edit):
         tmp, cfg, tasks = workspace
         out = tmp / "run"
         run = ["train", "--config", str(cfg), "--tasks", str(tasks), "--out-dir", str(out)]
         assert cli.main([*run, "--stop-after", "20"]) == 0
         ckpt = out / "final.ckpt"
-        lines = ckpt.read_text().splitlines()
-        ckpt.write_text("\n".join(_cut_last_column(lines, "opt_theta.m[1]")) + "\n")
+        ckpt.write_text("\n".join(edit(ckpt.read_text().splitlines())) + "\n")
         capsys.readouterr()
-        assert cli.main([*run, "--resume", str(ckpt)]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
+        rc = cli.main([*run, "--resume", str(ckpt)])
+        return rc, capsys.readouterr().err.strip().splitlines()
+
+    def test_resume_adam_slot_of_wrong_shape_one_line_error(self, workspace, capsys):
+        rc, err = self._resume_broken_ckpt(workspace, capsys,
+                                           lambda ls: _cut_last_column(ls, "opt_theta.m[1]"))
+        assert rc == 1
         assert err == ["error: checkpoint tensor opt_theta.m[1] has shape (1, 7), "
                        "expected (1, 8)"]
+
+    # opt_*.meta holds (step, lr, 1 for adaptive moments or 0 for SGD)
+    @pytest.mark.parametrize("name,col,value,want", [
+        ("opt_theta.meta", 0, "inf", "a non-negative integer"),
+        ("opt_theta.meta", 0, "-5", "a non-negative integer"),
+        ("opt_theta.meta", 0, "nan", "a non-negative integer"),
+        ("opt_lam.meta", 0, "2.5", "a non-negative integer"),
+        ("opt_theta.meta", 2, "2", "an integer in 0..1"),
+        ("opt_lam.meta", 2, "0.5", "an integer in 0..1"),
+        ("meta.iteration", 0, "-1", "a non-negative integer"),
+        ("meta.work", 0, "inf", "a non-negative integer"),
+        ("meta.best_iter", 0, "nan", "a non-negative integer"),
+        ("meta.evals_since_best", 0, "1.5", "a non-negative integer"),
+        ("meta.method", 0, "6", "an integer in 0..5"),
+        ("meta.method", 0, "-inf", "an integer in 0..5"),
+    ])
+    def test_resume_integral_field_out_of_range_one_line_error(self, workspace, capsys,
+                                                               name, col, value, want):
+        rc, err = self._resume_broken_ckpt(workspace, capsys,
+                                           lambda ls: _set_entry(ls, name, col, value))
+        assert rc == 1
+        assert err == [f"error: checkpoint tensor {name!r} holds {value}, not {want}"]
 
     def test_resume_on_task_file_of_other_width_one_line_error(self, workspace, capsys):
         tmp, cfg, tasks = workspace
@@ -680,6 +731,23 @@ class TestEval:
                                          lambda ls: _cut_last_column(ls, name))
         assert rc == 1
         assert err == [f"error: checkpoint tensor {name} has shape (1, 7), expected (1, 8)"]
+
+    @pytest.mark.parametrize("name,value,want", [
+        ("meta.split", "inf", "a non-negative integer"),
+        ("meta.split", "nan", "a non-negative integer"),
+        ("meta.split", "-1", "a non-negative integer"),
+        ("meta.split", "0.5", "a non-negative integer"),
+        ("meta.set_kind", "inf", "an integer in 0..3"),
+        ("meta.set_kind", "4", "an integer in 0..3"),
+        ("meta.metric", "nan", "an integer in 0..1"),
+        ("meta.metric", "1.5", "an integer in 0..1"),
+    ])
+    def test_checkpoint_integral_field_out_of_range_one_line_error(self, workspace, capsys,
+                                                                   name, value, want):
+        rc, err = self._eval_broken_ckpt(workspace, capsys,
+                                         lambda ls: _set_entry(ls, name, 0, value))
+        assert rc == 1
+        assert err == [f"error: checkpoint tensor {name!r} holds {value}, not {want}"]
 
 
 class TestPathErrors:
